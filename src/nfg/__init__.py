@@ -30,7 +30,6 @@ from .contraction import (
 from .diagrams import (
     IdentityCheckReport,
     check_cross_chain,
-    check_cross_matrix_identities,
     check_eps_contraction,
     check_triple_product,
     cross_diagram,
@@ -40,17 +39,8 @@ from .diagrams import (
     pfaffian_oracle,
     trace_diagram,
 )
-from .graph import Edge, Nfg, NfgError, PortRef, nfg_new
+from .graph import Edge, Nfg, NfgError, PortRef
 from .scalars import EXACT, F64, BackendMismatch, rat
-from .tensor import (
-    Tensor,
-    TensorError,
-    pair_contract,
-    tensor_add,
-    tensor_equal,
-    tensor_from_values,
-    tensor_pair_contract,
-    tensor_scale,
-)
+from .tensor import Tensor, TensorError, pair_contract
 
 __version__ = "0.1.0"

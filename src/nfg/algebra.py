@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import scalars
-from .contraction import ContractionPlan, exterior_brute, exterior_planned
-from .graph import Nfg, NfgError
+from .contraction import exterior_brute, exterior_planned
+from .graph import Edge, Nfg, NfgError, PortRef, Vertex
 from .tensor import Tensor
 
 
@@ -25,9 +25,9 @@ class CompoundNfg:
         if not self.terms:
             raise NfgError("a compound NFG needs at least one term")
         for _, g in self.terms:
-            if g.interface_signature() != self.interface:
+            if g.dangling_shape() != self.interface:
                 raise NfgError(
-                    f"term interface {g.interface_signature()} != compound "
+                    f"term interface {g.dangling_shape()} != compound "
                     f"interface {self.interface}"
                 )
 
@@ -36,7 +36,7 @@ def as_compound(g: Union[Nfg, CompoundNfg]) -> CompoundNfg:
     if isinstance(g, CompoundNfg):
         return g
     one = scalars.one(g.backend())
-    return CompoundNfg([(one, g)], g.interface_signature())
+    return CompoundNfg([(one, g)], g.dangling_shape())
 
 
 def scale_nfg(g: Union[Nfg, CompoundNfg], lam) -> CompoundNfg:
@@ -64,24 +64,21 @@ def stack(g1: Nfg, g2: Nfg) -> Nfg:
     combined interface is g1's dangling order followed by g2's.
     """
     out = g1.copy()
-    vmap = {}
-    for vid, vtx in g2.vertices.items():
-        new_vid = vid
-        while new_vid in out.vertices:
-            new_vid = new_vid + "'"
-        vmap[vid] = new_vid
-        out.vertices[new_vid] = type(vtx)(vtx.tensor, list(vtx.ciliation))
     emap = {}
     for eid, edge in g2.edges.items():
         new_eid = eid
         while new_eid in out.edges:
             new_eid = new_eid + "'"
         emap[eid] = new_eid
-        pts = tuple(type(p)(vmap[p.vertex], p.slot) for p in edge.endpoints)
-        out.edges[new_eid] = type(edge)(new_eid, edge.alphabet, pts)
-    for vid in vmap.values():
-        vtx = out.vertices[vid]
-        vtx.ciliation = [emap[eid] for eid in vtx.ciliation]
+        out.edges[new_eid] = Edge(new_eid, edge.alphabet, edge.endpoints)
+    moves = {}
+    for vid, vtx in g2.vertices.items():
+        new_vid = vid
+        while new_vid in out.vertices:
+            new_vid = new_vid + "'"
+        out.vertices[new_vid] = Vertex(vtx.tensor, [emap[eid] for eid in vtx.ciliation])
+        moves.update({PortRef(vid, s): PortRef(new_vid, s) for s in range(len(vtx.ciliation))})
+    out.rewire(moves)
     out.dangling = list(g1.dangling) + [emap[eid] for eid in g2.dangling]
     return out
 

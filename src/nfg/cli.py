@@ -12,14 +12,14 @@ import sys
 from pathlib import Path
 
 from . import dsl, scalars, suites
-from .algebra import eval_compound
+from .algebra import CompoundNfg, eval_compound
 from .contraction import exterior_brute, exterior_planned, plan_greedy
 from .diagrams import (
     det_diagram,
     det_oracle,
     pfaffian_diagram,
-    pfaffian_factor,
     pfaffian_oracle,
+    pfaffian_ratio,
     trace_diagram,
     trace_oracle,
 )
@@ -56,11 +56,11 @@ def cmd_contract(args) -> int:
     doc = _load(args.file, args.backend)
     target = _graph_or_compound(doc, args.graph)
     if args.plan_out:
-        from .algebra import CompoundNfg
-
-        g = target.terms[0][1] if isinstance(target, CompoundNfg) else target
-        plan = plan_greedy(g)
-        Path(args.plan_out).write_text(plan.to_text(), encoding="utf-8")
+        if isinstance(target, CompoundNfg):
+            print(f"error: --plan-out needs a graph; {args.graph!r} is a compound",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        Path(args.plan_out).write_text(plan_greedy(target).to_text(), encoding="utf-8")
     result = eval_compound(target, engine=args.engine)
     print(json.dumps(result.to_obj()))
     return EXIT_OK
@@ -80,39 +80,20 @@ def cmd_equal(args) -> int:
     return EXIT_UNEQUAL
 
 
-def cmd_pfaffian(args) -> int:
+def cmd_compare(args) -> int:
+    """A matrix function through its diagram and through its oracle; exit 0 iff equal."""
     doc = _load(args.file, args.backend)
     a = _tensor(doc, args.matrix)
-    n = a.shape[0] // 2
-    factor = pfaffian_factor(n)
-    z = exterior_planned(pfaffian_diagram(a)).get(())
-    via_diagram = z / scalars.rat(factor) if a.backend == EXACT else z / float(factor)
-    via_oracle = pfaffian_oracle(a)
-    print(f"pfaffian(diagram) = {scalars.format_scalar(a.backend, via_diagram)}")
-    print(f"pfaffian(oracle)  = {scalars.format_scalar(a.backend, via_oracle)}")
-    print(f"ratio             = {factor}")
-    agree = scalars.scalar_eq(a.backend, via_diagram, via_oracle, args.tol)
-    return EXIT_OK if agree else EXIT_UNEQUAL
-
-
-def cmd_det(args) -> int:
-    doc = _load(args.file, args.backend)
-    a = _tensor(doc, args.matrix)
-    via_diagram = exterior_planned(det_diagram(a)).get(())
-    via_oracle = det_oracle(a)
-    print(f"det(diagram) = {scalars.format_scalar(a.backend, via_diagram)}")
-    print(f"det(oracle)  = {scalars.format_scalar(a.backend, via_oracle)}")
-    agree = scalars.scalar_eq(a.backend, via_diagram, via_oracle, args.tol)
-    return EXIT_OK if agree else EXIT_UNEQUAL
-
-
-def cmd_trace(args) -> int:
-    doc = _load(args.file, args.backend)
-    a = _tensor(doc, args.matrix)
-    via_diagram = exterior_brute(trace_diagram(a)).get(())
-    via_oracle = trace_oracle(a)
-    print(f"trace(diagram) = {scalars.format_scalar(a.backend, via_diagram)}")
-    print(f"trace(oracle)  = {scalars.format_scalar(a.backend, via_oracle)}")
+    ratio = args.ratio(a) if args.ratio else None  # checks a before any work
+    via_diagram = args.run(args.diagram(a)).get(())
+    if ratio is not None:
+        via_diagram = via_diagram / ratio
+    via_oracle = args.oracle(a)
+    name = args.command
+    print(f"{name}(diagram) = {scalars.format_scalar(a.backend, via_diagram)}")
+    print(f"{name}(oracle)  = {scalars.format_scalar(a.backend, via_oracle)}")
+    if ratio is not None:
+        print(f"{'ratio':<{len(name) + 9}} = {ratio}")
     agree = scalars.scalar_eq(a.backend, via_diagram, via_oracle, args.tol)
     return EXIT_OK if agree else EXIT_UNEQUAL
 
@@ -170,23 +151,21 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_equal)
 
-    p = sub.add_parser("pfaffian", help="Pfaffian via diagram and via oracle")
-    p.add_argument("file")
-    p.add_argument("matrix")
-    common(p, engine=False)
-    p.set_defaults(fn=cmd_pfaffian)
-
-    p = sub.add_parser("det", help="determinant via diagram and via oracle")
-    p.add_argument("file")
-    p.add_argument("matrix")
-    common(p, engine=False)
-    p.set_defaults(fn=cmd_det)
-
-    p = sub.add_parser("trace", help="trace via diagram and via oracle")
-    p.add_argument("file")
-    p.add_argument("matrix")
-    common(p, engine=False)
-    p.set_defaults(fn=cmd_trace)
+    # one comparison command per row: name, what it computes, diagram builder,
+    # engine, oracle, and the diagram-to-value ratio (None when 1); the ratio
+    # function checks both routes' limits before any work, as det_diagram and
+    # trace_diagram check theirs before they build anything
+    for name, what, diagram, run, oracle, ratio in (
+        ("pfaffian", "Pfaffian", pfaffian_diagram, exterior_planned, pfaffian_oracle,
+         pfaffian_ratio),
+        ("det", "determinant", det_diagram, exterior_planned, det_oracle, None),
+        ("trace", "trace", trace_diagram, exterior_brute, trace_oracle, None),
+    ):
+        p = sub.add_parser(name, help=f"{what} via diagram and via oracle")
+        p.add_argument("file")
+        p.add_argument("matrix")
+        common(p, engine=False)
+        p.set_defaults(fn=cmd_compare, diagram=diagram, run=run, oracle=oracle, ratio=ratio)
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))

@@ -11,7 +11,7 @@ diagrams tractable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Nfg, NfgError, PortRef, Vertex
@@ -136,24 +136,13 @@ def group_vertices(g: Nfg, u: str, v: str) -> Nfg:
 
     keep_u = [s for s in range(len(vu.ciliation)) if s not in f_axes]
     keep_v = [s for s in range(len(vv.ciliation)) if s not in g_axes]
-    new_cil = [vu.ciliation[s] for s in keep_u] + [vv.ciliation[s] for s in keep_v]
-
-    slot_map: Dict[Tuple[str, int], int] = {}
-    for new_slot, old in enumerate(keep_u):
-        slot_map[(u, old)] = new_slot
-    for new_slot, old in enumerate(keep_v, start=len(keep_u)):
-        slot_map[(v, old)] = new_slot
-
     for _, _, eid in shared:
         del g.edges[eid]
     del g.vertices[v]
-    g.vertices[u] = Vertex(merged, new_cil)
-    for eid, edge in g.edges.items():
-        pts = tuple(
-            PortRef(u, slot_map[(p.vertex, p.slot)]) if p.vertex in (u, v) else p
-            for p in edge.endpoints
-        )
-        g.edges[eid] = Edge(eid, edge.alphabet, pts)
+    g.vertices[u] = Vertex(merged, [vu.ciliation[s] for s in keep_u] +
+                           [vv.ciliation[s] for s in keep_v])
+    kept = [PortRef(u, s) for s in keep_u] + [PortRef(v, s) for s in keep_v]
+    g.rewire({old: PortRef(u, new) for new, old in enumerate(kept)})
     return g
 
 
@@ -192,31 +181,17 @@ def split_vertex(g: Nfg, h: str, f: Tensor, f_slots: Sequence[int],
     while hf in g.vertices or hg in g.vertices:
         base += "_"
         hf, hg = f"{base}_f", f"{base}_g"
-    old_cil = list(vh.ciliation)
     del g.vertices[h]
     new_eids = []
-    for _ in range(s):
+    for k, alphabet in enumerate(shared_alphabets):
         eid = g.fresh_edge_id()
-        # reserve the id before generating the next one
-        g.edges[eid] = Edge(eid, 0, ())
+        g.edges[eid] = Edge(eid, int(alphabet), (PortRef(hf, len(f_slots) + k), PortRef(hg, k)))
         new_eids.append(eid)
-    cil_f = [old_cil[sl] for sl in f_slots] + list(new_eids)
-    cil_g = list(new_eids) + [old_cil[sl] for sl in g_slots]
-    g.vertices[hf] = Vertex(f, cil_f)
-    g.vertices[hg] = Vertex(gt, cil_g)
-    for k, eid in enumerate(new_eids):
-        g.edges[eid] = Edge(eid, int(shared_alphabets[k]),
-                            (PortRef(hf, len(f_slots) + k), PortRef(hg, k)))
-    slot_map: Dict[int, PortRef] = {}
-    for new_slot, old in enumerate(f_slots):
-        slot_map[old] = PortRef(hf, new_slot)
-    for new_slot, old in enumerate(g_slots, start=s):
-        slot_map[old] = PortRef(hg, new_slot)
-    for eid, edge in list(g.edges.items()):
-        if eid in new_eids:
-            continue
-        pts = tuple(slot_map[p.slot] if p.vertex == h else p for p in edge.endpoints)
-        g.edges[eid] = Edge(eid, edge.alphabet, pts)
+    g.vertices[hf] = Vertex(f, [vh.ciliation[sl] for sl in f_slots] + new_eids)
+    g.vertices[hg] = Vertex(gt, new_eids + [vh.ciliation[sl] for sl in g_slots])
+    moves = {PortRef(h, old): PortRef(hf, new) for new, old in enumerate(f_slots)}
+    moves.update({PortRef(h, old): PortRef(hg, new) for new, old in enumerate(g_slots, start=s)})
+    g.rewire(moves)
     return g
 
 
@@ -291,17 +266,9 @@ def _trace_out_self_loops(g: Nfg, vid: str) -> None:
         s1 = vtx.ciliation.index(loop_eid)
         s2 = vtx.ciliation.index(loop_eid, s1 + 1)
         keep = [s for s in range(len(vtx.ciliation)) if s not in (s1, s2)]
-        new_tensor = vtx.tensor.trace_axes(s1, s2)
-        new_cil = [vtx.ciliation[s] for s in keep]
-        slot_map = {old: new for new, old in enumerate(keep)}
         del g.edges[loop_eid]
-        g.vertices[vid] = Vertex(new_tensor, new_cil)
-        for eid, edge in g.edges.items():
-            pts = tuple(
-                PortRef(vid, slot_map[p.slot]) if p.vertex == vid else p
-                for p in edge.endpoints
-            )
-            g.edges[eid] = Edge(eid, edge.alphabet, pts)
+        g.vertices[vid] = Vertex(vtx.tensor.trace_axes(s1, s2), [vtx.ciliation[s] for s in keep])
+        g.rewire({PortRef(vid, old): PortRef(vid, new) for new, old in enumerate(keep)})
 
 
 def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:

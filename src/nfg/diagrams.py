@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import scalars
 from .algebra import CompoundNfg, add_nfgs, eval_compound, stack, sub_nfgs
-from .builtins import Permutation, delta2, delta_point, levi_civita, perm_sign
+from .builtins import EPS_DEFAULT_LIMIT, Permutation, delta2, delta_point, levi_civita, perm_sign
 from .contraction import exterior_brute, exterior_planned
 from .graph import Nfg, NfgError
 from .scalars import EXACT
-from .tensor import Tensor, pair_contract
+from .tensor import Tensor
 
 PFAFFIAN_ORACLE_MAX_DIM = 8    # factorial enumeration bound (2n)
 PFAFFIAN_DIAGRAM_MAX_DIM = 10  # sparse-epsilon diagram bound (2n)
@@ -86,11 +86,21 @@ def matmul_oracle(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.from_values((n, m), data, a.backend)
 
 
-def trace_oracle(a: Tensor):
+def _square_dim(a: Tensor, what: str) -> int:
     if a.rank != 2 or a.shape[0] != a.shape[1]:
-        raise NfgError("trace needs a square matrix")
+        raise NfgError(f"{what} needs a square matrix")
+    return a.shape[0]
+
+
+def _within_limit(dim: int, limit: int, route: str) -> int:
+    if dim > limit:
+        raise NfgError(f"dimension {dim} exceeds the {route} limit {limit}")
+    return dim
+
+
+def trace_oracle(a: Tensor):
     acc = scalars.zero(a.backend)
-    for i in range(a.shape[0]):
+    for i in range(_square_dim(a, "trace")):
         acc = acc + a.get((i, i))
     return acc
 
@@ -155,8 +165,7 @@ class DiagramBuilder:
 
 def trace_diagram(a: Tensor) -> Nfg:
     """One vertex with a self-loop; the exterior function is tr(a)."""
-    if a.rank != 2 or a.shape[0] != a.shape[1]:
-        raise NfgError("trace diagram needs a square matrix")
+    _square_dim(a, "trace diagram")
     g = Nfg()
     vid = g.add_vertex(a, name="a")
     g.connect((vid, 0), (vid, 1), name="loop")
@@ -179,26 +188,6 @@ def matrix_cycle_diagram(mats: Sequence[Tuple[Tensor, bool]]) -> Nfg:
         out_slot = 0 if tr_k else 1      # column axis of the k-th factor
         in_slot = 1 if tr_next else 0    # row axis of the next factor
         g.connect((vids[k], out_slot), (vids[(k + 1) % n], in_slot))
-    return g
-
-
-def matrix_chain_diagram(a: Tensor, b: Tensor, a_transposed: bool = False,
-                         b_transposed: bool = False) -> Nfg:
-    """Two matrices joined by one edge, dangling row/column ends.
-
-    The fully un-transposed wiring realizes the matrix product AB with the
-    interface ordered (row index, column index).
-    """
-    g = Nfg()
-    va = g.add_vertex(a, name="a")
-    vb = g.add_vertex(b, name="b")
-    a_out = 0 if a_transposed else 1
-    a_free = 1 - a_out
-    b_in = 1 if b_transposed else 0
-    b_free = 1 - b_in
-    g.connect((va, a_out), (vb, b_in), name="mid")
-    g.add_dangling((va, a_free), name="x1")
-    g.add_dangling((vb, b_free), name="x2")
     return g
 
 
@@ -370,25 +359,13 @@ def check_fig11b(a1: Tensor, b: Tensor, c: Tensor) -> IdentityCheckReport:
     return IdentityCheckReport("fig11b-cross-matrix", lhs, rhs, lhs.equal(rhs), a1.backend)
 
 
-def check_cross_matrix_identities(a: Tensor, b: Tensor, c: Tensor,
-                                  d: Tensor) -> List[IdentityCheckReport]:
-    """All three matrix cross-product identities on one admissible quadruple."""
-    return [
-        check_fig10(a, b, c, d),
-        check_fig11a(a, b, c, d),
-        check_fig11b(matrix_column(a, 0), b, c),
-    ]
-
-
 # -- determinant -------------------------------------------------------------
 
 
 def det_diagram(a: Tensor) -> Nfg:
     """Epsilon vertex whose argument j reads the j-th column of a, selected by
     a point-mass vector; the exterior function equals det(a)."""
-    if a.rank != 2 or a.shape[0] != a.shape[1]:
-        raise NfgError("determinant needs a square matrix")
-    n = a.shape[0]
+    n = _within_limit(_square_dim(a, "determinant"), EPS_DEFAULT_LIMIT, "diagram")
     g = Nfg()
     eps_id = g.add_vertex(levi_civita(n, a.backend), name="eps")
     for j in range(1, n + 1):
@@ -401,9 +378,7 @@ def det_diagram(a: Tensor) -> Nfg:
 
 def det_oracle(a: Tensor):
     """Permutation sum: sum over sigma of sgn(sigma) prod_j a(j, sigma(j))."""
-    if a.rank != 2 or a.shape[0] != a.shape[1]:
-        raise NfgError("determinant needs a square matrix")
-    n = a.shape[0]
+    n = _square_dim(a, "determinant")
     vals = a.values()
     acc = scalars.zero(a.backend)
     one = scalars.one(a.backend)
@@ -462,9 +437,7 @@ def check_triple_product(a1: Tensor, a2: Tensor, a3: Tensor) -> IdentityCheckRep
 
 
 def _check_skew(a: Tensor) -> int:
-    if a.rank != 2 or a.shape[0] != a.shape[1]:
-        raise NfgError("Pfaffian needs a square matrix")
-    dim = a.shape[0]
+    dim = _square_dim(a, "Pfaffian")
     if dim % 2 != 0:
         raise NfgError(f"Pfaffian needs an even dimension, got {dim}")
     for i in range(dim):
@@ -477,9 +450,7 @@ def _check_skew(a: Tensor) -> int:
 def pfaffian_diagram(a: Tensor, limit: int = PFAFFIAN_DIAGRAM_MAX_DIM) -> Nfg:
     """One epsilon(2n) vertex and n copies of a: copy k reads epsilon's k-th
     and (2n-k+1)-th arguments.  The exterior function is n! 2^n Pf(a)."""
-    dim = _check_skew(a)
-    if dim > limit:
-        raise NfgError(f"dimension {dim} exceeds the diagram limit {limit}")
+    dim = _within_limit(_check_skew(a), limit, "diagram")
     n = dim // 2
     g = Nfg()
     eps_id = g.add_vertex(levi_civita(dim, a.backend), name="eps")
@@ -493,9 +464,7 @@ def pfaffian_diagram(a: Tensor, limit: int = PFAFFIAN_DIAGRAM_MAX_DIM) -> Nfg:
 def pfaffian_oracle(a: Tensor, limit: int = PFAFFIAN_ORACLE_MAX_DIM):
     """Exact Pfaffian by literal enumeration of S_2n:
     (1 / 2^n n!) sum over sigma of sgn(sigma) prod_i a(sigma(2i-1), sigma(2i))."""
-    dim = _check_skew(a)
-    if dim > limit:
-        raise NfgError(f"dimension {dim} exceeds the oracle limit {limit}")
+    dim = _within_limit(_check_skew(a), limit, "oracle")
     n = dim // 2
     vals = a.values()
     acc = scalars.zero(a.backend)
@@ -507,12 +476,7 @@ def pfaffian_oracle(a: Tensor, limit: int = PFAFFIAN_ORACLE_MAX_DIM):
             if not term:
                 break
         acc = acc + term
-    denom = 2 ** n
-    for k in range(2, n + 1):
-        denom *= k
-    if a.backend == EXACT:
-        return acc / scalars.rat(denom)
-    return acc / float(denom)
+    return acc / pfaffian_factor(n)
 
 
 def pfaffian_factor(n: int) -> int:
@@ -521,6 +485,14 @@ def pfaffian_factor(n: int) -> int:
     for k in range(2, n + 1):
         f *= k
     return f
+
+
+def pfaffian_ratio(a: Tensor) -> int:
+    """n! 2^n for a 2n x 2n skew-symmetric a, after every input check of
+    both Pfaffian routes, so a caller running both fails before either works."""
+    dim = _within_limit(_check_skew(a), PFAFFIAN_DIAGRAM_MAX_DIM, "diagram")
+    _within_limit(dim, PFAFFIAN_ORACLE_MAX_DIM, "oracle")
+    return pfaffian_factor(dim // 2)
 
 
 def check_prop1(a: Tensor, engine: str = "planned") -> IdentityCheckReport:

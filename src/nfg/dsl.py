@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import scalars
-from .algebra import CompoundNfg, add_nfgs, as_compound, scale_nfg, sub_nfgs
+from .algebra import CompoundNfg, add_nfgs, as_compound, scale_nfg
 from .builtins import delta2, delta_point, levi_civita
 from .graph import Nfg, NfgError
 from .scalars import EXACT
-from .tensor import Tensor, TensorError
+from .tensor import Tensor
 
 
 class DslError(Exception):
@@ -492,7 +492,7 @@ class _Parser:
 
     def _interface_of(self, graph_name: str) -> Tuple[int, ...]:
         if graph_name in self.doc.graphs:
-            return self.doc.graphs[graph_name].interface_signature()
+            return self.doc.graphs[graph_name].dangling_shape()
         return self.doc.compounds[graph_name].interface
 
 

@@ -9,7 +9,7 @@ permitted and occupy two distinct slots of one vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .tensor import Tensor
@@ -163,9 +163,6 @@ class Nfg:
     def dangling_shape(self) -> Tuple[int, ...]:
         return tuple(self.edges[eid].alphabet for eid in self.dangling)
 
-    def interface_signature(self) -> Tuple[int, ...]:
-        return self.dangling_shape()
-
     def backend(self) -> str:
         for vtx in self.vertices.values():
             return vtx.tensor.backend
@@ -246,6 +243,18 @@ class Nfg:
 
     # -- rewrites ------------------------------------------------------------
 
+    def rewire(self, moves: Dict[PortRef, PortRef]) -> None:
+        """Repoint every edge endpoint that is a key of moves to its value.
+
+        Call it once the rewritten vertices are in place: the ciliation at
+        each target port names the edge to rebuild, so only edges with a
+        moved endpoint are touched (in place, on a graph the caller owns).
+        """
+        for eid in {self.vertices[p.vertex].ciliation[p.slot] for p in moves.values()}:
+            edge = self.edges[eid]
+            self.edges[eid] = Edge(eid, edge.alphabet,
+                                   tuple(moves.get(p, p) for p in edge.endpoints))
+
     def reciliate(self, vid: str, new_order: Sequence[int]) -> "Nfg":
         """Permute vertex vid's argument order; the exterior function is unchanged.
 
@@ -260,19 +269,9 @@ class Nfg:
         if sorted(new_order) != list(range(deg)):
             raise NfgError(f"{new_order} is not a permutation of 0..{deg - 1}")
         g = self.copy()
-        old_to_new = {old: new for new, old in enumerate(new_order)}
         g.vertices[vid] = Vertex(
             vtx.tensor.permute_axes(new_order),
             [vtx.ciliation[old] for old in new_order],
         )
-        for eid, edge in g.edges.items():
-            pts = tuple(
-                PortRef(p.vertex, old_to_new[p.slot]) if p.vertex == vid else p
-                for p in edge.endpoints
-            )
-            g.edges[eid] = Edge(eid, edge.alphabet, pts)
+        g.rewire({PortRef(vid, old): PortRef(vid, new) for new, old in enumerate(new_order)})
         return g
-
-
-def nfg_new() -> Nfg:
-    return Nfg()

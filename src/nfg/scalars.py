@@ -1,36 +1,25 @@
 """Scalar backends: exact rationals and float64 under one commutative-ring contract.
 
 The exact backend is the default everywhere.  Its scalars, as the API takes
-and returns them, are ``ExactValue`` rationals: ``gmpy2.mpq``, or
-``fractions.Fraction`` if gmpy2 is unavailable, which keep themselves in
-lowest terms with a positive denominator.  Tensors do not store them: an
-exact tensor holds ``int`` numerators over one shared ``int`` denominator
-(see ``nfg.tensor``), so rationals are built only at this boundary.  The
-float backend exists for performance experiments only; mixing backends is
-always an error, never a silent coercion.
+and returns them, are ``ExactValue`` rationals, i.e. ``fractions.Fraction``,
+which keeps itself in lowest terms with a positive denominator.  Tensors do
+not store them: an exact tensor holds ``int`` numerators over one shared
+``int`` denominator (see ``nfg.tensor``), so rationals are built only at this
+boundary.  The float backend exists for performance experiments only; mixing
+backends is always an error, never a silent coercion.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    _RATIONAL_TYPES: tuple = (type(_mpq(0)), int)
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
-
-    _RATIONAL_TYPES = (_mpq, int)
-
 from fractions import Fraction
+from typing import Union
 
 EXACT = "exact"
 F64 = "f64"
 
 BACKENDS = (EXACT, F64)
 
-ExactValue = type(_mpq(0))
+ExactValue = Fraction
 ScalarValue = Union[ExactValue, float]
 
 
@@ -41,16 +30,16 @@ class BackendMismatch(TypeError):
 def rat(p, q=1):
     """Exact rational p/q, stored in lowest terms."""
     if isinstance(p, str):
-        return _mpq(Fraction(p)) if q == 1 else _mpq(Fraction(p), q)
-    return _mpq(p, q)
+        return Fraction(p) if q == 1 else Fraction(Fraction(p), q)
+    return Fraction(p, q)
 
 
 def zero(backend: str):
-    return _mpq(0) if backend == EXACT else 0.0
+    return Fraction(0) if backend == EXACT else 0.0
 
 
 def one(backend: str):
-    return _mpq(1) if backend == EXACT else 1.0
+    return Fraction(1) if backend == EXACT else 1.0
 
 
 def coerce(backend: str, value) -> ScalarValue:
@@ -64,10 +53,8 @@ def coerce(backend: str, value) -> ScalarValue:
             raise BackendMismatch("bool is not an exact scalar")
         if isinstance(value, float):
             raise BackendMismatch("float value rejected by the exact backend")
-        if isinstance(value, _RATIONAL_TYPES):
-            return _mpq(value)
-        if isinstance(value, (Fraction, str)):
-            return _mpq(value)
+        if isinstance(value, (int, Fraction, str)):
+            return Fraction(value)
         raise BackendMismatch(f"cannot admit {type(value).__name__} into the exact backend")
     if backend == F64:
         if isinstance(value, bool):
@@ -101,5 +88,5 @@ def format_scalar(backend: str, value) -> str:
 
 def parse_scalar(backend: str, text: str) -> ScalarValue:
     if backend == EXACT:
-        return _mpq(text)
+        return Fraction(text)
     return float(text)

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Tuple
 
 from . import scalars
 from .builtins import levi_civita, perm_sign, tau, tau_swap_count
-from .contraction import exterior_brute, exterior_planned, plan_greedy
+from .contraction import exterior_brute, exterior_planned
 from .diagrams import (
     check_cross_chain,
     check_eps_contraction,
@@ -25,7 +25,6 @@ from .diagrams import (
     det_diagram,
     det_oracle,
     matmul_oracle,
-    matrix_column,
     pfaffian_diagram,
     pfaffian_factor,
     pfaffian_oracle,
@@ -61,6 +60,12 @@ def rand_skew(rng: random.Random, dim: int) -> Tensor:
             data[i][j] = v
             data[j][i] = -v
     return Tensor.from_values((dim, dim), [x for row in data for x in row])
+
+
+def _trials_row(name: str, trials: int, check: Callable) -> Row:
+    """Run check() (an identity report) trials times; one row counting failures."""
+    failures = sum(not check().equal for _ in range(trials))
+    return (name, failures == 0, f"{trials} trials, {failures} failures")
 
 
 # -- suites -------------------------------------------------------------------
@@ -103,27 +108,15 @@ def suite_fig8(**_) -> List[Row]:
 
 def suite_fig9(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, **_) -> List[Row]:
     rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        rep = check_cross_chain(*(rand_vec(rng) for _ in range(4)))
-        if not rep.equal:
-            failures += 1
-    return [("fig9-cross-chain", failures == 0, f"{trials} trials, {failures} failures")]
+    return [_trials_row("fig9-cross-chain", trials,
+                        lambda: check_cross_chain(*(rand_vec(rng) for _ in range(4))))]
 
 
 def _matrix_identity_suite(name: str, runner, seed: int, trials: int,
                            max_cols: int = 4) -> List[Row]:
     rng = random.Random(seed)
-    rows: List[Row] = []
-    for m in range(1, max_cols + 1):
-        for mp in range(1, max_cols + 1):
-            failures = 0
-            for _ in range(trials):
-                if not runner(rng, m, mp).equal:
-                    failures += 1
-            rows.append((f"{name}-m={m}-m'={mp}", failures == 0,
-                         f"{trials} trials, {failures} failures"))
-    return rows
+    return [_trials_row(f"{name}-m={m}-m'={mp}", trials, lambda: runner(rng, m, mp))
+            for m in range(1, max_cols + 1) for mp in range(1, max_cols + 1)]
 
 
 def suite_fig10(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:
@@ -144,15 +137,9 @@ def suite_fig11a(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:
 
 def suite_fig11b(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:
     rng = random.Random(seed)
-    rows: List[Row] = []
-    for m in range(1, 5):
-        failures = 0
-        for _ in range(trials):
-            rep = check_fig11b(rand_vec(rng), rand_mat(rng, 3, m), rand_mat(rng, 3, m))
-            if not rep.equal:
-                failures += 1
-        rows.append((f"fig11b-m={m}", failures == 0, f"{trials} trials, {failures} failures"))
-    return rows
+    return [_trials_row(f"fig11b-m={m}", trials, lambda: check_fig11b(
+                rand_vec(rng), rand_mat(rng, 3, m), rand_mat(rng, 3, m)))
+            for m in range(1, 5)]
 
 
 def suite_det_ids(seed: int = DEFAULT_SEED, trials: int = 5, **_) -> List[Row]:
@@ -182,12 +169,8 @@ def suite_det_ids(seed: int = DEFAULT_SEED, trials: int = 5, **_) -> List[Row]:
 
 def suite_triple(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, **_) -> List[Row]:
     rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        rep = check_triple_product(rand_vec(rng), rand_vec(rng), rand_vec(rng))
-        if not rep.equal:
-            failures += 1
-    return [("triple-product", failures == 0, f"{trials} trials, {failures} failures")]
+    return [_trials_row("triple-product", trials,
+                        lambda: check_triple_product(rand_vec(rng), rand_vec(rng), rand_vec(rng)))]
 
 
 def suite_prop1(seed: int = DEFAULT_SEED, trials: int = 25, **_) -> List[Row]:

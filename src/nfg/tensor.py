@@ -13,7 +13,7 @@ shared by the whole tensor.  The kernels therefore do plain integer
 multiply-adds, and a contraction's denominator is the product of its
 operands'.  Numerators are not kept in lowest terms; the value API (``get``,
 ``values``, ``equal``, ``to_obj``) divides at the boundary, where entries are
-``scalars.ExactValue`` rationals in lowest terms.  ``f64`` tensors store
+``fractions.Fraction`` rationals in lowest terms.  ``f64`` tensors store
 ``float`` entries with ``denom`` fixed at 1, so both backends share every
 kernel.
 """
@@ -459,20 +459,3 @@ def _contract_sparse_sparse(f, f_axes, f_keep, g, g_axes, g_keep) -> dict:
             out[k2] = oget(k2, 0) + val * gval
     return _drop_zeros(out)
 
-
-# Function-style aliases used throughout the package and the CLI.
-tensor_from_values = Tensor.from_values
-tensor_get = Tensor.get
-tensor_pair_contract = pair_contract
-
-
-def tensor_equal(a: Tensor, b: Tensor, tol=None) -> bool:
-    return a.equal(b, tol)
-
-
-def tensor_scale(t: Tensor, lam) -> Tensor:
-    return t.scale(lam)
-
-
-def tensor_add(a: Tensor, b: Tensor) -> Tensor:
-    return a.add(b)

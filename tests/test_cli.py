@@ -131,3 +131,41 @@ def test_det_rejects_non_square(doc, capsys):
 def test_pfaffian_rejects_non_skew(doc, capsys):
     assert main(["pfaffian", doc(MAT_DOC), "M"]) == EXIT_VALIDATION
     capsys.readouterr()
+
+
+def _matrix_doc(dim, entry):
+    values = ", ".join(str(entry(i, j)) for i in range(dim) for j in range(dim))
+    return f"tensor A [{dim},{dim}] = {values}\n"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("expensive work ran before the size check")
+
+
+def test_pfaffian_checks_oracle_limit_before_any_work(doc, capsys, monkeypatch):
+    monkeypatch.setattr("nfg.diagrams.levi_civita", _must_not_run)
+    monkeypatch.setattr("nfg.cli.exterior_planned", _must_not_run)
+    skew = _matrix_doc(10, lambda i, j: (i + j + 1) * ((i < j) - (i > j)))
+    assert main(["pfaffian", doc(skew), "A"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: dimension 10 exceeds the oracle limit 8\n")
+
+
+def test_det_over_epsilon_limit_is_validation_error(doc, capsys, monkeypatch):
+    monkeypatch.setattr("nfg.diagrams.levi_civita", _must_not_run)
+    monkeypatch.setattr("nfg.cli.det_oracle", _must_not_run)
+    big = _matrix_doc(11, lambda i, j: int(i == j))
+    assert main(["det", doc(big), "A"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: dimension 11 exceeds the diagram limit 10\n")
+
+
+def test_contract_plan_out_refuses_compound(doc, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("nfg.cli.plan_greedy", _must_not_run)
+    monkeypatch.setattr("nfg.cli.eval_compound", _must_not_run)
+    plan_file = tmp_path / "plan.txt"
+    assert main(["contract", doc(EQ_DOC), "g3", "--plan-out", str(plan_file)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "'g3' is a compound" in captured.err
+    assert captured.out == ""
+    assert not plan_file.exists()

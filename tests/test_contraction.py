@@ -145,3 +145,57 @@ def test_exterior_of_disconnected_graph():
     assert z.shape == (2, 3)
     assert z.get((1, 2)) == 10
     assert exterior_planned(g).equal(z)
+
+
+def _reshape_split(g, h, rng):
+    """Split h exactly: f is a 0/1 tensor flattening h's f_slots into one new
+    edge, and g's side holds h's entries, permuted and reshaped to match."""
+    t = g.vertices[h].tensor
+    slots = list(range(t.rank))
+    rng.shuffle(slots)
+    cut = rng.randint(1, t.rank - 1)
+    f_slots, g_slots = sorted(slots[:cut]), sorted(slots[cut:])
+    f_shape = tuple(t.shape[s] for s in f_slots)
+    width = 1
+    for d in f_shape:
+        width *= d
+    f_values = [int(flat == col) for flat in range(width) for col in range(width)]
+    f = Tensor.from_values(f_shape + (width,), f_values)
+    gt = Tensor.from_values((width,) + tuple(t.shape[s] for s in g_slots),
+                            t.permute_axes(f_slots + g_slots).values())
+    return split_vertex(g, h, f, f_slots, gt, g_slots, [width])
+
+
+def test_rewrites_rewire_neighbours_and_self_loops():
+    from test_acceptance import random_nfg
+
+    rng = random.Random(20261018)
+    seen = {"reciliated self-loop": 0, "split self-loop": 0, "split with neighbour": 0}
+    for trial in range(50):
+        g = random_nfg(rng)
+        z = exterior_brute(g)
+
+        def loops(vid):
+            cil = g.vertices[vid].ciliation
+            return len(cil) != len(set(cil))
+
+        for vid in list(g.vertices):
+            order = list(range(len(g.vertices[vid].ciliation)))
+            rng.shuffle(order)
+            g = g.reciliate(vid, order)
+            seen["reciliated self-loop"] += loops(vid)
+            assert not g.validate(), f"trial {trial}"
+            assert exterior_brute(g).equal(z), f"reciliate trial {trial}"
+
+        wide = sorted(vid for vid, vtx in g.vertices.items() if len(vtx.ciliation) >= 2)
+        if not wide:
+            continue
+        h = rng.choice(wide)
+        seen["split self-loop"] += loops(h)
+        seen["split with neighbour"] += any(
+            len({p.vertex for p in g.edges[eid].endpoints}) == 2
+            for eid in g.vertices[h].ciliation)
+        g = _reshape_split(g, h, rng)
+        assert not g.validate(), f"trial {trial}"
+        assert exterior_brute(g).equal(z), f"split trial {trial}"
+    assert all(seen.values()), seen
