@@ -8,11 +8,8 @@ out of n**n cells.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
-
-import numpy as np
 
 from . import scalars
 from .scalars import EXACT
@@ -96,18 +93,15 @@ def levi_civita(n: int, backend: str = EXACT, limit: int = EPS_DEFAULT_LIMIT) ->
     if n > limit:
         raise ValueError(f"n={n} exceeds the Levi-Civita limit {limit} (n! storage)")
     scalars.check_backend(backend)
-    # itertools yields permutations in lexicographic order, so the r-th one's
-    # Lehmer code is r written in the factorial base, and its inversion count
-    # (whose parity is the sign) is the sum of those digits
-    rest = np.arange(math.factorial(n), dtype=np.int64)
-    digit_sum = np.zeros_like(rest)
-    for i in range(n):
-        digit, rest = np.divmod(rest, math.factorial(n - 1 - i))
-        digit_sum += digit
-    signs = 1 - 2 * (digit_sum & 1)
-    values = signs.tolist() if backend == EXACT else signs.astype(float).tolist()
+    # itertools yields permutations in lexicographic order: m blocks, the r-th
+    # led by r, which precedes r smaller entries, followed by the permutations
+    # of the rest in the same order; so each block repeats the signs for m-1,
+    # negated when r is odd
+    signs = [ONE_ENTRY[backend]]
+    for m in range(2, n + 1):
+        signs = (signs + [-s for s in signs]) * (m // 2) + signs * (m % 2)
     return Tensor((n,) * n, backend,
-                  sparse=dict(zip(itertools.permutations(range(n)), values)))
+                  sparse=dict(zip(itertools.permutations(range(n)), signs)))
 
 
 def eps_get(eps: Tensor, args: Sequence[int]):

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import reduce
+from typing import Sequence, Tuple
 
 from . import scalars
-from .algebra import CompoundNfg, add_nfgs, eval_compound, stack, sub_nfgs
+from .algebra import add_nfgs, eval_compound, stack, sub_nfgs
 from .builtins import EPS_DEFAULT_LIMIT, Permutation, delta2, delta_point, levi_civita, perm_sign
 from .contraction import exterior_brute, exterior_planned
-from .graph import Nfg, NfgError
+from .graph import Nfg, NfgError, PortRef, Vertex
 from .scalars import EXACT
 from .tensor import Tensor
 
@@ -56,13 +57,12 @@ def _report(name: str, lhs: Tensor, rhs: Tensor) -> IdentityCheckReport:
 def vec_values(t: Tensor) -> list:
     if t.rank != 1:
         raise NfgError("expected a rank-1 tensor")
-    return [t.get((i,)) for i in range(t.shape[0])]
+    return t.values()
 
 
 def matrix_column(a: Tensor, j: int) -> Tensor:
     """Column j (0-based) of a rank-2 tensor, as a rank-1 tensor."""
-    rows = a.shape[0]
-    return Tensor.from_values((rows,), [a.get((i, j)) for i in range(rows)], a.backend)
+    return Tensor.from_values((a.shape[0],), a.values()[j::a.shape[1]], a.backend)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -76,12 +76,13 @@ def matmul_oracle(a: Tensor, b: Tensor) -> Tensor:
     if k != k2:
         raise NfgError("inner dimensions disagree")
     z = scalars.zero(a.backend)
+    av, bv = a.values(), b.values()
     data = []
     for i in range(n):
         for j in range(m):
             acc = z
             for t in range(k):
-                acc = acc + a.get((i, t)) * b.get((t, j))
+                acc = acc + av[i * k + t] * bv[t * m + j]
             data.append(acc)
     return Tensor.from_values((n, m), data, a.backend)
 
@@ -99,9 +100,10 @@ def _within_limit(dim: int, limit: int, route: str) -> int:
 
 
 def trace_oracle(a: Tensor):
+    n = _square_dim(a, "trace")
     acc = scalars.zero(a.backend)
-    for i in range(_square_dim(a, "trace")):
-        acc = acc + a.get((i, i))
+    for v in a.values()[::n + 1]:
+        acc = acc + v
     return acc
 
 
@@ -266,31 +268,34 @@ def check_cross_chain(u: Tensor, v: Tensor, s: Tensor, w: Tensor) -> IdentityChe
     return IdentityCheckReport("fig9-cross-chain", values[0], values[-1], equal, u.backend)
 
 
-def _sum_over_columns(graphs: List[Nfg]) -> CompoundNfg:
-    acc = None
-    for g in graphs:
-        acc = g if acc is None else add_nfgs(acc, g)
-    from .algebra import as_compound
+def _three_row_matrices(name: str, mats: Sequence[Tensor]) -> None:
+    for t in mats:
+        if t.rank != 2 or t.shape[0] != 3:
+            raise NfgError(f"{name} needs rank-2 tensors with 3 rows")
 
-    return as_compound(acc)
+
+def _sum_of_cross_dots(name: str, mats: Sequence[Tensor], pattern: str) -> Tensor:
+    """sum_ij (x1 x x2).(x3 x x4), where x_k is column pattern[k] ("i" or "j")
+    of the k-th of the four matrices A, B, C, D."""
+    _three_row_matrices(name, mats)
+    (i1, i2), (j1, j2) = ([k for k, p in enumerate(pattern) if p == c] for c in "ij")
+    if mats[i1].shape[1] != mats[i2].shape[1] or mats[j1].shape[1] != mats[j2].shape[1]:
+        raise NfgError(f"{name} needs the column counts of {'ABCD'[i1]},{'ABCD'[i2]} "
+                       f"and of {'ABCD'[j1]},{'ABCD'[j2]} to agree")
+
+    def term(i: int, j: int) -> Nfg:
+        x1, x2, x3, x4 = (matrix_column(t, i if p == "i" else j) for t, p in zip(mats, pattern))
+        bd = DiagramBuilder(mats[0].backend)
+        bd.dot(bd.cross(bd.vec(x1), bd.vec(x2)), bd.cross(bd.vec(x3), bd.vec(x4)))
+        return bd.g
+
+    return eval_compound(reduce(add_nfgs, [term(i, j) for i in range(mats[i1].shape[1])
+                                           for j in range(mats[j1].shape[1])]))
 
 
 def check_fig10(a: Tensor, b: Tensor, c: Tensor, d: Tensor) -> IdentityCheckReport:
     """sum_ij (a_i x b_j).(c_j x d_i) = tr(AD^T BC^T) - tr(BC^T) tr(AD^T)."""
-    for t in (a, b, c, d):
-        if t.rank != 2 or t.shape[0] != 3:
-            raise NfgError("fig10 needs rank-2 tensors with 3 rows")
-    if a.shape[1] != d.shape[1] or b.shape[1] != c.shape[1]:
-        raise NfgError("fig10 needs the column counts of A,D and of B,C to agree")
-    m, mp = a.shape[1], b.shape[1]
-
-    def term(i: int, j: int) -> Nfg:
-        bd = DiagramBuilder(a.backend)
-        bd.dot(bd.cross(bd.vec(matrix_column(a, i)), bd.vec(matrix_column(b, j))),
-               bd.cross(bd.vec(matrix_column(c, j)), bd.vec(matrix_column(d, i))))
-        return bd.g
-
-    lhs = eval_compound(_sum_over_columns([term(i, j) for i in range(m) for j in range(mp)]))
+    lhs = _sum_of_cross_dots("fig10", (a, b, c, d), "ijji")
     rhs = eval_compound(sub_nfgs(
         matrix_cycle_diagram([(a, False), (d, True), (b, False), (c, True)]),
         stack(matrix_cycle_diagram([(b, False), (c, True)]),
@@ -301,20 +306,7 @@ def check_fig10(a: Tensor, b: Tensor, c: Tensor, d: Tensor) -> IdentityCheckRepo
 
 def check_fig11a(a: Tensor, b: Tensor, c: Tensor, d: Tensor) -> IdentityCheckReport:
     """sum_ij (a_i x b_i).(c_j x d_j) = tr(AB^T DC^T) - tr(AB^T CD^T)."""
-    for t in (a, b, c, d):
-        if t.rank != 2 or t.shape[0] != 3:
-            raise NfgError("fig11a needs rank-2 tensors with 3 rows")
-    if a.shape[1] != b.shape[1] or c.shape[1] != d.shape[1]:
-        raise NfgError("fig11a needs the column counts of A,B and of C,D to agree")
-    m, mp = a.shape[1], c.shape[1]
-
-    def term(i: int, j: int) -> Nfg:
-        bd = DiagramBuilder(a.backend)
-        bd.dot(bd.cross(bd.vec(matrix_column(a, i)), bd.vec(matrix_column(b, i))),
-               bd.cross(bd.vec(matrix_column(c, j)), bd.vec(matrix_column(d, j))))
-        return bd.g
-
-    lhs = eval_compound(_sum_over_columns([term(i, j) for i in range(m) for j in range(mp)]))
+    lhs = _sum_of_cross_dots("fig11a", (a, b, c, d), "iijj")
     rhs = eval_compound(sub_nfgs(
         matrix_cycle_diagram([(a, False), (b, True), (d, False), (c, True)]),
         matrix_cycle_diagram([(a, False), (b, True), (c, False), (d, True)]),
@@ -326,9 +318,7 @@ def check_fig11b(a1: Tensor, b: Tensor, c: Tensor) -> IdentityCheckReport:
     """sum_i (a1 x b_i) x c_i = (BC^T) a1 - tr(BC^T) a1."""
     if a1.shape != (3,):
         raise NfgError("fig11b needs a length-3 vector a1")
-    for t in (b, c):
-        if t.rank != 2 or t.shape[0] != 3:
-            raise NfgError("fig11b needs rank-2 tensors with 3 rows")
+    _three_row_matrices("fig11b", (b, c))
     if b.shape[1] != c.shape[1]:
         raise NfgError("fig11b needs the column counts of B and C to agree")
     m = b.shape[1]
@@ -340,7 +330,7 @@ def check_fig11b(a1: Tensor, b: Tensor, c: Tensor) -> IdentityCheckReport:
         bd.out(p)
         return bd.g
 
-    lhs = eval_compound(_sum_over_columns([term(i) for i in range(m)]))
+    lhs = eval_compound(reduce(add_nfgs, [term(i) for i in range(m)]))
 
     # (BC^T) a1: B.row dangles, B.col--C.col, C.row--a1
     g1 = Nfg()
@@ -395,22 +385,21 @@ def det_oracle(a: Tensor):
 
 def det_cofactor(a: Tensor):
     """Cofactor (Laplace) expansion along the first row; second oracle route."""
-    n = a.shape[0]
-    if n == 1:
-        return a.get((0, 0))
-    acc = scalars.zero(a.backend)
-    data = a.to_dense().dense
-    for j in range(n):
-        v = a.get((0, j))
-        if not v:
-            continue
-        # the minor's stored entries share a's denominator
-        minor = Tensor((n - 1, n - 1), a.backend, denom=a.denom, dense=[
-            data[i * n + k] for i in range(1, n) for k in range(n) if k != j
-        ])
-        term = v * det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    zero = scalars.zero(a.backend)
+
+    def expand(vals: list, n: int):
+        if n == 1:
+            return vals[0]
+        acc = zero
+        for j, v in enumerate(vals[:n]):
+            if not v:
+                continue
+            minor = [vals[i * n + k] for i in range(1, n) for k in range(n) if k != j]
+            term = v * expand(minor, n - 1)
+            acc = acc + term if j % 2 == 0 else acc - term
+        return acc
+
+    return expand(a.values(), a.shape[0])
 
 
 def check_triple_product(a1: Tensor, a2: Tensor, a3: Tensor) -> IdentityCheckReport:
@@ -424,9 +413,8 @@ def check_triple_product(a1: Tensor, a2: Tensor, a3: Tensor) -> IdentityCheckRep
         bd.dot(bd.cross(bd.vec(x), bd.vec(y)), bd.vec(z))
         return exterior_brute(bd.g)
 
-    cols = [a1, a2, a3]
-    mat = Tensor.from_values((3, 3), [cols[j].get((i,)) for i in range(3) for j in range(3)],
-                             a1.backend)
+    rows = zip(a1.values(), a2.values(), a3.values())
+    mat = Tensor.from_values((3, 3), [x for row in rows for x in row], a1.backend)
     det_val = exterior_planned(det_diagram(mat))
     values = [triple(a1, a2, a3), triple(a2, a3, a1), triple(a3, a1, a2), det_val]
     equal = all(t.equal(values[0]) for t in values[1:])
@@ -440,9 +428,10 @@ def _check_skew(a: Tensor) -> int:
     dim = _square_dim(a, "Pfaffian")
     if dim % 2 != 0:
         raise NfgError(f"Pfaffian needs an even dimension, got {dim}")
+    vals = a.values()
     for i in range(dim):
         for j in range(i, dim):
-            if a.get((i, j)) + a.get((j, i)):
+            if vals[i * dim + j] + vals[j * dim + i]:
                 raise NfgError(f"matrix is not skew-symmetric at ({i}, {j})")
     return dim
 
@@ -511,29 +500,18 @@ def check_prop1(a: Tensor, engine: str = "planned") -> IdentityCheckReport:
 
 def insert_delta2(g: Nfg, eid: str) -> Nfg:
     """Splice an identity-matrix vertex into the middle of an edge; the
-    exterior function is unchanged (the wire abbreviation)."""
+    exterior function is unchanged (the wire abbreviation).
+
+    The edge keeps its id and moves its first endpoint onto the identity's
+    slot 1; a new edge joins the identity's slot 0 to the freed port.
+    """
     if eid not in g.edges:
         raise NfgError(f"unknown edge {eid!r}")
-    edge = g.edges[eid]
     out = g.copy()
-    size = edge.alphabet
-    del out.edges[eid]
-    was_dangling = eid in out.dangling
-    if was_dangling:
-        pos = out.dangling.index(eid)
-        out.dangling.remove(eid)
-    dv = out.add_vertex(delta2(size, g.backend()))
-    # reopen the claimed ports so connect() can claim them again
-    for p in edge.endpoints:
-        out.vertices[p.vertex].ciliation[p.slot] = None
-    if was_dangling:
-        (p,) = edge.endpoints
-        out.connect((dv, 0), (p.vertex, p.slot))
-        new_eid = out.add_dangling((dv, 1), name=eid)
-        out.dangling.remove(new_eid)
-        out.dangling.insert(pos, new_eid)
-    else:
-        pa, pb = edge.endpoints
-        out.connect((dv, 0), (pa.vertex, pa.slot))
-        out.connect((dv, 1), (pb.vertex, pb.slot))
+    p = out.edges[eid].endpoints[0]
+    dv = out.fresh_vertex_id()
+    out.vertices[dv] = Vertex(delta2(out.edges[eid].alphabet, g.backend()), [None, eid])
+    out.vertices[p.vertex].ciliation[p.slot] = None
+    out.rewire({p: PortRef(dv, 1)})
+    out.connect((dv, 0), p)
     return out

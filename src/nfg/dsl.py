@@ -25,9 +25,9 @@ line and column of the offending token.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import scalars
 from .algebra import CompoundNfg, add_nfgs, as_compound, scale_nfg
 from .builtins import delta2, delta_point, levi_civita
 from .graph import Nfg, NfgError
@@ -112,7 +112,7 @@ def tokenize(source: str) -> List[Token]:
 class TensorDecl:
     name: str
     dims: Optional[List[int]]      # None for the builtin form
-    values: Optional[List[str]]    # canonical rational strings
+    values: Optional[List[Fraction]]
     builtin: Optional[Tuple] = None  # ("eps", n) | ("delta", n) | ("e", i, n)
 
 
@@ -150,7 +150,7 @@ class GraphDecl:
 
 @dataclass
 class ExprTerm:
-    coef: str  # canonical rational string
+    coef: Fraction
     graph: str
 
 
@@ -170,10 +170,6 @@ class DslDocument:
     graphs: Dict[str, Nfg] = field(default_factory=dict, compare=False)
     compounds: Dict[str, CompoundNfg] = field(default_factory=dict, compare=False)
     backend: str = field(default=EXACT, compare=False)
-
-
-def _canonical_rational(text: str) -> str:
-    return str(scalars.rat(text))
 
 
 # -- parser -------------------------------------------------------------------
@@ -223,22 +219,19 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "SYM" and tok.text == text
 
-    def parse_rational(self) -> str:
-        neg = False
+    def parse_rational(self) -> Fraction:
+        sign = 1
         if self.at_sym("-"):
             self.next()
-            neg = True
-        num, tok = self.expect_int()
-        text = tok.text
+            sign = -1
+        num, _ = self.expect_int()
+        den = 1
         if self.at_sym("/"):
             self.next()
             den, dtok = self.expect_int()
             if den == 0:
                 self.error("zero denominator", dtok)
-            text = f"{text}/{den}"
-        if neg:
-            text = "-" + text
-        return _canonical_rational(text)
+        return Fraction(sign * num, den)
 
     # statements ----------------------------------------------------------
 
@@ -287,6 +280,9 @@ class _Parser:
             while self.at_sym(","):
                 self.next()
                 values.append(self.parse_rational())
+            tok = self.peek()
+            if tok.kind not in ("NAME", "EOF"):
+                self.error(f"expected ',' or the next statement, found {tok.text!r}")
             expected = 1
             for d in dims:
                 expected *= d
@@ -296,11 +292,8 @@ class _Parser:
                     eq_tok,
                 )
             decl = TensorDecl(name, dims, values)
-            raw = [scalars.rat(v) for v in values]
-            if self.backend == EXACT:
-                tensor = Tensor.from_values(tuple(dims), raw, EXACT)
-            else:
-                tensor = Tensor.from_values(tuple(dims), [float(v) for v in raw], "f64")
+            raw = values if self.backend == EXACT else [float(v) for v in values]
+            tensor = Tensor.from_values(tuple(dims), raw, self.backend)
         else:
             self.expect_sym("=")
             fn_tok = self.expect_name("a builtin name")
@@ -460,20 +453,19 @@ class _Parser:
         terms: List[ExprTerm] = []
 
         def parse_term(sign: int) -> None:
-            coef = "1"
+            coef = Fraction(1)
             tok = self.peek()
             if tok.kind == "NUMBER" or (tok.kind == "SYM" and tok.text == "-"):
                 coef = self.parse_rational()
                 self.expect_sym("*")
             gtok = self.expect_name("a graph name")
             compound = self._resolve_graph(gtok)
-            lam = scalars.rat(coef) * sign
             if terms and self._interface_of(terms[0].graph) != compound.interface:
                 self.error(
                     f"interface mismatch: {gtok.text!r} has {compound.interface}",
                     gtok,
                 )
-            terms.append(ExprTerm(str(lam), gtok.text))
+            terms.append(ExprTerm(coef * sign, gtok.text))
 
         parse_term(1)
         while self.at_sym("+") or self.at_sym("-"):
@@ -484,7 +476,7 @@ class _Parser:
         for term in terms:
             part = scale_nfg(
                 self._resolve_graph(Token("NAME", term.graph, name_tok.line, name_tok.col)),
-                _coef_value(self.backend, term.coef),
+                term.coef if self.backend == EXACT else float(term.coef),
             )
             compound = part if compound is None else add_nfgs(compound, part)
         self.doc.statements.append(ExprDecl(name, terms))
@@ -496,11 +488,6 @@ class _Parser:
         return self.doc.compounds[graph_name].interface
 
 
-def _coef_value(backend: str, coef: str):
-    v = scalars.rat(coef)
-    return v if backend == EXACT else float(v)
-
-
 def parse(source: str, backend: str = EXACT) -> DslDocument:
     """Parse and semantically elaborate a DSL document."""
     return _Parser(tokenize(source), backend).parse_document()
@@ -510,7 +497,7 @@ def parse(source: str, backend: str = EXACT) -> DslDocument:
 
 
 def _fmt_term(term: ExprTerm, first: bool) -> str:
-    coef = scalars.rat(term.coef)
+    coef = term.coef
     if first:
         if coef == 1:
             return term.graph
@@ -538,7 +525,7 @@ def serialize(doc: DslDocument) -> str:
                 lines.append(f"tensor {stmt.name} = {fn}({args})")
             else:
                 dims = ",".join(str(d) for d in stmt.dims)
-                vals = ", ".join(stmt.values)
+                vals = ", ".join(map(str, stmt.values))
                 lines.append(f"tensor {stmt.name} [{dims}] = {vals}")
         elif isinstance(stmt, GraphDecl):
             lines.append(f"graph {stmt.name} {{")

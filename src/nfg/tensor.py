@@ -4,8 +4,12 @@ The two-tensor contraction here is the workhorse of the whole package: it
 realizes the sum over all shared variables of a product of two local
 functions, which subsumes tensor, matrix, matrix-vector and dot products.
 Sparse storage (a map from index tuple to nonzero entry) exists so the
-Levi-Civita symbol stays at n! entries instead of n**n; the contraction
-iterates over nonzeros whenever an operand is sparse.
+Levi-Civita symbol stays at n! entries instead of n**n.  Two kernels do all
+contractions: dense x dense forms each output cell as one sum of products,
+and every contraction with a sparse operand is one hash join, which indexes
+the other operand's nonzeros by their matched positions and probes that
+index with each nonzero of the sparse operand.  A trace (a self-loop) is the
+same join against the equality indicator delta.
 
 Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
@@ -287,29 +291,20 @@ class Tensor:
         return Tensor(new_shape, self.backend, dense=new_data, denom=self.denom)
 
     def trace_axes(self, ax1: int, ax2: int) -> "Tensor":
-        """Sum the diagonal of two equal-sized axes (a self-loop on one vertex)."""
+        """Sum the diagonal of two equal-sized axes (a self-loop on one vertex).
+
+        This is the pair contraction of both axes with the equality
+        indicator delta; the result keeps this tensor's storage kind.
+        """
         if ax1 == ax2:
             raise TensorError("trace needs two distinct axes")
         if self.shape[ax1] != self.shape[ax2]:
             raise TensorError("traced axes must share an alphabet size")
-        keep = [a for a in range(self.rank) if a not in (ax1, ax2)]
-        out_shape = tuple(self.shape[a] for a in keep)
-        if self.is_sparse:
-            getk = _getter(keep)
-            out: Dict[Index, object] = {}
-            oget = out.get
-            for key, v in self.sparse.items():
-                if key[ax1] == key[ax2]:
-                    k2 = getk(key)
-                    out[k2] = oget(k2, 0) + v
-            return Tensor(out_shape, self.backend, sparse=_drop_zeros(out), denom=self.denom)
-        st = _strides(self.shape)
-        diag = [t * (st[ax1] + st[ax2]) for t in range(self.shape[ax1])]
-        data = self.dense
-        zero = ZERO_ENTRY[self.backend]
-        out_data = [sum([data[base + d] for d in diag], zero)
-                    for base in _offsets(self.shape, keep)]
-        return Tensor(out_shape, self.backend, dense=out_data, denom=self.denom)
+        n = self.shape[ax1]
+        delta = Tensor((n, n), self.backend,
+                       sparse=dict.fromkeys(zip(range(n), range(n)), ONE_ENTRY[self.backend]))
+        out = pair_contract(self, [ax1, ax2], delta, [0, 1])
+        return out if self.is_sparse else out.to_dense()
 
     # -- serialization -----------------------------------------------------
 
@@ -369,15 +364,13 @@ def pair_contract(f: Tensor, f_axes: Sequence[int], g: Tensor, g_axes: Sequence[
     out_shape = tuple([f.shape[a] for a in f_keep] + [g.shape[a] for a in g_keep])
     denom = f.denom * g.denom
 
-    if f.is_sparse and g.is_sparse:
-        store = _contract_sparse_sparse(f, f_axes, f_keep, g, g_axes, g_keep)
-    elif f.is_sparse:
-        store = _contract_sparse_dense(f, f_axes, f_keep, g, g_axes, g_keep, sparse_first=True)
-    elif g.is_sparse:
-        store = _contract_sparse_dense(g, g_axes, g_keep, f, f_axes, f_keep, sparse_first=False)
-    else:
+    if not (f.is_sparse or g.is_sparse):
         data = _contract_dense_dense(f, f_axes, f_keep, g, g_axes, g_keep)
         return Tensor(out_shape, f.backend, dense=data, denom=denom)
+    if f.is_sparse:
+        store = _contract_sparse(f, f_axes, f_keep, g, g_axes, g_keep, sparse_first=True)
+    else:
+        store = _contract_sparse(g, g_axes, g_keep, f, f_axes, f_keep, sparse_first=False)
     return Tensor(out_shape, f.backend, sparse=store, denom=denom)
 
 
@@ -394,21 +387,22 @@ def _contract_dense_dense(f, f_axes, f_keep, g, g_axes, g_keep) -> list:
     return data
 
 
-def _contract_sparse_dense(sp, sp_axes, sp_keep, dn, dn_axes, dn_keep,
-                           sparse_first: bool) -> dict:
-    """Iterate the sparse operand's nonzeros, looking up the dense entries."""
-    ddata = dn.dense
+def _contract_sparse(sp, sp_axes, sp_keep, ot, ot_axes, ot_keep, sparse_first: bool) -> dict:
+    """Hash join: index the other operand's nonzeros (dict items if it is
+    sparse, nonzero cells if dense) by their matched positions, then probe
+    the index with each nonzero of the sparse operand."""
     get_keep = _getter(sp_keep)
     out: Dict[Index, object] = {}
     oget = out.get
 
-    if not dn_keep and 1 <= len(sp_axes) <= 2:
+    if ot.dense is not None and not ot_keep and 1 <= len(sp_axes) <= 2:
         # hot path (epsilon x matrix or vector): the dense operand is fully
         # contracted, and its offset is plain arithmetic on the key; that
-        # beats the general table lookup by about a tenth on the 2n=10
-        # Pfaffian.  One matched axis pads as a1 = a0 with stride 0.
-        std = _strides(dn.shape)
-        st0, st1 = ([std[a] for a in dn_axes] + [0])[:2]
+        # beats the index lookup by about a tenth on the 2n=10 Pfaffian.
+        # One matched axis pads as a1 = a0 with stride 0.
+        ddata = ot.dense
+        std = _strides(ot.shape)
+        st0, st1 = ([std[a] for a in ot_axes] + [0])[:2]
         a0, a1 = sp_axes[0], sp_axes[-1]
         for key, val in sp.sparse.items():
             dv = ddata[st0 * key[a0] + st1 * key[a1]]
@@ -417,45 +411,20 @@ def _contract_sparse_dense(sp, sp_axes, sp_keep, dn, dn_axes, dn_keep,
                 out[k2] = oget(k2, 0) + val * dv
         return _drop_zeros(out)
 
-    # general case: a table from the matched positions of a sparse key to the
-    # nonzero dense entries there, one per combination of free dense indices
-    free_keys = list(itertools.product(*(range(dn.shape[a]) for a in dn_keep)))
-    free_offs = _offsets(dn.shape, dn_keep)
-    match_keys = itertools.product(*(range(dn.shape[a]) for a in dn_axes))
-    table = {}
-    for m, base in zip(match_keys, _offsets(dn.shape, dn_axes)):
-        cells = [(fk, ddata[base + o]) for fk, o in zip(free_keys, free_offs) if ddata[base + o]]
-        if cells:
-            table[m] = cells
+    # buckets keep the other operand's order: dict order, or row-major if dense
+    nonzeros = ot.sparse.items() if ot.sparse is not None else (
+        (key, v) for key, v in zip(ot.indices(), ot.dense) if v)
+    get_om, get_ok = _getter(ot_axes), _getter(ot_keep)
+    index: Dict[Index, List[Tuple[Index, object]]] = {}
+    for key, val in nonzeros:
+        index.setdefault(get_om(key), []).append((get_ok(key), val))
     get_match = _getter(sp_axes)
-    tget = table.get
+    iget = index.get
     for key, val in sp.sparse.items():
-        cells = tget(get_match(key))
+        cells = iget(get_match(key))
         if cells:
             ks = get_keep(key)
-            for fkey, dv in cells:
-                k2 = ks + fkey if sparse_first else fkey + ks
-                out[k2] = oget(k2, 0) + val * dv
+            for okey, ov in cells:
+                k2 = ks + okey if sparse_first else okey + ks
+                out[k2] = oget(k2, 0) + val * ov
     return _drop_zeros(out)
-
-
-def _contract_sparse_sparse(f, f_axes, f_keep, g, g_axes, g_keep) -> dict:
-    get_gm = _getter(g_axes)
-    get_gk = _getter(g_keep)
-    by_match: Dict[Index, List[Tuple[Index, object]]] = {}
-    for key, val in g.sparse.items():
-        by_match.setdefault(get_gm(key), []).append((get_gk(key), val))
-    get_fm = _getter(f_axes)
-    get_fk = _getter(f_keep)
-    out: Dict[Index, object] = {}
-    oget = out.get
-    for key, val in f.sparse.items():
-        hits = by_match.get(get_fm(key))
-        if not hits:
-            continue
-        kf = get_fk(key)
-        for kg, gval in hits:
-            k2 = kf + kg
-            out[k2] = oget(k2, 0) + val * gval
-    return _drop_zeros(out)
-

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,9 +17,10 @@ from nfg.builtins import (
     tau_swap_count,
 )
 from nfg.contraction import exterior_brute
-from nfg.diagrams import insert_delta2, trace_diagram
+from nfg.diagrams import cross_diagram, insert_delta2, trace_diagram
+from nfg.graph import Nfg
 from nfg.scalars import rat
-from nfg.suites import rand_mat
+from nfg.suites import rand_mat, rand_vec
 
 
 def test_permutation_rejects_non_bijection():
@@ -86,6 +88,14 @@ def test_levi_civita_sparsity():
     assert len(eps.sparse) == math.factorial(5)
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_levi_civita_signs_match_perm_sign(n):
+    eps = levi_civita(n)
+    assert len(eps.sparse) == math.factorial(n)
+    for key in itertools.permutations(range(1, n + 1)):
+        assert eps_get(eps, key) == perm_sign(Permutation(key))
+
+
 def test_levi_civita_limit():
     with pytest.raises(ValueError):
         levi_civita(11)
@@ -115,3 +125,22 @@ def test_delta2_insertion_preserves_exterior():
         g2 = insert_delta2(g, eid)
         assert not g2.validate()
         assert exterior_brute(g2).equal(z)
+
+
+def test_delta2_insertion_on_internal_and_dangling_edges():
+    rng = random.Random(11)
+    u, v = rand_vec(rng), rand_vec(rng)
+    h = Nfg()
+    h.add_vertex(rand_mat(rng, 3, 2), "a")
+    h.add_vertex(u, "u")
+    h.connect(("a", 0), ("u", 0), name="inner")
+    h.add_dangling(("a", 1), name="out")
+    for g in (cross_diagram(u, v), h):
+        z = exterior_brute(g)
+        assert g.dangling and len(g.edges) > len(g.dangling)
+        for eid in list(g.edges):
+            g2 = insert_delta2(g, eid)
+            assert not g2.validate()
+            assert g2.dangling == g.dangling
+            assert len(g2.vertices) == len(g.vertices) + 1
+            assert exterior_brute(g2).equal(z)

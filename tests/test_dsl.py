@@ -1,5 +1,6 @@
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -95,3 +96,17 @@ def test_serializer_folds_negative_coefficients():
     doc = dsl.parse((CORPUS / "v07_let.nfg").read_text())
     text = dsl.serialize(doc)
     assert "let s = 2*gu + gv - 1/3*gv" in text
+
+
+def test_values_and_coefficients_are_parsed_rationals():
+    doc = dsl.parse(
+        "tensor u [2] = 2/4, -3\n"
+        "graph g { vertex a: u dangling x(a.1) }\n"
+        "let s = -6/4*g + g\n"
+    )
+    decl, _, expr = doc.statements
+    assert decl.values == [rat(1, 2), rat(-3)]
+    assert [t.coef for t in expr.terms] == [rat(-3, 2), rat(1)]
+    assert all(isinstance(v, Fraction) for v in decl.values + [t.coef for t in expr.terms])
+    assert dsl.serialize(doc).splitlines()[0] == "tensor u [2] = 1/2, -3"
+    assert dsl.serialize(doc).splitlines()[-1] == "let s = -3/2*g + g"

@@ -79,6 +79,15 @@ def test_trace_axes():
     assert tr.get(()) == rat(5)
 
 
+@pytest.mark.parametrize("sparse", [True, False])
+def test_trace_axes_keeps_storage_kind(sparse):
+    t = Tensor.from_values((2, 3, 2), list(range(12)))
+    t = t.to_sparse() if sparse else t
+    tr = t.trace_axes(0, 2)
+    assert tr.is_sparse == sparse
+    assert tr.values() == [rat(7), rat(11), rat(15)]
+
+
 def test_pair_contract_matmul():
     a = mat([1, 2, 3, 4], 2, 2)
     b = mat([5, 6, 7, 8], 2, 2)
