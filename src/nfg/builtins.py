@@ -1,19 +1,18 @@
 """Special tensors and permutation machinery.
 
 Permutations are 1-based at the API boundary (images over {1..n}); the
-Levi-Civita tensor is exposed in sparse form only, since it has n! nonzeros
-out of n**n cells.
+Levi-Civita tensor is stored alternating, as the one entry at (0, ..., n-1),
+and reads as sparse with its n! nonzeros out of n**n cells.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import scalars
 from .scalars import EXACT
-from .tensor import ONE_ENTRY, Tensor
+from .tensor import ONE_ENTRY, Tensor, inversion_sign
 
 EPS_DEFAULT_LIMIT = 10
 
@@ -49,14 +48,7 @@ class Permutation:
 
 def perm_sign(p: Permutation) -> int:
     """Parity by inversion counting: (-1)**inversions."""
-    inv = 0
-    img = p.images
-    n = len(img)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if img[i] > img[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return inversion_sign(p.images)
 
 
 def perm_compose(p: Permutation, q: Permutation) -> Permutation:
@@ -83,25 +75,18 @@ def tau_swap_count(n: int) -> int:
 
 
 def levi_civita(n: int, backend: str = EXACT, limit: int = EPS_DEFAULT_LIMIT) -> Tensor:
-    """Rank-n, all axes size n, sparse: sign at permutation tuples, zero elsewhere.
+    """Rank-n, all axes size n: sign at permutation tuples, zero elsewhere.
 
-    Internally 0-based like every tensor; entry (p1-1, ..., pn-1) holds
-    sgn(p) for each permutation p of 1..n, stored as the int (or float) +-1.
+    Internally 0-based like every tensor; the value at (p1-1, ..., pn-1) is
+    sgn(p) for each permutation p of 1..n.  It is stored alternating, as the
+    int (or float) 1 at (0, ..., n-1).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > limit:
         raise ValueError(f"n={n} exceeds the Levi-Civita limit {limit} (n! storage)")
     scalars.check_backend(backend)
-    # itertools yields permutations in lexicographic order: m blocks, the r-th
-    # led by r, which precedes r smaller entries, followed by the permutations
-    # of the rest in the same order; so each block repeats the signs for m-1,
-    # negated when r is odd
-    signs = [ONE_ENTRY[backend]]
-    for m in range(2, n + 1):
-        signs = (signs + [-s for s in signs]) * (m // 2) + signs * (m % 2)
-    return Tensor((n,) * n, backend,
-                  sparse=dict(zip(itertools.permutations(range(n)), signs)))
+    return Tensor((n,) * n, backend, alt={tuple(range(n)): ONE_ENTRY[backend]})
 
 
 def eps_get(eps: Tensor, args: Sequence[int]):

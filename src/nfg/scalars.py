@@ -49,6 +49,8 @@ def coerce(backend: str, value) -> ScalarValue:
     the float backend accepts ints and floats.  Neither accepts ``bool``.
     """
     if backend == EXACT:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, bool):
             raise BackendMismatch("bool is not an exact scalar")
         if isinstance(value, float):

@@ -1,15 +1,34 @@
-"""Finite tensors over a scalar backend, dense or sparse, plus pair contraction.
+"""Finite tensors over a scalar backend, dense, sparse or alternating, plus
+pair contraction.
 
 The two-tensor contraction here is the workhorse of the whole package: it
 realizes the sum over all shared variables of a product of two local
 functions, which subsumes tensor, matrix, matrix-vector and dot products.
-Sparse storage (a map from index tuple to nonzero entry) exists so the
-Levi-Civita symbol stays at n! entries instead of n**n.  Two kernels do all
-contractions: dense x dense forms each output cell as one sum of products,
-and every contraction with a sparse operand is one hash join, which indexes
-the other operand's nonzeros by their matched positions and probes that
-index with each nonzero of the sparse operand.  A trace (a self-loop) is the
-same join against the equality indicator delta.
+A tensor has one of three storage kinds:
+
+* ``dense``: a row-major list of every cell;
+* ``sparse``: a map from index tuple to nonzero entry;
+* ``alt`` (alternating): a map from strictly increasing index tuples to
+  nonzero entries, over one alphabet size on every axis.  The value at any
+  index is the sign of the permutation that sorts it times the entry at the
+  sorted tuple, or zero if the index repeats a value.  The Levi-Civita
+  symbol eps(n) is the single entry ``(0, ..., n-1): 1``, so it and every
+  intermediate of the epsilon networks stay at C(n, k) entries instead of
+  n!/k! (packed antisymmetric storage, as in the Cyclops Tensor Framework).
+  An alternating tensor reads as sparse: ``sparse`` expands it once, on
+  first use, and keeps the result.
+
+Three kernels do all contractions.  Dense x dense forms each output cell as
+one sum of products.  An alternating operand against an operand it fully
+contracts is an exterior-algebra update whose result is alternating: for
+each stored key and each ordered choice of its values on the matched axes,
+the other operand's entry times the sign is added to the entry of the
+remaining values.  Every other contraction with a sparse operand is one hash
+join: each nonzero of the sparse operand meets the other operand's entries
+that agree with it on the matched axes, found in an index by matched
+positions if the other is sparse, or at offsets computed from the key if it
+is dense.  A trace (a self-loop) is a contraction with the equality
+indicator delta, which is zero on an alternating pair of axes.
 
 Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
@@ -64,8 +83,41 @@ def _strides(shape: Shape) -> Tuple[int, ...]:
 def _offsets(shape: Shape, axes: Sequence[int]) -> List[int]:
     """Row-major offsets, into a tensor of this shape, of every index over `axes`."""
     st = _strides(shape)
-    return [sum(i * st[a] for i, a in zip(idx, axes))
-            for idx in itertools.product(*(range(shape[a]) for a in axes))]
+    offsets = [0]
+    for a in axes:
+        offsets = [off + i * st[a] for off in offsets for i in range(shape[a])]
+    return offsets
+
+
+def _cells(shape: Shape, axes: Sequence[int]):
+    """(index over `axes`, row-major offset into a tensor of this shape) pairs."""
+    return zip(itertools.product(*(range(shape[a]) for a in axes)), _offsets(shape, axes))
+
+
+def inversion_sign(seq: Sequence[int]) -> int:
+    """(-1)**inversions: the sign of the permutation that sorts distinct values."""
+    inv = 0
+    n = len(seq)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if seq[i] > seq[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def _expand_alt(alt: dict, rank: int) -> dict:
+    """Every nonzero of an alternating tensor, one block of permutations per key."""
+    # itertools permutes a sorted key in lexicographic order: m blocks, the
+    # r-th led by the r-th item, which precedes r smaller items, followed by
+    # the permutations of the rest in the same order; so each block repeats
+    # the signs for m-1, negated when r is odd
+    signs = [1]
+    for m in range(2, rank + 1):
+        signs = (signs + [-s for s in signs]) * (m // 2) + signs * (m % 2)
+    out = {}
+    for key, v in alt.items():
+        out.update(zip(itertools.permutations(key), [s * v for s in signs]))
+    return out
 
 
 def _getter(indices: Sequence[int]):
@@ -103,20 +155,30 @@ def _over_common_denominator(backend: str, values: Iterable) -> Tuple[list, int]
 class Tensor:
     """Immutable multi-dimensional array over one scalar backend.
 
-    ``dense`` (row-major list) or ``sparse`` (index tuple -> nonzero entry)
-    holds the entries; the value at an index is entry / ``denom``.
+    ``dense`` (row-major list), ``sparse`` (index tuple -> nonzero entry) or
+    ``alt`` (sorted index tuple -> nonzero entry, alternating) holds the
+    entries; the value at an index is entry / ``denom``.
     """
 
-    __slots__ = ("shape", "backend", "dense", "sparse", "denom")
+    __slots__ = ("shape", "backend", "dense", "alt", "denom", "_sparse")
 
-    def __init__(self, shape: Shape, backend: str, *, dense=None, sparse=None, denom: int = 1):
+    def __init__(self, shape: Shape, backend: str, *, dense=None, sparse=None, alt=None,
+                 denom: int = 1):
         scalars.check_backend(backend)
         shape = tuple(shape)
         for d in shape:
             if not isinstance(d, int) or d <= 0:
                 raise TensorError(f"alphabet sizes must be positive integers, got {d!r}")
-        if (dense is None) == (sparse is None):
-            raise TensorError("exactly one of dense/sparse storage must be given")
+        if [dense, sparse, alt].count(None) != 2:
+            raise TensorError("exactly one of dense/sparse/alt storage must be given")
+        if alt is not None:
+            if len(set(shape)) > 1:
+                raise TensorError(f"alternating storage needs one alphabet size, got {list(shape)}")
+            n = shape[0] if shape else 0
+            for key in alt:
+                if len(key) != len(shape) or not all(0 <= i < j <= n
+                                                     for i, j in zip(key, key[1:] + (n,))):
+                    raise TensorError(f"alternating key {key!r} is not a strictly increasing index")
         if dense is not None and len(dense) != shape_size(shape):
             raise TensorError(
                 f"dense storage length {len(dense)} != element count {shape_size(shape)}"
@@ -126,7 +188,8 @@ class Tensor:
                 f"denominator {denom!r} is not a positive int (always 1 for {F64})"
             )
         entry = _ENTRY_TYPE[backend]
-        stray = set(map(type, dense if dense is not None else sparse.values())) - {entry}
+        stored = dense if dense is not None else (sparse if alt is None else alt).values()
+        stray = set(map(type, stored)) - {entry}
         if stray:
             names = ", ".join(sorted(t.__name__ for t in stray))
             raise BackendMismatch(
@@ -135,7 +198,8 @@ class Tensor:
         self.shape = shape
         self.backend = backend
         self.dense = dense
-        self.sparse = sparse
+        self._sparse = sparse
+        self.alt = alt
         self.denom = denom
 
     # -- construction ------------------------------------------------------
@@ -174,7 +238,16 @@ class Tensor:
 
     @property
     def is_sparse(self) -> bool:
-        return self.sparse is not None
+        """True for sparse and alternating storage."""
+        return self.dense is None
+
+    @property
+    def sparse(self):
+        """Index tuple -> nonzero entry (None if dense); an alternating tensor
+        is expanded on first read, one sign block per stored key, and kept."""
+        if self._sparse is None and self.alt is not None:
+            self._sparse = _expand_alt(self.alt, self.rank)
+        return self._sparse
 
     def _value(self, entry):
         """A stored entry as a backend scalar (exact: in lowest terms)."""
@@ -208,7 +281,7 @@ class Tensor:
         return Tensor(self.shape, self.backend, dense=data, denom=self.denom)
 
     def to_sparse(self) -> "Tensor":
-        if self.sparse is not None:
+        if self.is_sparse:
             return self
         store = {key: v for key, v in zip(self.indices(), self.dense) if v}
         return Tensor(self.shape, self.backend, sparse=store, denom=self.denom)
@@ -282,6 +355,10 @@ class Tensor:
         if sorted(order) != list(range(self.rank)):
             raise TensorError(f"{list(order)} is not a permutation of the axes")
         new_shape = tuple(self.shape[a] for a in order)
+        if self.alt is not None:
+            sign = inversion_sign(order)
+            return Tensor(new_shape, self.backend, denom=self.denom,
+                          alt={k: sign * v for k, v in self.alt.items()})
         if self.is_sparse:
             getk = _getter(order)
             return Tensor(new_shape, self.backend,
@@ -294,7 +371,8 @@ class Tensor:
         """Sum the diagonal of two equal-sized axes (a self-loop on one vertex).
 
         This is the pair contraction of both axes with the equality
-        indicator delta; the result keeps this tensor's storage kind.
+        indicator delta; the result keeps this tensor's storage kind (an
+        alternating tensor traces to zero).
         """
         if ax1 == ax2:
             raise TensorError("trace needs two distinct axes")
@@ -321,7 +399,7 @@ class Tensor:
         return Tensor.from_values(tuple(obj["shape"]), values, backend)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "sparse" if self.is_sparse else "dense"
+        kind = "dense" if not self.is_sparse else "alt" if self.alt is not None else "sparse"
         return f"Tensor(shape={list(self.shape)}, backend={self.backend}, {kind})"
 
 
@@ -367,6 +445,12 @@ def pair_contract(f: Tensor, f_axes: Sequence[int], g: Tensor, g_axes: Sequence[
     if not (f.is_sparse or g.is_sparse):
         data = _contract_dense_dense(f, f_axes, f_keep, g, g_axes, g_keep)
         return Tensor(out_shape, f.backend, dense=data, denom=denom)
+    if f.alt is not None and not g_keep:
+        return Tensor(out_shape, f.backend, alt=_contract_alt(f, f_axes, f_keep, g, g_axes),
+                      denom=denom)
+    if g.alt is not None and not f_keep:
+        return Tensor(out_shape, f.backend, alt=_contract_alt(g, g_axes, g_keep, f, f_axes),
+                      denom=denom)
     if f.is_sparse:
         store = _contract_sparse(f, f_axes, f_keep, g, g_axes, g_keep, sparse_first=True)
     else:
@@ -387,41 +471,67 @@ def _contract_dense_dense(f, f_axes, f_keep, g, g_axes, g_keep) -> list:
     return data
 
 
+def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> dict:
+    """Exterior-algebra update of an alternating operand by one it fully contracts.
+
+    A stored key K is sorted, so the sign of a full index made from K depends
+    only on which positions of K go to which axes: for each ordered choice of
+    positions for the matched axes (the rest fill the kept axes in order) the
+    sign is computed once, then every key adds sign * entry * the other
+    operand's entry at the chosen values to the entry of the remaining ones.
+    """
+    if ot.dense is not None:
+        data = ot.dense
+        lookup = {x: data[off] for x, off in _cells(ot.shape, ot_axes) if data[off]}
+    else:
+        get_om = _getter(ot_axes)
+        lookup = {get_om(k): v for k, v in ot.sparse.items()}
+    rank = al.rank
+    choices = []
+    for chosen in itertools.permutations(range(rank), len(al_axes)):
+        rest = [q for q in range(rank) if q not in chosen]
+        seq = [0] * rank
+        for axis, q in zip(al_axes + al_keep, list(chosen) + rest):
+            seq[axis] = q
+        choices.append((_getter(chosen), _getter(rest), inversion_sign(seq)))
+    out: Dict[Index, object] = {}
+    oget, lget = out.get, lookup.get
+    for key, val in al.alt.items():
+        for get_x, get_rest, sign in choices:
+            ov = lget(get_x(key))
+            if ov:
+                k2 = get_rest(key)
+                out[k2] = oget(k2, 0) + sign * val * ov
+    return _drop_zeros(out)
+
+
 def _contract_sparse(sp, sp_axes, sp_keep, ot, ot_axes, ot_keep, sparse_first: bool) -> dict:
-    """Hash join: index the other operand's nonzeros (dict items if it is
-    sparse, nonzero cells if dense) by their matched positions, then probe
-    the index with each nonzero of the sparse operand."""
-    get_keep = _getter(sp_keep)
+    """Hash join: each nonzero of the sparse operand meets the other operand's
+    nonzeros that agree with it on the matched axes, found through an index
+    of the other's dict items by matched positions if it is sparse, or at
+    offsets from the key if it is dense.  Either way they come in the other
+    operand's order: dict order, or row-major."""
+    get_keep, get_match = _getter(sp_keep), _getter(sp_axes)
+    if ot.is_sparse:
+        get_om, get_ok = _getter(ot_axes), _getter(ot_keep)
+        index: Dict[Index, List[Tuple[Index, object]]] = {}
+        for key, val in ot.sparse.items():
+            index.setdefault(get_om(key), []).append((get_ok(key), val))
+
+        def partners(key):
+            return index.get(get_match(key), ())
+    else:
+        data, st = ot.dense, _strides(ot.shape)
+        match_strides = [st[a] for a in ot_axes]
+        kept = list(_cells(ot.shape, ot_keep))
+
+        def partners(key):
+            base = sum(map(mul, get_match(key), match_strides))
+            return [(okey, v) for okey, off in kept if (v := data[base + off])]
     out: Dict[Index, object] = {}
     oget = out.get
-
-    if ot.dense is not None and not ot_keep and 1 <= len(sp_axes) <= 2:
-        # hot path (epsilon x matrix or vector): the dense operand is fully
-        # contracted, and its offset is plain arithmetic on the key; that
-        # beats the index lookup by about a tenth on the 2n=10 Pfaffian.
-        # One matched axis pads as a1 = a0 with stride 0.
-        ddata = ot.dense
-        std = _strides(ot.shape)
-        st0, st1 = ([std[a] for a in ot_axes] + [0])[:2]
-        a0, a1 = sp_axes[0], sp_axes[-1]
-        for key, val in sp.sparse.items():
-            dv = ddata[st0 * key[a0] + st1 * key[a1]]
-            if dv:
-                k2 = get_keep(key)
-                out[k2] = oget(k2, 0) + val * dv
-        return _drop_zeros(out)
-
-    # buckets keep the other operand's order: dict order, or row-major if dense
-    nonzeros = ot.sparse.items() if ot.sparse is not None else (
-        (key, v) for key, v in zip(ot.indices(), ot.dense) if v)
-    get_om, get_ok = _getter(ot_axes), _getter(ot_keep)
-    index: Dict[Index, List[Tuple[Index, object]]] = {}
-    for key, val in nonzeros:
-        index.setdefault(get_om(key), []).append((get_ok(key), val))
-    get_match = _getter(sp_axes)
-    iget = index.get
     for key, val in sp.sparse.items():
-        cells = iget(get_match(key))
+        cells = partners(key)
         if cells:
             ks = get_keep(key)
             for okey, ov in cells:

@@ -1,0 +1,75 @@
+"""CLI output pinned byte for byte: stdout and exit code of each command.
+
+The expected results in ``tests/golden/cli.json`` were recorded before the
+alternating-storage kernel existed, so a change to any contraction kernel that
+alters a printed value, its formatting or an exit code fails here.  Two rows
+were re-recorded with that kernel: the ``--backend f64`` Pfaffian diagram
+value of ``m6`` and ``m8``, which it sums in another order, so the last
+digits moved (-10.349768518518518 to -10.34976851851852 and
+-205.85024691358026 to -205.85024691358032; the exact values are
+-44711/4320 and -1667387/8100).  The matrix documents
+``tests/golden/m{4,6,8}.nfg`` hold seeded rational matrices: ``S``
+skew-symmetric, ``M`` general.
+
+To re-record after an intended change of output, run
+``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from nfg import dsl
+from nfg.cli import main
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+GOLDEN_FILE = GOLDEN / "cli.json"
+BACKENDS = ("exact", "f64")
+
+
+def _contract_cases():
+    for path in sorted((TESTS / "corpus").glob("v*.nfg")):
+        doc = dsl.parse(path.read_text(encoding="utf-8"))
+        for name in [*doc.graphs, *doc.compounds]:
+            for engine in ("brute", "planned"):
+                for backend in BACKENDS:
+                    yield ["contract", f"corpus/{path.name}", name,
+                           "--engine", engine, "--backend", backend]
+
+
+def _compare_cases():
+    for dim in (4, 6, 8):
+        for command, matrix in (("pfaffian", "S"), ("det", "M"), ("trace", "M")):
+            for backend in BACKENDS:
+                yield [command, f"golden/m{dim}.nfg", matrix, "--backend", backend]
+
+
+CASES = [*_compare_cases(), *_contract_cases()]
+
+
+def _run(argv):
+    """Exit code and stdout of one in-process CLI call; paths are under tests/."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([argv[0], str(TESTS / argv[1]), *argv[2:]])
+    return code, out.getvalue()
+
+
+def test_golden_covers_every_case():
+    assert sorted(json.loads(GOLDEN_FILE.read_text())) == sorted(" ".join(c) for c in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    expected = json.loads(GOLDEN_FILE.read_text())[" ".join(argv)]
+    assert _run(argv) == (expected["exit"], expected["stdout"])
+
+
+if __name__ == "__main__":
+    record = {" ".join(argv): dict(zip(("exit", "stdout"), _run(argv))) for argv in CASES}
+    GOLDEN_FILE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(record)} cases to {GOLDEN_FILE}")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from nfg.scalars import (
@@ -55,3 +57,14 @@ def test_scalar_eq_f64_uses_tolerance():
 def test_format_parse_round_trip():
     for v in [rat(0), rat(5), rat(-7, 3), rat(22, 7)]:
         assert parse_scalar(EXACT, format_scalar(EXACT, v)) == v
+
+
+def test_coerce_exact_keeps_an_exact_fraction():
+    v = rat(22, 7)
+    assert coerce(EXACT, v) is v
+
+    class Half(Fraction):
+        pass
+
+    w = coerce(EXACT, Half(1, 2))
+    assert type(w) is Fraction and w == rat(1, 2)
