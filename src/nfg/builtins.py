@@ -74,7 +74,7 @@ def tau_swap_count(n: int) -> int:
     return n // 2 + n * (n - 1) // 2
 
 
-def levi_civita(n: int, backend: str = EXACT, limit: int = EPS_DEFAULT_LIMIT) -> Tensor:
+def levi_civita(n: int, backend: str = EXACT) -> Tensor:
     """Rank-n, all axes size n: sign at permutation tuples, zero elsewhere.
 
     Internally 0-based like every tensor; the value at (p1-1, ..., pn-1) is
@@ -83,8 +83,8 @@ def levi_civita(n: int, backend: str = EXACT, limit: int = EPS_DEFAULT_LIMIT) ->
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the Levi-Civita limit {limit} (n! storage)")
+    if n > EPS_DEFAULT_LIMIT:
+        raise ValueError(f"n={n} exceeds the Levi-Civita limit {EPS_DEFAULT_LIMIT} (n! storage)")
     scalars.check_backend(backend)
     return Tensor((n,) * n, backend, alt={tuple(range(n)): ONE_ENTRY[backend]})
 

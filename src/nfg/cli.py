@@ -18,8 +18,8 @@ from .diagrams import (
     det_diagram,
     det_oracle,
     pfaffian_diagram,
+    pfaffian_factor,
     pfaffian_oracle,
-    pfaffian_ratio,
     trace_diagram,
     trace_oracle,
 )
@@ -33,15 +33,23 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
 
+class UsageError(Exception):
+    """A well-formed command that cannot apply to what it names (exit 2)."""
+
+
 def _load(path: str, backend: str) -> dsl.DslDocument:
     source = Path(path).read_text(encoding="utf-8")
     return dsl.parse(source, backend)
 
 
-def _graph_or_compound(doc: dsl.DslDocument, name: str):
+def _graph_or_compound(doc: dsl.DslDocument, name: str, graph_for: str = None):
+    """The named graph or compound; when graph_for names an option or command
+    that writes a plan, which holds one graph's steps, a compound is refused."""
     if name in doc.graphs:
         return doc.graphs[name]
     if name in doc.compounds:
+        if graph_for:
+            raise UsageError(f"{graph_for} needs a graph; {name!r} is a compound")
         return doc.compounds[name]
     raise NfgError(f"no graph named {name!r} in the document")
 
@@ -54,12 +62,8 @@ def _tensor(doc: dsl.DslDocument, name: str):
 
 def cmd_contract(args) -> int:
     doc = _load(args.file, args.backend)
-    target = _graph_or_compound(doc, args.graph)
+    target = _graph_or_compound(doc, args.graph, "--plan-out" if args.plan_out else None)
     if args.plan_out:
-        if isinstance(target, CompoundNfg):
-            print(f"error: --plan-out needs a graph; {args.graph!r} is a compound",
-                  file=sys.stderr)
-            return EXIT_USAGE
         Path(args.plan_out).write_text(plan_greedy(target).to_text(), encoding="utf-8")
     result = eval_compound(target, engine=args.engine)
     print(json.dumps(result.to_obj()))
@@ -84,8 +88,9 @@ def cmd_compare(args) -> int:
     """A matrix function through its diagram and through its oracle; exit 0 iff equal."""
     doc = _load(args.file, args.backend)
     a = _tensor(doc, args.matrix)
-    ratio = args.ratio(a) if args.ratio else None  # checks a before any work
-    via_diagram = args.run(args.diagram(a)).get(())
+    diagram = args.diagram(a)  # runs every check of both routes before any work
+    via_diagram = args.run(diagram).get(())
+    ratio = args.ratio(a) if args.ratio else None
     if ratio is not None:
         via_diagram = via_diagram / ratio
     via_oracle = args.oracle(a)
@@ -114,13 +119,17 @@ def cmd_verify(args) -> int:
 
 def cmd_plan(args) -> int:
     doc = _load(args.file, args.backend)
-    g = doc.graphs.get(args.graph)
-    if g is None:
-        raise NfgError(f"no graph named {args.graph!r} in the document")
-    plan = plan_greedy(g)
+    plan = plan_greedy(_graph_or_compound(doc, args.graph, "plan"))
     sys.stdout.write(plan.to_text())
     print(f"estimated cost: {plan.estimated_cost}")
     return EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,12 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_equal)
 
     # one comparison command per row: name, what it computes, diagram builder,
-    # engine, oracle, and the diagram-to-value ratio (None when 1); the ratio
-    # function checks both routes' limits before any work, as det_diagram and
-    # trace_diagram check theirs before they build anything
+    # engine, oracle, and the diagram-to-value ratio (None when 1); each diagram
+    # builder runs every input and size check of both routes before it builds
+    # anything, and the oracles have no size limit
     for name, what, diagram, run, oracle, ratio in (
         ("pfaffian", "Pfaffian", pfaffian_diagram, exterior_planned, pfaffian_oracle,
-         pfaffian_ratio),
+         lambda a: pfaffian_factor(a.shape[0] // 2)),
         ("det", "determinant", det_diagram, exterior_planned, det_oracle, None),
         ("trace", "trace", trace_diagram, exterior_brute, trace_oracle, None),
     ):
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=suites.DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=positive_int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plan", help="print the greedy contraction plan")
@@ -193,7 +202,7 @@ def main(argv=None) -> int:
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NfgError, TensorError, scalars.BackendMismatch) as exc:

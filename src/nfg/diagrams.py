@@ -2,6 +2,10 @@
 identities: trace, cross product, Levi-Civita contraction, the cross-product
 identity suites, determinant, and the Pfaffian diagram.
 
+The determinant and Pfaffian oracles are eliminations over the backend's
+scalars (pivoted Gaussian elimination; Parlett-Reid skew elimination), so
+they are polynomial and share no code with the Levi-Civita diagrams.
+
 Every ``check_*`` function evaluates both sides of an identity through
 separate routes (NFG contraction on one side, independent combinatorics or a
 differently wired NFG on the other) and reports exact equality on the
@@ -10,21 +14,17 @@ rational backend.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence, Tuple
 
 from . import scalars
 from .algebra import add_nfgs, eval_compound, stack, sub_nfgs
-from .builtins import EPS_DEFAULT_LIMIT, Permutation, delta2, delta_point, levi_civita, perm_sign
+from .builtins import EPS_DEFAULT_LIMIT, delta2, delta_point, levi_civita
 from .contraction import exterior_brute, exterior_planned
 from .graph import Nfg, NfgError, PortRef, Vertex
 from .scalars import EXACT
 from .tensor import Tensor
-
-PFAFFIAN_ORACLE_MAX_DIM = 8    # factorial enumeration bound (2n)
-PFAFFIAN_DIAGRAM_MAX_DIM = 10  # sparse-epsilon diagram bound (2n)
 
 
 @dataclass
@@ -93,9 +93,9 @@ def _square_dim(a: Tensor, what: str) -> int:
     return a.shape[0]
 
 
-def _within_limit(dim: int, limit: int, route: str) -> int:
-    if dim > limit:
-        raise NfgError(f"dimension {dim} exceeds the {route} limit {limit}")
+def _within_eps_limit(dim: int) -> int:
+    if dim > EPS_DEFAULT_LIMIT:
+        raise NfgError(f"dimension {dim} exceeds the diagram limit {EPS_DEFAULT_LIMIT}")
     return dim
 
 
@@ -355,7 +355,7 @@ def check_fig11b(a1: Tensor, b: Tensor, c: Tensor) -> IdentityCheckReport:
 def det_diagram(a: Tensor) -> Nfg:
     """Epsilon vertex whose argument j reads the j-th column of a, selected by
     a point-mass vector; the exterior function equals det(a)."""
-    n = _within_limit(_square_dim(a, "determinant"), EPS_DEFAULT_LIMIT, "diagram")
+    n = _within_eps_limit(_square_dim(a, "determinant"))
     g = Nfg()
     eps_id = g.add_vertex(levi_civita(n, a.backend), name="eps")
     for j in range(1, n + 1):
@@ -367,20 +367,25 @@ def det_diagram(a: Tensor) -> Nfg:
 
 
 def det_oracle(a: Tensor):
-    """Permutation sum: sum over sigma of sgn(sigma) prod_j a(j, sigma(j))."""
+    """Gaussian elimination with partial pivoting on the largest-magnitude
+    entry of each column; each row swap flips the sign."""
     n = _square_dim(a, "determinant")
     vals = a.values()
-    acc = scalars.zero(a.backend)
-    one = scalars.one(a.backend)
-    for images in itertools.permutations(range(1, n + 1)):
-        sgn = perm_sign(Permutation(images))
-        term = one if sgn > 0 else -one
-        for j in range(n):
-            term = term * vals[j * n + images[j] - 1]
-            if not term:
-                break
-        acc = acc + term
-    return acc
+    m = [vals[i * n:(i + 1) * n] for i in range(n)]
+    det = scalars.one(a.backend)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if not m[p][k]:
+            return scalars.zero(a.backend)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det = det * m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return det
 
 
 def det_cofactor(a: Tensor):
@@ -436,10 +441,10 @@ def _check_skew(a: Tensor) -> int:
     return dim
 
 
-def pfaffian_diagram(a: Tensor, limit: int = PFAFFIAN_DIAGRAM_MAX_DIM) -> Nfg:
+def pfaffian_diagram(a: Tensor) -> Nfg:
     """One epsilon(2n) vertex and n copies of a: copy k reads epsilon's k-th
     and (2n-k+1)-th arguments.  The exterior function is n! 2^n Pf(a)."""
-    dim = _within_limit(_check_skew(a), limit, "diagram")
+    dim = _within_eps_limit(_check_skew(a))
     n = dim // 2
     g = Nfg()
     eps_id = g.add_vertex(levi_civita(dim, a.backend), name="eps")
@@ -450,22 +455,30 @@ def pfaffian_diagram(a: Tensor, limit: int = PFAFFIAN_DIAGRAM_MAX_DIM) -> Nfg:
     return g
 
 
-def pfaffian_oracle(a: Tensor, limit: int = PFAFFIAN_ORACLE_MAX_DIM):
-    """Exact Pfaffian by literal enumeration of S_2n:
-    (1 / 2^n n!) sum over sigma of sgn(sigma) prod_i a(sigma(2i-1), sigma(2i))."""
-    dim = _within_limit(_check_skew(a), limit, "oracle")
-    n = dim // 2
+def pfaffian_oracle(a: Tensor):
+    """Pf(a) by Parlett-Reid skew elimination.  Step k moves the
+    largest-magnitude entry of row k right of the diagonal to column k+1
+    (swapping row and column together flips the sign), multiplies Pf by that
+    pivot, and reduces the trailing block to its skew Schur complement."""
+    dim = _check_skew(a)
     vals = a.values()
-    acc = scalars.zero(a.backend)
-    one = scalars.one(a.backend)
-    for images in itertools.permutations(range(1, dim + 1)):
-        term = one if perm_sign(Permutation(images)) > 0 else -one
-        for i in range(n):
-            term = term * vals[(images[2 * i] - 1) * dim + images[2 * i + 1] - 1]
-            if not term:
-                break
-        acc = acc + term
-    return acc / pfaffian_factor(n)
+    m = [vals[i * dim:(i + 1) * dim] for i in range(dim)]
+    pf = scalars.one(a.backend)
+    for k in range(0, dim, 2):
+        p = max(range(k + 1, dim), key=lambda j: abs(m[k][j]))
+        piv = m[k][p]
+        if not piv:
+            return scalars.zero(a.backend)
+        if p != k + 1:
+            m[k + 1], m[p] = m[p], m[k + 1]
+            for row in m:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            pf = -pf
+        pf = pf * piv
+        for i in range(k + 2, dim):
+            for j in range(k + 2, dim):
+                m[i][j] += (m[k + 1][i] * m[k][j] - m[k][i] * m[k + 1][j]) / piv
+    return pf
 
 
 def pfaffian_factor(n: int) -> int:
@@ -476,23 +489,12 @@ def pfaffian_factor(n: int) -> int:
     return f
 
 
-def pfaffian_ratio(a: Tensor) -> int:
-    """n! 2^n for a 2n x 2n skew-symmetric a, after every input check of
-    both Pfaffian routes, so a caller running both fails before either works."""
-    dim = _within_limit(_check_skew(a), PFAFFIAN_DIAGRAM_MAX_DIM, "diagram")
-    _within_limit(dim, PFAFFIAN_ORACLE_MAX_DIM, "oracle")
-    return pfaffian_factor(dim // 2)
-
-
 def check_prop1(a: Tensor, engine: str = "planned") -> IdentityCheckReport:
     """The Pfaffian diagram's exterior equals n! 2^n Pf(a)."""
     dim = _check_skew(a)
-    n = dim // 2
     run = exterior_brute if engine == "brute" else exterior_planned
-    lhs = run(pfaffian_diagram(a))
-    pf = pfaffian_oracle(a)
-    rhs = scalar_tensor(pf, a.backend).scale(pfaffian_factor(n))
-    return _report(f"prop1-pfaffian-2n={dim}", lhs, rhs)
+    rhs = scalar_tensor(pfaffian_oracle(a), a.backend).scale(pfaffian_factor(dim // 2))
+    return _report(f"prop1-pfaffian-2n={dim}", run(pfaffian_diagram(a)), rhs)
 
 
 # -- edge utilities used by the delta-insertion property ----------------------

@@ -191,7 +191,7 @@ def test_criterion_09_trace_and_ciliation():
 
 
 def pfaffian_expansion(a: Tensor, idx=None):
-    """First-row Pfaffian expansion; independent of the S_2n oracle."""
+    """First-row Pfaffian expansion; independent of the elimination oracle."""
     if idx is None:
         idx = tuple(range(a.shape[0]))
     if not idx:

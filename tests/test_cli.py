@@ -1,8 +1,13 @@
 import json
+import random
 
 import pytest
 
 from nfg.cli import EXIT_OK, EXIT_UNEQUAL, EXIT_USAGE, EXIT_VALIDATION, main
+from nfg.diagrams import pfaffian_factor
+from nfg.suites import rand_skew
+
+from test_acceptance import pfaffian_expansion
 
 TRACE_DOC = """
 tensor A [2,2] = 1, 2, 3, 4
@@ -96,6 +101,15 @@ def test_verify_suite(capsys):
     assert "lemma3-n=10 PASS" in out
 
 
+@pytest.mark.parametrize("suite,trials", [("prop1", "-1"), ("det-ids", "0")])
+def test_verify_rejects_trials_below_one(suite, trials, capsys, monkeypatch):
+    monkeypatch.setattr("nfg.suites.run_suite", _must_not_run)
+    assert main(["verify", suite, "--trials", trials]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"must be at least 1, got {trials}" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nosuchsuite"]) == EXIT_USAGE
     capsys.readouterr()
@@ -142,13 +156,25 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("expensive work ran before the size check")
 
 
-def test_pfaffian_checks_oracle_limit_before_any_work(doc, capsys, monkeypatch):
+def test_pfaffian_checks_diagram_limit_before_any_work(doc, capsys, monkeypatch):
     monkeypatch.setattr("nfg.diagrams.levi_civita", _must_not_run)
     monkeypatch.setattr("nfg.cli.exterior_planned", _must_not_run)
-    skew = _matrix_doc(10, lambda i, j: (i + j + 1) * ((i < j) - (i > j)))
+    monkeypatch.setattr("nfg.cli.pfaffian_oracle", _must_not_run)
+    skew = _matrix_doc(12, lambda i, j: (i + j + 1) * ((i < j) - (i > j)))
     assert main(["pfaffian", doc(skew), "A"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        "validation error: dimension 10 exceeds the oracle limit 8\n")
+        "validation error: dimension 12 exceeds the diagram limit 10\n")
+
+
+def test_pfaffian_10x10_agrees_with_first_row_expansion(doc, capsys):
+    a = rand_skew(random.Random(3), 10)
+    vals = a.values()
+    skew = _matrix_doc(10, lambda i, j: vals[i * 10 + j])
+    assert main(["pfaffian", doc(skew), "A"]) == EXIT_OK
+    pf = pfaffian_expansion(a)
+    assert capsys.readouterr().out == (
+        f"pfaffian(diagram) = {pf}\npfaffian(oracle)  = {pf}\n"
+        f"ratio             = {pfaffian_factor(5)}\n")
 
 
 def test_det_over_epsilon_limit_is_validation_error(doc, capsys, monkeypatch):
@@ -169,3 +195,9 @@ def test_contract_plan_out_refuses_compound(doc, tmp_path, capsys, monkeypatch):
     assert "'g3' is a compound" in captured.err
     assert captured.out == ""
     assert not plan_file.exists()
+
+
+def test_plan_refuses_compound(doc, capsys, monkeypatch):
+    monkeypatch.setattr("nfg.cli.plan_greedy", _must_not_run)
+    assert main(["plan", doc(EQ_DOC), "g3"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: plan needs a graph; 'g3' is a compound\n")

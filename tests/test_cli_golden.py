@@ -7,9 +7,17 @@ were re-recorded with that kernel: the ``--backend f64`` Pfaffian diagram
 value of ``m6`` and ``m8``, which it sums in another order, so the last
 digits moved (-10.349768518518518 to -10.34976851851852 and
 -205.85024691358026 to -205.85024691358032; the exact values are
--44711/4320 and -1667387/8100).  The matrix documents
-``tests/golden/m{4,6,8}.nfg`` hold seeded rational matrices: ``S``
-skew-symmetric, ``M`` general.
+-44711/4320 and -1667387/8100).  Four more were re-recorded when the
+factorial oracles gave way to eliminations, which round differently: the
+``--backend f64`` oracle value of ``pfaffian`` on ``m6`` (-10.349768518518488
+to -10.349768518518518) and ``m8`` (-205.85024691358157 to
+-205.85024691358024), and of ``det`` on ``m6`` (-162.78988472222207 to
+-162.7898847222222) and ``m8`` (91150.26230619207 to 91150.26230619209).
+The matrix documents ``tests/golden/m{4,6,8,10}.nfg`` hold seeded rational
+matrices: ``S`` skew-symmetric, ``M`` general.  ``det`` on ``m10`` with
+``--backend f64`` exits 1: both routes are within one ulp of the exact
+value, but they differ by 6e-9 on a value of 4.3e7, and ``--tol`` is an
+absolute bound (default 1e-9).
 
 To re-record after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
@@ -42,7 +50,7 @@ def _contract_cases():
 
 
 def _compare_cases():
-    for dim in (4, 6, 8):
+    for dim in (4, 6, 8, 10):
         for command, matrix in (("pfaffian", "S"), ("det", "M"), ("trace", "M")):
             for backend in BACKENDS:
                 yield [command, f"golden/m{dim}.nfg", matrix, "--backend", backend]

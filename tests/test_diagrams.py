@@ -1,7 +1,11 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from nfg import scalars
+from nfg.builtins import Permutation, perm_sign
 from nfg.contraction import exterior_brute, exterior_planned
 from nfg.diagrams import (
     check_cross_chain,
@@ -27,7 +31,7 @@ from nfg.diagrams import (
     transpose,
 )
 from nfg.graph import NfgError
-from nfg.scalars import rat
+from nfg.scalars import EXACT, F64, rat
 from nfg.suites import rand_mat, rand_skew, rand_vec
 from nfg.tensor import Tensor
 
@@ -136,13 +140,19 @@ def test_pfaffian_small_cases():
          -3, -5, -6, 0])
     # Pf = a12*a34 - a13*a24 + a14*a23
     assert pfaffian_oracle(s) == rat(1 * 6 - 2 * 5 + 3 * 4)
+    # a12 = 0 forces a row-and-column swap at the first elimination step
+    s0 = Tensor.from_values((4, 4), [0 if i in (1, 4) else v for i, v in enumerate(s.values())])
+    assert pfaffian_oracle(s0) == rat(-2 * 5 + 3 * 4)
+    assert det_oracle(s0) == rat(-2 * 5 + 3 * 4) ** 2
 
 
 def test_pfaffian_square_is_det():
+    """Also beyond the enumerations' reach (2n = 12, 16), where the two
+    elimination oracles are the only exact routes and share no code."""
     rng = random.Random(11)
-    for dim in (2, 4, 6):
+    for dim in (2, 4, 6, 12, 16):
         s = rand_skew(rng, dim)
-        assert pfaffian_oracle(s) ** 2 == det_oracle(s)
+        assert pfaffian_oracle(s) ** 2 == det_oracle(s) != 0
 
 
 def test_pfaffian_factor():
@@ -173,3 +183,122 @@ def test_pfaffian_rejects_odd_dim():
     a = Tensor.from_values((3, 3), [0, 1, 2, -1, 0, 3, -2, -3, 0])
     with pytest.raises(NfgError):
         pfaffian_diagram(a)
+
+
+# -- the elimination oracles against literal enumerations ----------------------
+
+
+def enumerated_pfaffian(a: Tensor):
+    """Pf(a) by literal enumeration of S_2n:
+    (1 / 2^n n!) sum over sigma of sgn(sigma) prod_i a(sigma(2i-1), sigma(2i))."""
+    dim = a.shape[0]
+    vals = a.values()
+    acc = scalars.zero(a.backend)
+    for images in itertools.permutations(range(1, dim + 1)):
+        term = scalars.one(a.backend) * perm_sign(Permutation(images))
+        for i in range(dim // 2):
+            term = term * vals[(images[2 * i] - 1) * dim + images[2 * i + 1] - 1]
+            if not term:
+                break
+        acc = acc + term
+    return acc / pfaffian_factor(dim // 2)
+
+
+def permutation_sum_det(a: Tensor):
+    """det(a) as the sum over sigma of sgn(sigma) prod_j a(j, sigma(j))."""
+    n = a.shape[0]
+    vals = a.values()
+    acc = scalars.zero(a.backend)
+    for images in itertools.permutations(range(1, n + 1)):
+        term = scalars.one(a.backend) * perm_sign(Permutation(images))
+        for j in range(n):
+            term = term * vals[j * n + images[j] - 1]
+            if not term:
+                break
+        acc = acc + term
+    return acc
+
+
+def close(backend, x, y) -> bool:
+    return x == y if backend == EXACT else abs(x - y) <= 1e-9
+
+
+def rand_entry(rng, backend):
+    """A random scalar, zero about a third of the time to exercise pivoting."""
+    if rng.random() < 0.3:
+        return 0 if backend == EXACT else 0.0
+    if backend == EXACT:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.uniform(-1, 1)
+
+
+def rand_square(rng, dim, backend, skew=False):
+    m = [[rand_entry(rng, backend) for _ in range(dim)] for _ in range(dim)]
+    if skew:
+        for i in range(dim):
+            m[i][i] = 0 * m[i][i]
+            for j in range(i):
+                m[i][j] = -m[j][i]
+        if rng.random() < 0.3:
+            m[0][1] = m[1][0] = 0 * m[0][1]  # forces a swap at the first step
+    return Tensor.from_values((dim, dim), [x for row in m for x in row], backend)
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_pfaffian_oracle_matches_enumeration(backend):
+    rng = random.Random(21)
+    for dim, trials in ((2, 10), (4, 20), (6, 20), (8, 1)):
+        for _ in range(trials):
+            a = rand_square(rng, dim, backend, skew=True)
+            assert close(backend, pfaffian_oracle(a), enumerated_pfaffian(a))
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_det_oracle_matches_permutation_sum(backend):
+    rng = random.Random(22)
+    for n in range(1, 7):
+        for _ in range(10):
+            a = rand_square(rng, n, backend)
+            assert close(backend, det_oracle(a), permutation_sum_det(a))
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.parametrize("row", [0, 3])
+def test_oracles_on_an_all_zero_row(backend, row):
+    a = rand_square(random.Random(23), 6, backend, skew=True)
+    vals = [0 * v if row in (i, j) else v
+            for (i, j), v in zip(itertools.product(range(6), repeat=2), a.values())]
+    z = Tensor.from_values((6, 6), vals, backend)
+    assert pfaffian_oracle(z) == 0
+    assert det_oracle(z) == 0
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_oracles_on_a_singular_nonzero_matrix(backend):
+    u, v = [1, 2, -1, 3, 0, 2], [2, -1, 1, 1, 4, -3]
+    cast = Fraction if backend == EXACT else float
+    # rank 2: u v^T - v u^T
+    a = Tensor.from_values((6, 6), [cast(u[i] * v[j] - v[i] * u[j])
+                                    for i in range(6) for j in range(6)], backend)
+    assert close(backend, pfaffian_oracle(a), 0)
+    assert close(backend, det_oracle(a), 0)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 12, 16])
+def test_pfaffian_of_permuted_block_diagonal(dim):
+    """Pf(P B P^T) = sgn(P) prod b_k for B = diag of [[0, b_k], [-b_k, 0]]."""
+    rng = random.Random(dim)
+    b = [Fraction(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 6))
+         for _ in range(dim // 2)]
+    block = [[Fraction(0)] * dim for _ in range(dim)]
+    for k, bk in enumerate(b):
+        block[2 * k][2 * k + 1], block[2 * k + 1][2 * k] = bk, -bk
+    sigma = list(range(dim))
+    rng.shuffle(sigma)
+    # (P B P^T)[i][j] = B[sigma(i)][sigma(j)] for the P with P[i][sigma(i)] = 1
+    a = Tensor.from_values((dim, dim), [block[sigma[i]][sigma[j]]
+                                        for i in range(dim) for j in range(dim)])
+    expected = perm_sign(Permutation(tuple(x + 1 for x in sigma)))
+    for bk in b:
+        expected *= bk
+    assert pfaffian_oracle(a) == expected
