@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, engine=True):
         p.add_argument("--backend", choices=[EXACT, F64], default=EXACT)
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="comparison tolerance (float backend only)")
+                       help="float backend only: values a, b agree when "
+                            "|a - b| <= tol * max(1, |a|, |b|)")
         if engine:
             p.add_argument("--engine", choices=["brute", "planned"], default="planned")
 

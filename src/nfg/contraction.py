@@ -1,21 +1,26 @@
 """Exterior-function evaluation: brute-force oracle, vertex grouping and
 splitting, and a greedy pairwise contraction planner.
 
-The brute-force path literally enumerates every assignment to the internal
-and dangling variables and is the ground truth for everything else.  The
-planned path replays pairwise groupings (each one a two-tensor contraction)
-and exploits sparse operands, which is what makes the large Levi-Civita
-diagrams tractable.
+The brute-force path is the ground truth for everything else.  It is a
+literal sum of products over the assignments to the internal and dangling
+variables, but it enumerates only those on which every vertex is nonzero: a
+backtracking join over each vertex's nonzero entries (the generic-join view
+of a sum-product, Ngo-Re-Rudra 2013), which shares no code with the
+contraction kernels or the planner.  The planned path replays pairwise
+groupings (each one a two-tensor contraction) and exploits sparse operands,
+which is what makes the large Levi-Civita diagrams tractable.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Nfg, NfgError, PortRef, Vertex
-from .tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _strides as _tensor_strides, pair_contract
+from .tensor import (ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, _strides as _tensor_strides,
+                     pair_contract, shape_size)
 
 
 @dataclass
@@ -43,66 +48,103 @@ class ContractionPlan:
 
 
 def exterior_brute(g: Nfg) -> Tensor:
-    """Z_G by literal iteration over all internal-edge assignments.
+    """Z_G as a literal sum of products, over the nonzero entries only.
 
-    Stored entries (int numerators on the exact backend) are multiplied as
-    they are; the product of the vertex denominators divides each output
-    cell once, as the result's denominator.
+    A backtracking join: the vertices are visited one at a time, each time
+    the one with the smallest estimated fan-out (its nonzero count over the
+    alphabet sizes of its edges already bound; ties on the count, then on
+    insertion order), and each visit extends the partial assignment by every
+    nonzero entry of the vertex that agrees with it on the bound edges,
+    found in an index of the entries by those edges.  A self-loop is an
+    equality of two slots, so entries whose looped slots differ are dropped.
+    Every complete assignment adds its product of stored entries (int
+    numerators on the exact backend) to the cell of its dangling values; the
+    product of the vertex denominators divides each output cell once, as the
+    result's denominator.
     """
     g.check_valid()
     backend = g.backend()
-    dang = list(g.dangling)
-    internal = sorted(g.internal_edge_ids())
-    all_ids = dang + internal
-    pos = {eid: i for i, eid in enumerate(all_ids)}
-    sizes = [g.edges[eid].alphabet for eid in all_ids]
-    zero = ZERO_ENTRY[backend]
+    zero, one = ZERO_ENTRY[backend], ONE_ENTRY[backend]
+    shape = tuple(g.edges[eid].alphabet for eid in g.dangling)
+    if not g.vertices:
+        return Tensor((), backend, dense=[one])
 
-    # per-vertex fast lookup closures over the flat assignment tuple;
-    # sparse factors go first so zero entries prune whole products early
+    # each vertex as (distinct edge ids in slot order, nonzero (values, entry) pairs)
     factors = []
     denom = 1
     for vtx in g.vertices.values():
         tensor = vtx.tensor
         denom *= tensor.denom
-        positions = tuple(pos[eid] for eid in vtx.ciliation)
-        if tensor.is_sparse:
-            store = tensor.sparse
-
-            def fget(assign, store=store, positions=positions):
-                return store.get(tuple(assign[p] for p in positions), zero)
+        if tensor.dense is None:
+            items = tensor.sparse.items()
         else:
-            data_v = tensor.dense
-            strides = _tensor_strides(tensor.shape)
+            items = compress(zip(tensor.indices(), tensor.dense), tensor.dense)
+        first: Dict[str, int] = {}
+        for slot, eid in enumerate(vtx.ciliation):
+            first.setdefault(eid, slot)
+        loops = [(first[eid], slot) for slot, eid in enumerate(vtx.ciliation)
+                 if first[eid] != slot]
+        if loops:
+            distinct = _getter(list(first.values()))
+            entries = [(distinct(key), v) for key, v in items
+                       if all(key[a] == key[b] for a, b in loops)]
+        else:
+            entries = list(items)
+        if not entries:
+            return Tensor(shape, backend, dense=[zero] * shape_size(shape), denom=denom)
+        factors.append((list(first), entries))
 
-            def fget(assign, data_v=data_v, positions=positions, strides=strides):
-                off = 0
-                for p, st in zip(positions, strides):
-                    off += assign[p] * st
-                return data_v[off]
-        factors.append((0 if tensor.is_sparse else 1, len(factors), fget))
-    factors.sort()
-    getters = [fget for _, _, fget in factors]
+    # visiting order, and per visit an index of the entries by the bound edges
+    alphabet = {eid: edge.alphabet for eid, edge in g.edges.items()}
+    bound: Dict[str, int] = {}  # edge id -> position in the partial assignment
+    steps = []
 
-    nd = len(dang)
-    data = []
-    for dassign in itertools.product(*(range(s) for s in sizes[:nd])):
-        acc = zero
-        for iassign in itertools.product(*(range(s) for s in sizes[nd:])):
-            assign = dassign + iassign
-            term = None
-            for fget in getters:
-                v = fget(assign)
-                if not v:
-                    term = None
-                    break
-                term = v if term is None else term * v
-            if term is not None:
-                acc = acc + term
-        data.append(acc)
-    if not g.vertices:
-        data = [ONE_ENTRY[backend]]
-    return Tensor(tuple(sizes[:nd]), backend, dense=data, denom=denom)
+    def fan_out(i):
+        edges, entries = factors[i]
+        width = 1
+        for eid in edges:
+            if eid in bound:
+                width *= alphabet[eid]
+        return (len(entries) / width, len(entries), i)
+
+    todo = list(range(len(factors)))
+    while todo:
+        i = min(todo, key=fan_out)
+        todo.remove(i)
+        edges, entries = factors[i]
+        old = [k for k, eid in enumerate(edges) if eid in bound]
+        new = [k for k, eid in enumerate(edges) if eid not in bound]
+        get_old, get_new = _getter(old), _getter(new)
+        index: Dict[tuple, list] = {}
+        for key, v in entries:
+            index.setdefault(get_old(key), []).append((get_new(key), v))
+        steps.append((_getter([bound[edges[k]] for k in old]), index))
+        for k in new:
+            bound[edges[k]] = len(bound)
+
+    out: Dict[tuple, object] = {}
+    oget = out.get
+    dangling_values = _getter([bound[eid] for eid in g.dangling])
+    last = len(steps) - 1
+    stack = [(0, (), one)]
+    while stack:
+        depth, assign, prod = stack.pop()
+        look, index = steps[depth]
+        matches = index.get(look(assign))
+        if not matches:
+            continue
+        if depth == last:
+            for values, v in matches:
+                key = dangling_values(assign + values)
+                out[key] = oget(key, zero) + prod * v
+        else:
+            stack.extend((depth + 1, assign + values, prod * v) for values, v in matches)
+
+    data = [zero] * shape_size(shape)
+    strides = _tensor_strides(shape)
+    for key, acc in out.items():
+        data[sum(map(mul, key, strides))] = acc
+    return Tensor(shape, backend, dense=data, denom=denom)
 
 
 def group_vertices(g: Nfg, u: str, v: str) -> Nfg:
@@ -196,7 +238,11 @@ def split_vertex(g: Nfg, h: str, f: Tensor, f_slots: Sequence[int],
 
 
 def brute_cost(g: Nfg) -> int:
-    """Multiplication count of the literal sum-of-products enumeration."""
+    """Multiplication count of the naive sum of products over every assignment.
+
+    The planner's tests use it as the baseline a plan must beat.  It is not
+    the cost of ``exterior_brute``, which enumerates nonzero terms only.
+    """
     terms = 1
     for edge in g.edges.values():
         terms *= edge.alphabet

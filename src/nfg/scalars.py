@@ -73,12 +73,17 @@ def check_backend(backend: str) -> None:
 
 
 def scalar_eq(backend: str, a, b, tol=None) -> bool:
-    """Backend-aware comparison: exact is exact, float is within tol."""
+    """Backend-aware comparison: exact is exact, float is within a mixed bound.
+
+    Floats agree when ``|a - b| <= tol * max(1, |a|, |b|)``: an absolute
+    bound of tol near zero and a relative one above 1, so two roundings of
+    one large value agree whatever its magnitude.
+    """
     if backend == EXACT:
         return a == b
     if tol is None:
         tol = 0.0
-    return abs(a - b) <= tol
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 def format_scalar(backend: str, value) -> str:

@@ -258,10 +258,9 @@ class Tensor:
     def get(self, index: Sequence[int]):
         """Entry at a multi-index; absent sparse keys read as zero."""
         index = tuple(index)
-        _check_index(self.shape, index)
         if self.dense is not None:
-            st = _strides(self.shape)
-            return self._value(self.dense[sum(i * s for i, s in zip(index, st))])
+            return self._value(self.dense[_checked_offset(self.shape, index)])
+        _check_index(self.shape, index)
         return self._value(self.sparse.get(index, ZERO_ENTRY[self.backend]))
 
     def values(self) -> list:
@@ -321,7 +320,8 @@ class Tensor:
         return self.scale(-1 if self.backend == EXACT else -1.0)
 
     def equal(self, other: "Tensor", tol=None) -> bool:
-        """Exact backend compares exactly (tol ignored); float entrywise within tol.
+        """Exact backend compares exactly (tol ignored); float entrywise within
+        tol, by ``scalars.scalar_eq``'s mixed bound.
 
         Entries x/da and y/db are compared as x*db against y*da, so the stored
         denominators need not agree.
@@ -409,6 +409,19 @@ def _check_index(shape: Shape, index: Index) -> None:
     for i, d in zip(index, shape):
         if not (0 <= i < d):
             raise TensorError(f"index {list(index)} out of bounds for shape {list(shape)}")
+
+
+def _checked_offset(shape: Shape, index: Index) -> int:
+    """Row-major offset of a multi-index, bounds-checked in the same pass."""
+    off = 0
+    if len(index) == len(shape):
+        for i, d in zip(index, shape):
+            if not 0 <= i < d:
+                break
+            off = off * d + i
+        else:
+            return off
+    _check_index(shape, index)  # raises the rank or bounds error
 
 
 def pair_contract(f: Tensor, f_axes: Sequence[int], g: Tensor, g_axes: Sequence[int]) -> Tensor:

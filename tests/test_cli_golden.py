@@ -15,9 +15,15 @@ to -10.349768518518518) and ``m8`` (-205.85024691358157 to
 -162.7898847222222) and ``m8`` (91150.26230619207 to 91150.26230619209).
 The matrix documents ``tests/golden/m{4,6,8,10}.nfg`` hold seeded rational
 matrices: ``S`` skew-symmetric, ``M`` general.  ``det`` on ``m10`` with
-``--backend f64`` exits 1: both routes are within one ulp of the exact
-value, but they differ by 6e-9 on a value of 4.3e7, and ``--tol`` is an
-absolute bound (default 1e-9).
+``--backend f64`` was re-recorded from exit 1 to exit 0, stdout unchanged,
+when ``--tol`` became a mixed bound, ``|a - b| <= tol * max(1, |a|, |b|)``:
+both routes are within one ulp of the exact value and differ by 6e-9 on a
+value of 4.3e7, which the old absolute bound (1e-9) refused.
+
+The ``verify`` rows run every suite at ``--seed 7 --trials 2`` (about 1 s in
+all; ``lemma2`` and ``lemma3`` take no trial count), so a change to the
+engines that alters a suite's printed rows fails here.  They were recorded
+before the brute engine became a join over nonzero entries.
 
 To re-record after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
@@ -30,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from nfg import dsl
+from nfg import dsl, suites
 from nfg.cli import main
 
 TESTS = Path(__file__).resolve().parent
@@ -56,14 +62,21 @@ def _compare_cases():
                 yield [command, f"golden/m{dim}.nfg", matrix, "--backend", backend]
 
 
-CASES = [*_compare_cases(), *_contract_cases()]
+def _verify_cases():
+    for suite in sorted(suites.SUITES):
+        yield ["verify", suite, "--seed", "7", "--trials", "2"]
+
+
+CASES = [*_compare_cases(), *_contract_cases(), *_verify_cases()]
 
 
 def _run(argv):
-    """Exit code and stdout of one in-process CLI call; paths are under tests/."""
+    """Exit code and stdout of one in-process CLI call; file paths are under tests/."""
+    if argv[0] != "verify":
+        argv = [argv[0], str(TESTS / argv[1]), *argv[2:]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([argv[0], str(TESTS / argv[1]), *argv[2:]])
+        code = main(argv)
     return code, out.getvalue()
 
 

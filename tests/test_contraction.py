@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from nfg.builtins import levi_civita
 from nfg.contraction import (
     ContractionPlan,
     brute_cost,
@@ -11,10 +13,19 @@ from nfg.contraction import (
     plan_greedy,
     split_vertex,
 )
-from nfg.diagrams import matmul_oracle, pfaffian_diagram, trace_diagram
-from nfg.graph import Nfg, NfgError
-from nfg.suites import rand_mat, rand_skew
-from nfg.tensor import Tensor
+from nfg.diagrams import (
+    det_diagram,
+    det_oracle,
+    matmul_oracle,
+    pfaffian_diagram,
+    pfaffian_factor,
+    pfaffian_oracle,
+    trace_diagram,
+)
+from nfg.graph import Nfg, NfgError, Vertex
+from nfg.scalars import EXACT, F64
+from nfg.suites import rand_mat, rand_rat, rand_skew
+from nfg.tensor import ONE_ENTRY, ZERO_ENTRY, Tensor
 
 
 def chain_graph(tensors, alphabet):
@@ -199,3 +210,226 @@ def test_rewrites_rewire_neighbours_and_self_loops():
         assert not g.validate(), f"trial {trial}"
         assert exterior_brute(g).equal(z), f"split trial {trial}"
     assert all(seen.values()), seen
+
+
+# -- the brute engine against the literal enumeration -------------------------
+
+
+def literal_exterior(g):
+    """Z_G by iterating over all alphabet^E assignments to the edges.
+
+    The brute engine's former body, kept as a test-only route that shares no
+    code with the join: for every dangling assignment, every internal
+    assignment in lexicographic order adds the product of the stored entries
+    it reads; the product of the vertex denominators divides the result.
+    """
+    g.check_valid()
+    backend = g.backend()
+    dang = list(g.dangling)
+    internal = sorted(g.internal_edge_ids())
+    pos = {eid: i for i, eid in enumerate(dang + internal)}
+    sizes = [g.edges[eid].alphabet for eid in dang + internal]
+    zero = ZERO_ENTRY[backend]
+    factors = []
+    denom = 1
+    for vtx in g.vertices.values():
+        t = vtx.tensor
+        denom *= t.denom
+        store = t.sparse if t.is_sparse else dict(zip(t.indices(), t.dense))
+        factors.append((store, [pos[eid] for eid in vtx.ciliation]))
+    nd = len(dang)
+    data = []
+    for dassign in itertools.product(*(range(s) for s in sizes[:nd])):
+        acc = zero
+        for iassign in itertools.product(*(range(s) for s in sizes[nd:])):
+            assign = dassign + iassign
+            term = ONE_ENTRY[backend]
+            for store, positions in factors:
+                term = term * store.get(tuple(assign[p] for p in positions), zero)
+                if not term:
+                    break
+            acc = acc + term
+        data.append(acc)
+    if not g.vertices:
+        data = [ONE_ENTRY[backend]]
+    return Tensor(tuple(sizes[:nd]), backend, dense=data, denom=denom)
+
+
+def on_backend(shape, values, backend):
+    """A dense tensor of these rational values on a backend (floats on f64)."""
+    if backend == F64:
+        values = [float(v) for v in values]
+    return Tensor.from_values(shape, values, backend)
+
+
+def with_storage(g, backend, rng=None, zero_rate=0.0):
+    """g over a backend; with rng, each vertex stored dense or sparse at random
+    and each of its entries zeroed with probability zero_rate."""
+    h = g.copy()
+    for vid, vtx in h.vertices.items():
+        values = vtx.tensor.values()
+        if rng is not None:
+            values = [0 if rng.random() < zero_rate else v for v in values]
+        t = on_backend(vtx.tensor.shape, values, backend)
+        if rng is not None and rng.random() < 0.5:
+            t = t.to_sparse()
+        h.vertices[vid] = Vertex(t, list(vtx.ciliation))
+    return h
+
+
+def assert_matches_literal(g):
+    for backend in (EXACT, F64):
+        h = with_storage(g, backend)
+        z = exterior_brute(h)
+        assert z.shape == h.dangling_shape()
+        assert z.equal(literal_exterior(h), tol=1e-12), backend
+
+
+def test_brute_matches_literal_on_random_graphs():
+    from test_acceptance import random_nfg
+
+    rng = random.Random(20261019)
+    loops = zeros = 0
+    for trial in range(300):
+        g = random_nfg(rng)
+        loops += any(len(v.ciliation) != len(set(v.ciliation)) for v in g.vertices.values())
+        for backend in (EXACT, F64):
+            h = with_storage(g, backend, rng, zero_rate=rng.choice([0.0, 0.3, 0.7]))
+            z = exterior_brute(h)
+            zeros += not any(z.values())
+            assert z.equal(literal_exterior(h), tol=1e-12), (trial, backend)
+    assert loops and zeros, (loops, zeros)
+
+
+def _tensor(rng, shape):
+    count = 1
+    for d in shape:
+        count *= d
+    return Tensor.from_values(shape, [rand_rat(rng) for _ in range(count)])
+
+
+def test_brute_two_self_loops_on_one_vertex():
+    rng = random.Random(21)
+    g = Nfg()
+    g.add_vertex(_tensor(rng, (2, 3, 2, 3, 2)), "t")
+    g.add_vertex(_tensor(rng, (2, 3)), "m")
+    g.connect(("t", 0), ("t", 2))
+    g.connect(("t", 3), ("t", 1))
+    g.connect(("t", 4), ("m", 0))
+    g.add_dangling(("m", 1), name="out")
+    assert_matches_literal(g)
+    t = g.vertices["t"].tensor
+    m = g.vertices["m"].tensor
+    for c in range(3):
+        expected = sum(t.get((i, j, i, j, k)) * m.get((k, c))
+                       for i in range(2) for j in range(3) for k in range(2))
+        assert exterior_brute(g).get((c,)) == expected
+    # the whole vertex closed on itself: the double trace
+    g = Nfg()
+    g.add_vertex(_tensor(rng, (3, 2, 2, 3)), "t")
+    g.connect(("t", 0), ("t", 3))
+    g.connect(("t", 1), ("t", 2))
+    assert_matches_literal(g)
+
+
+def test_brute_rank0_vertices_and_zero_tensors():
+    rng = random.Random(22)
+    a = _tensor(rng, (2, 3))
+    for scalar in (Tensor.from_values((), [rand_rat(rng) or 1]), Tensor.from_values((), [0])):
+        g = Nfg()
+        g.add_vertex(scalar, "c")
+        g.add_vertex(a, "a")
+        g.add_dangling(("a", 0))
+        g.add_dangling(("a", 1))
+        assert_matches_literal(g)
+        assert exterior_brute(g).equal(a.scale(scalar.get(())))
+    # a dense all-zero tensor and an empty sparse one, each inside a chain
+    for zero in (Tensor.zeros((3, 2)), Tensor((3, 2), EXACT, sparse={})):
+        g = chain_graph([a, zero], 3)
+        assert_matches_literal(g)
+        assert not any(exterior_brute(g).values())
+
+
+def test_brute_empty_graph():
+    for g in (Nfg(), Nfg().freeze()):
+        z = exterior_brute(g)
+        assert z.shape == () and z.get(()) == 1
+        assert z.equal(literal_exterior(g))
+
+
+def test_brute_vertex_with_only_dangling_edges():
+    t = _tensor(random.Random(23), (2, 3, 2))
+    g = Nfg()
+    g.add_vertex(t, "t")
+    for slot, name in enumerate("xyz"):
+        g.add_dangling(("t", slot), name=name)
+    g.set_interface(["y", "z", "x"])
+    assert_matches_literal(g)
+    assert exterior_brute(g).equal(t.permute_axes([1, 2, 0]))
+
+
+def test_brute_disconnected_components():
+    rng = random.Random(24)
+    a, b = rand_mat(rng, 2, 3), rand_mat(rng, 3, 2)
+    c = rand_mat(rng, 3, 3)
+    u = _tensor(rng, (2,))
+    g = Nfg()
+    g.add_vertex(a, "a")
+    g.add_vertex(b, "b")
+    g.add_vertex(c, "c")
+    g.add_vertex(u, "u")
+    g.connect(("a", 1), ("b", 0))  # a closed matrix cycle: tr(ab)
+    g.connect(("b", 1), ("a", 0))
+    g.connect(("c", 0), ("c", 1))  # a self-loop alone: tr(c)
+    g.add_dangling(("u", 0), name="x")
+    assert_matches_literal(g)
+    scale = exterior_brute(trace_diagram(matmul_oracle(a, b))).get(()) * \
+        exterior_brute(trace_diagram(c)).get(())
+    assert exterior_brute(g).equal(u.scale(scale))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_brute_levi_civita_operands(n):
+    rng = random.Random(25 + n)
+    for backend in (EXACT, F64):
+        # eps(n) against eps(n) on all but one argument (Fig. 8's pattern)
+        g = Nfg()
+        g.add_vertex(levi_civita(n, backend), "e1")
+        g.add_vertex(levi_civita(n, backend), "e2")
+        for k in range(n - 1):
+            g.connect(("e1", k), ("e2", k))
+        g.add_dangling(("e1", n - 1), name="x")
+        g.add_dangling(("e2", n - 1), name="y")
+        assert exterior_brute(g).equal(literal_exterior(g), tol=1e-12)
+        # eps(n) reading a random n x 2 matrix at every argument
+        g = Nfg()
+        g.add_vertex(levi_civita(n, backend), "eps")
+        m = on_backend((n, 2), rand_mat(rng, n, 2).values(), backend)
+        for k in range(n):
+            g.add_vertex(m, f"m{k}")
+            g.connect(("eps", k), (f"m{k}", 0))
+            g.add_dangling((f"m{k}", 1))
+        assert exterior_brute(g).equal(literal_exterior(g), tol=1e-12)
+        if n >= 2:  # a self-loop on epsilon: it alternates, so the trace is zero
+            g = Nfg()
+            g.add_vertex(levi_civita(n, backend), "eps")
+            g.connect(("eps", 0), ("eps", 1))
+            for k in range(2, n):
+                g.add_dangling(("eps", k))
+            z = exterior_brute(g)
+            assert z.equal(literal_exterior(g)) and not any(z.values())
+
+
+def test_brute_pfaffian_2n8_diagram_against_oracle():
+    # 8^8 assignments for the literal enumeration; the join reads only the
+    # 8! nonzeros of epsilon and the entries of a that agree with them
+    a = rand_skew(random.Random(26), 8)
+    z = exterior_brute(pfaffian_diagram(a))
+    assert z.get(()) == pfaffian_factor(4) * pfaffian_oracle(a)
+    assert pfaffian_factor(4) == 24 * 2 ** 4
+
+
+def test_brute_det_n6_diagram_against_oracle():
+    # 6^12 assignments for the literal enumeration
+    a = rand_mat(random.Random(27), 6, 6)
+    assert exterior_brute(det_diagram(a)).get(()) == det_oracle(a)

@@ -54,6 +54,18 @@ def test_scalar_eq_f64_uses_tolerance():
     assert not scalar_eq(F64, 1.0, 1.1, tol=1e-9)
 
 
+def test_scalar_eq_f64_is_relative_for_large_values():
+    # the two f64 routes of det on tests/golden/m10.nfg: each within one ulp
+    # (7.5e-9) of the exact value, 6e-9 apart
+    diagram, oracle = -43210795.515037194, -43210795.5150372
+    assert diagram != oracle
+    assert scalar_eq(F64, diagram, oracle, tol=1e-9)
+    assert not scalar_eq(F64, diagram, diagram * (1 + 1e-8), tol=1e-9)
+    # near zero the bound stays absolute
+    assert scalar_eq(F64, 1e-10, -1e-10, tol=1e-9)
+    assert not scalar_eq(F64, 1e-10, 5e-9, tol=1e-9)
+
+
 def test_format_parse_round_trip():
     for v in [rat(0), rat(5), rat(-7, 3), rat(22, 7)]:
         assert parse_scalar(EXACT, format_scalar(EXACT, v)) == v

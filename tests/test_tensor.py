@@ -20,6 +20,20 @@ def test_get_row_major_order():
     assert t.get((1, 0)) == rat(4)
 
 
+def test_get_reads_every_cell_and_rejects_bad_indices():
+    t = Tensor.from_values((2, 3, 4), range(24))
+    cells = list(t.indices())
+    for storage in (t, t.to_sparse()):
+        assert [storage.get(x) for x in cells] == list(range(24))
+        for bad, message in (((1, 2), "index rank 2 != tensor rank 3"),
+                             ((1, 2, 3, 0), "index rank 4 != tensor rank 3"),
+                             ((0, 3, 0), r"index \[0, 3, 0\] out of bounds for shape \[2, 3, 4\]"),
+                             ((-1, 0, 0), r"index \[-1, 0, 0\] out of bounds"),
+                             ((0, 0, 4), r"index \[0, 0, 4\] out of bounds")):
+            with pytest.raises(TensorError, match=message):
+                storage.get(bad)
+
+
 def test_rank0():
     t = Tensor.from_values((), [rat(7, 2)])
     assert t.get(()) == rat(7, 2)
