@@ -38,7 +38,10 @@ class UsageError(Exception):
 
 
 def _load(path: str, backend: str) -> dsl.DslDocument:
-    source = Path(path).read_text(encoding="utf-8")
+    try:  # a missing file, a directory or a file that is not UTF-8 text
+        source = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(exc) from exc
     return dsl.parse(source, backend)
 
 

@@ -17,16 +17,23 @@ Grammar (EBNF sketch)::
     expr        := term (("+" | "-") term)*
     term        := [RATIONAL "*"] GRAPHNAME
 
-Rationals are written p/q or as integers; comments run from "#" to end of
-line.  Every error, lexical, syntactic, or semantic, carries the 1-based
-line and column of the offending token.
+Rationals are written p/q or as integers, in decimal digits only: the Unicode
+decimal digits that int() reads, so "1.5" and "²" are errors.  Whitespace
+(space, tab, CR, LF) and comments, which run from "#" to end of line, may
+stand between any two tokens, inside a value list too.  One compiled pattern
+scans the source a token at a time, as the parser asks for it, and a
+tensor's value list is read in bulk by one value pattern.  Every error,
+lexical, syntactic, or semantic, carries the 1-based line and column of the
+offending token.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import CompoundNfg, add_nfgs, as_compound, scale_nfg
 from .builtins import delta2, delta_point, levi_civita
@@ -48,61 +55,26 @@ class DslError(Exception):
 # -- tokens -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, NUMBER, SYM, EOF
     text: str
     line: int
     col: int
 
 
-_SYMBOLS = set("[]{}(),.:=+-*/")
-
-
-def tokenize(source: str) -> List[Token]:
-    tokens: List[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("NAME", text, line, col))
-            col += len(text)
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("NUMBER", text, line, col))
-            col += len(text)
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+# The skip takes whitespace, and each comment with its newline; the end of
+# input may follow a last comment that has none.  \w is str.isalnum() or "_",
+# and \d is str.isdecimal(), the digits int() reads.  [^\W\d] also admits
+# numerals such as '½', so the scanner checks that a NAME starts on
+# str.isalpha() or "_".
+_SKIP = r"(?:[ \t\r\n]|#[^\n]*\n)*"
+_END = r"(?=(?:#[^\n]*)?\Z)"
+_TOKEN = re.compile(_SKIP + r"(?:(?P<NAME>[^\W\d]\w*)|(?P<NUMBER>\d+)"
+                    rf"|(?P<SYM>[\[\]{{}}(),.:=+*/-])|(?P<EOF>{_END})|(?P<BAD>.))")
+# One value-list entry as the token methods read it (sign, numerator,
+# denominator) and the comma, or the end of the list: a NAME or EOF.
+_VALUE = re.compile(_SKIP + rf"(?:(-){_SKIP})?(\d+)(?:{_SKIP}/{_SKIP}(\d+))?{_SKIP}"
+                    rf"(?:(,)|(?=[^\W\d])|{_END})")
 
 
 # -- document model -----------------------------------------------------------
@@ -176,20 +148,30 @@ class DslDocument:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], backend: str):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source: str, backend: str):
+        self.source = source
+        self.pos = 0  # offset where the next token's scan starts
+        self.tok: Optional[Token] = None  # the scanned token not yet consumed
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
         self.backend = backend
         self.doc = DslDocument([], backend=backend)
 
     # token utilities ----------------------------------------------------
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        if self.tok is None:
+            m = _TOKEN.match(self.source, self.pos)
+            kind = m.lastgroup
+            text, start, self.pos = m[kind], m.start(kind), m.end()
+            line = bisect_right(self.line_starts, start)
+            self.tok = Token(kind, text, line, start - self.line_starts[line - 1] + 1)
+            if kind == "BAD" or kind == "NAME" and not (text[0].isalpha() or text[0] == "_"):
+                self.error(f"unexpected character {text[0]!r}", self.tok)
+        return self.tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.tok = None
         return tok
 
     def error(self, message: str, tok: Optional[Token] = None):
@@ -232,6 +214,22 @@ class _Parser:
             if den == 0:
                 self.error("zero denominator", dtok)
         return Fraction(sign * num, den)
+
+    def parse_values(self) -> List[Fraction]:
+        """A tensor's value list, read by _VALUE an entry at a time; an entry
+        it cannot read goes to the token methods, which raise the error."""
+        values: List[Fraction] = []
+        while True:
+            m = _VALUE.match(self.source, self.pos)
+            den = m and int(m[3] or 1)
+            if den:
+                values.append(Fraction(-int(m[2]) if m[1] else int(m[2]), den))
+                self.pos, comma = m.end(), m[4]
+            else:
+                values.append(self.parse_rational())
+                comma = self.at_sym(",") and self.next()
+            if not comma:
+                return values
 
     # statements ----------------------------------------------------------
 
@@ -276,10 +274,7 @@ class _Parser:
                     break
             self.expect_sym("]")
             eq_tok = self.expect_sym("=")
-            values = [self.parse_rational()]
-            while self.at_sym(","):
-                self.next()
-                values.append(self.parse_rational())
+            values = self.parse_values()
             tok = self.peek()
             if tok.kind not in ("NAME", "EOF"):
                 self.error(f"expected ',' or the next statement, found {tok.text!r}")
@@ -490,7 +485,7 @@ class _Parser:
 
 def parse(source: str, backend: str = EXACT) -> DslDocument:
     """Parse and semantically elaborate a DSL document."""
-    return _Parser(tokenize(source), backend).parse_document()
+    return _Parser(source, backend).parse_document()
 
 
 # -- serialization ------------------------------------------------------------

@@ -120,6 +120,22 @@ def test_missing_file(capsys):
     capsys.readouterr()
 
 
+def test_directory_is_usage(tmp_path, capsys):
+    assert main(["contract", str(tmp_path), "g"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
+def test_non_utf8_file_is_usage(tmp_path, capsys):
+    path = tmp_path / "latin1.nfg"
+    path.write_bytes(b"tensor A [1] = 1 # \xff\n")
+    assert main(["contract", str(path), "g"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_parse_error_is_usage(doc, capsys):
     path = doc("tensor A [2] = 1\n", name="bad.nfg")
     assert main(["contract", path, "g"]) == EXIT_USAGE

@@ -25,6 +25,12 @@ all; ``lemma2`` and ``lemma3`` take no trial count), so a change to the
 engines that alters a suite's printed rows fails here.  They were recorded
 before the brute engine became a join over nonzero entries.
 
+The ``contract corpus/eNN_*.nfg X`` rows run every error document of the
+corpus; each exits 2 with nothing on stdout, and ``tests/test_dsl.py`` pins
+each full ``DslError`` message.  They were recorded before the DSL scanner
+became one regular expression, except ``e14_superscript``, a traceback with
+exit 1 then.
+
 To re-record after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
 """
@@ -55,6 +61,11 @@ def _contract_cases():
                            "--engine", engine, "--backend", backend]
 
 
+def _error_cases():
+    for path in sorted((TESTS / "corpus").glob("e*.nfg")):
+        yield ["contract", f"corpus/{path.name}", "X"]
+
+
 def _compare_cases():
     for dim in (4, 6, 8, 10):
         for command, matrix in (("pfaffian", "S"), ("det", "M"), ("trace", "M")):
@@ -67,7 +78,7 @@ def _verify_cases():
         yield ["verify", suite, "--seed", "7", "--trials", "2"]
 
 
-CASES = [*_compare_cases(), *_contract_cases(), *_verify_cases()]
+CASES = [*_compare_cases(), *_contract_cases(), *_error_cases(), *_verify_cases()]
 
 
 def _run(argv):

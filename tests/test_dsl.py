@@ -1,13 +1,15 @@
 import pathlib
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nfg import dsl
 from nfg.algebra import eval_compound
 from nfg.contraction import exterior_brute
-from nfg.scalars import F64, rat
+from nfg.scalars import EXACT, F64, rat
 from nfg.tensor import Tensor
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -32,7 +34,7 @@ def test_valid_round_trip(path):
 
 @pytest.mark.parametrize("path", ERRORS, ids=lambda p: p.name)
 def test_error_positions(path):
-    src = path.read_text()
+    src = path.read_text(encoding="utf-8")
     m = EXPECT_RE.match(src.splitlines()[0])
     assert m, f"{path.name} is missing its expect header"
     line, col, fragment = int(m.group(1)), int(m.group(2)), m.group(3)
@@ -42,6 +44,34 @@ def test_error_positions(path):
     assert (err.line, err.col) == (line, col)
     assert fragment in err.message
     assert str(err).startswith(f"{line}:{col}:")
+
+
+# Full messages, recorded before the scanner replaced the per-character lexer;
+# e14 was a ValueError from int('²') then.
+ERROR_MESSAGES = {
+    "e01_lexical.nfg": "2:8: unexpected character '~'",
+    "e02_syntax.nfg": "2:14: expected '=', found '1'",
+    "e03_undef_tensor.nfg": "3:13: undefined tensor 'B'",
+    "e04_undef_vertex.nfg": "5:15: undefined vertex 'b'",
+    "e05_slot_range.nfg": "5:17: slot out of range",
+    "e06_value_count.nfg": "2:16: expected 4 values for shape [2, 2], got 3",
+    "e07_alphabet.nfg": "7:8: alphabet 2 does not match axis size 3 at ('b', 0)",
+    "e08_port_reuse.nfg": "6:12: port ('a', 0) already in use",
+    "e09_dup_name.nfg": "3:8: name 'A' already defined",
+    "e10_interface.nfg": "6:13: 'm' is not a dangling edge",
+    "e11_undef_graph.nfg": "2:9: undefined graph 'nowhere'",
+    "e12_expr_iface.nfg": "12:14: interface mismatch: 'gw' has (2,)",
+    "e13_decimal.nfg": "2:17: expected ',' or the next statement, found '.'",
+    "e14_superscript.nfg": "2:11: unexpected character '²'",
+}
+
+
+def test_error_messages_are_pinned():
+    assert sorted(ERROR_MESSAGES) == [path.name for path in ERRORS]
+    for path in ERRORS:
+        with pytest.raises(dsl.DslError) as exc:
+            dsl.parse(path.read_text(encoding="utf-8"))
+        assert str(exc.value) == ERROR_MESSAGES[path.name], path.name
 
 
 def test_parsed_graphs_evaluate():
@@ -110,3 +140,173 @@ def test_values_and_coefficients_are_parsed_rationals():
     assert all(isinstance(v, Fraction) for v in decl.values + [t.coef for t in expr.terms])
     assert dsl.serialize(doc).splitlines()[0] == "tensor u [2] = 1/2, -3"
     assert dsl.serialize(doc).splitlines()[-1] == "let s = -3/2*g + g"
+
+
+# -- value lists --------------------------------------------------------------
+
+# Values or str(err), recorded before value lists were read in bulk.
+VALUE_LISTS = [
+    ("tensor u [1] = - 3\n", EXACT, [rat(-3)]),
+    ("tensor u [1] = 1 / 2\n", EXACT, [rat(1, 2)]),
+    ("tensor u [3] = 1, # one\n  2\n  ,3 # three\n", EXACT, [rat(1), rat(2), rat(3)]),
+    ("tensor u [3] = -\n# c\n 1 # c\n / # c\n 2, 3, 4", EXACT, [rat(-1, 2), rat(3), rat(4)]),
+    ("tensor u [1] = 2/4", EXACT, [rat(1, 2)]),
+    ("tensor u [1] = \u0661\u0662/\u0663\n", EXACT, [rat(4)]),  # Arabic-Indic 12/3
+    ("tensor u [2] = 1/2, -3\n", F64, [rat(1, 2), rat(-3)]),
+    ("tensor u [2] = 1/0, 2\n", EXACT, "1:18: zero denominator"),
+    ("tensor u [2] = 1, 1/00\n", EXACT, "1:21: zero denominator"),
+    ("tensor u [2] = 1, 2,\n", EXACT, "2:1: expected an integer, found 'end of input'"),
+    ("tensor u [2] = 1, 2, # end", EXACT, "1:22: expected an integer, found 'end of input'"),
+    ("tensor u [2] = 1, 2,\ntensor v [1] = 3\n", EXACT, "2:1: expected an integer, found 'tensor'"),
+    ("tensor u [2] = 1 2\n", EXACT, "1:18: expected ',' or the next statement, found '2'"),
+    ("tensor u [2] = 1.5, 2\n", EXACT, "1:17: expected ',' or the next statement, found '.'"),
+    ("tensor u [2] = 1/x, 2\n", EXACT, "1:18: expected an integer, found 'x'"),
+    ("tensor u [2] = 1/-2, 2\n", EXACT, "1:18: expected an integer, found '-'"),
+    ("tensor u [2] = - - 2, 2\n", EXACT, "1:18: expected an integer, found '-'"),
+    ("tensor u [2] = 1, x\n", EXACT, "1:19: expected an integer, found 'x'"),
+    ("tensor u [2] = 1, 2 }\n", EXACT, "1:21: expected ',' or the next statement, found '}'"),
+    ("tensor u [2] =", EXACT, "1:15: expected an integer, found 'end of input'"),
+]
+
+
+@pytest.mark.parametrize("source,backend,expected", VALUE_LISTS, ids=repr)
+def test_value_lists(source, backend, expected):
+    if isinstance(expected, str):
+        with pytest.raises(dsl.DslError) as exc:
+            dsl.parse(source, backend)
+        assert str(exc.value) == expected
+        return
+    doc = dsl.parse(source, backend)
+    assert doc.statements[0].values == expected
+    assert all(isinstance(v, Fraction) for v in doc.statements[0].values)
+    cast = float if backend == F64 else rat
+    assert doc.tensors["u"].values() == [cast(v) for v in expected]
+
+
+PARSE_RATIONAL = dsl._Parser.parse_rational
+
+
+def _outcome(source):
+    try:
+        return dsl.parse(source).statements[0].values
+    except dsl.DslError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["-", "/", ",", " ", "\n", "# c\n", "0", "1", "12",
+                                 "\u0663", ".", "x", "}", "\u00b2"]), max_size=12).map("".join),
+       st.sampled_from(["", "\ntensor v [1] = 5", " # end", "\n}"]))
+@example("0# c\n/", "")  # a comment before '/' must not end the list as EOF would
+def test_value_lists_read_in_bulk_as_by_the_token_methods(body, tail):
+    """Every list the token methods accept is read by the value pattern alone,
+    and every other gives the error the token methods give."""
+    source = f"tensor u [{body.count(',') + 1}] = {body}{tail}"
+    token_reads = []
+
+    def parse_rational(parser):
+        token_reads.append(parser.pos)
+        return PARSE_RATIONAL(parser)
+
+    with mock.patch.object(dsl._Parser, "parse_rational", parse_rational):
+        bulk = _outcome(source)
+    with mock.patch.object(dsl, "_VALUE", re.compile("(?!)")):  # never matches
+        assert bulk == _outcome(source)
+    if not isinstance(bulk, str):
+        assert token_reads == []
+
+
+# -- scanner against the reference lexer ---------------------------------------
+
+_SYMBOLS = set("[]{}(),.:=+-*/")
+
+
+def reference_tokenize(source):
+    """The per-character lexer that the scanner replaced, kept as its reference."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            text = source[start:i]
+            tokens.append(dsl.Token("NAME", text, line, col))
+            col += len(text)
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and source[i].isdigit():
+                i += 1
+            text = source[start:i]
+            tokens.append(dsl.Token("NUMBER", text, line, col))
+            col += len(text)
+            continue
+        if ch in _SYMBOLS:
+            tokens.append(dsl.Token("SYM", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise dsl.DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(dsl.Token("EOF", "", line, col))
+    return tokens
+
+
+def reference_tokens(source):
+    """The reference's tokens up to its error, and the error or None.  Where the
+    reference lexes a NUMBER that int() cannot read, such as '²', the scanner
+    stops at its first non-decimal character as an unexpected character."""
+    try:
+        tokens, error = reference_tokenize(source), None
+    except dsl.DslError as err:
+        line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+        tokens = reference_tokenize(source[:line_starts[err.line - 1] + err.col - 1])[:-1]
+        error = (err.line, err.col, err.message)
+    for k, tok in enumerate(tokens):
+        if tok.kind == "NUMBER" and not tok.text.isdecimal():
+            i = next(i for i, ch in enumerate(tok.text) if not ch.isdecimal())
+            head = [tok._replace(text=tok.text[:i])] if i else []
+            return tokens[:k] + head, (tok.line, tok.col + i, f"unexpected character {tok.text[i]!r}")
+    return tokens, error
+
+
+def scanner_tokens(source):
+    """The parser's tokens up to EOF or its error, and the error or None."""
+    parser, tokens = dsl._Parser(source, EXACT), []
+    try:
+        while not tokens or tokens[-1].kind != "EOF":
+            tokens.append(parser.next())
+    except dsl.DslError as err:
+        return tokens, (err.line, err.col, err.message)
+    return tokens, None
+
+
+LEXER_ALPHABET = (
+    "abZ_09[]{}(),.:=+-*/~ \t\r\n#"
+    "\u00a0\u00e9\u00bd\u00b2\u216b\u0661"  # no-break space, é, ½, ², Ⅻ, Arabic-Indic 1
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(LEXER_ALPHABET, max_size=40))
+@example("a\tb\r c\n# c\nd # c")  # a tab or CR is one column; EOF at a final comment
+@example("\u00e92_\u00bd \u0661\u0662 1\u00b2")  # numerals in a NAME; '²' after digits
+@example("\u00bd")
+def test_scanner_matches_reference_lexer(source):
+    assert scanner_tokens(source) == reference_tokens(source)
