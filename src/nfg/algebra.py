@@ -10,7 +10,7 @@ from typing import List, Tuple, Union
 
 from . import scalars
 from .contraction import exterior_brute, exterior_planned
-from .graph import Edge, Nfg, NfgError, PortRef, Vertex
+from .graph import Edge, Nfg, NfgError, Vertex
 from .tensor import Tensor
 
 
@@ -70,15 +70,12 @@ def stack(g1: Nfg, g2: Nfg) -> Nfg:
         while new_eid in out.edges:
             new_eid = new_eid + "'"
         emap[eid] = new_eid
-        out.edges[new_eid] = Edge(new_eid, edge.alphabet, edge.endpoints)
-    moves = {}
+        out.edges[new_eid] = Edge(new_eid, edge.alphabet)
     for vid, vtx in g2.vertices.items():
         new_vid = vid
         while new_vid in out.vertices:
             new_vid = new_vid + "'"
         out.vertices[new_vid] = Vertex(vtx.tensor, [emap[eid] for eid in vtx.ciliation])
-        moves.update({PortRef(vid, s): PortRef(new_vid, s) for s in range(len(vtx.ciliation))})
-    out.rewire(moves)
     out.dangling = list(g1.dangling) + [emap[eid] for eid in g2.dangling]
     return out
 

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import Edge, Nfg, NfgError, PortRef, Vertex
-from .tensor import (ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, _strides as _tensor_strides,
-                     pair_contract, shape_size)
+from .graph import Edge, Nfg, NfgError, Vertex
+from .tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, pair_contract, shape_size
 
 
 @dataclass
@@ -140,11 +138,7 @@ def exterior_brute(g: Nfg) -> Tensor:
         else:
             stack.extend((depth + 1, assign + values, prod * v) for values, v in matches)
 
-    data = [zero] * shape_size(shape)
-    strides = _tensor_strides(shape)
-    for key, acc in out.items():
-        data[sum(map(mul, key, strides))] = acc
-    return Tensor(shape, backend, dense=data, denom=denom)
+    return Tensor(shape, backend, sparse=out, denom=denom).to_dense()
 
 
 def group_vertices(g: Nfg, u: str, v: str) -> Nfg:
@@ -162,29 +156,16 @@ def group_vertices(g: Nfg, u: str, v: str) -> Nfg:
             raise NfgError(f"unknown vertex {vid!r}")
     g = g.copy()
     vu, vv = g.vertices[u], g.vertices[v]
-
-    shared: List[Tuple[int, int, str]] = []  # (slot on u, slot on v, edge id)
-    for slot_u, eid in enumerate(vu.ciliation):
-        edge = g.edges[eid]
-        if len(edge.endpoints) != 2:
-            continue
-        (pa, pb) = edge.endpoints
-        if {pa.vertex, pb.vertex} == {u, v} and pa.vertex != pb.vertex:
-            slot_v = pa.slot if pa.vertex == v else pb.slot
-            shared.append((slot_u, slot_v, eid))
-    f_axes = [s for s, _, _ in shared]
-    g_axes = [s for _, s, _ in shared]
+    # an edge id on both ciliations joins u and v, on one slot of each
+    shared = [eid for eid in vu.ciliation if eid in vv.ciliation]
+    f_axes = [vu.ciliation.index(eid) for eid in shared]
+    g_axes = [vv.ciliation.index(eid) for eid in shared]
     merged = pair_contract(vu.tensor, f_axes, vv.tensor, g_axes)
-
-    keep_u = [s for s in range(len(vu.ciliation)) if s not in f_axes]
-    keep_v = [s for s in range(len(vv.ciliation)) if s not in g_axes]
-    for _, _, eid in shared:
+    for eid in shared:
         del g.edges[eid]
     del g.vertices[v]
-    g.vertices[u] = Vertex(merged, [vu.ciliation[s] for s in keep_u] +
-                           [vv.ciliation[s] for s in keep_v])
-    kept = [PortRef(u, s) for s in keep_u] + [PortRef(v, s) for s in keep_v]
-    g.rewire({old: PortRef(u, new) for new, old in enumerate(kept)})
+    g.vertices[u] = Vertex(merged, [eid for eid in vu.ciliation if eid not in shared] +
+                           [eid for eid in vv.ciliation if eid not in shared])
     return g
 
 
@@ -227,13 +208,10 @@ def split_vertex(g: Nfg, h: str, f: Tensor, f_slots: Sequence[int],
     new_eids = []
     for k, alphabet in enumerate(shared_alphabets):
         eid = g.fresh_edge_id()
-        g.edges[eid] = Edge(eid, int(alphabet), (PortRef(hf, len(f_slots) + k), PortRef(hg, k)))
+        g.edges[eid] = Edge(eid, int(alphabet))
         new_eids.append(eid)
     g.vertices[hf] = Vertex(f, [vh.ciliation[sl] for sl in f_slots] + new_eids)
     g.vertices[hg] = Vertex(gt, new_eids + [vh.ciliation[sl] for sl in g_slots])
-    moves = {PortRef(h, old): PortRef(hf, new) for new, old in enumerate(f_slots)}
-    moves.update({PortRef(h, old): PortRef(hg, new) for new, old in enumerate(g_slots, start=s)})
-    g.rewire(moves)
     return g
 
 
@@ -257,14 +235,12 @@ def plan_greedy(g: Nfg) -> ContractionPlan:
     (vertex id, vertex id) pair; the merged vertex keeps the first id.
     """
     g.check_valid()
-    incident: Dict[str, Set[str]] = {vid: set() for vid in g.vertices}
-    endpoints: Dict[str, Set[str]] = {}
+    incident: Dict[str, Set[str]] = {vid: set(vtx.ciliation) for vid, vtx in g.vertices.items()}
+    endpoints: Dict[str, Set[str]] = {eid: set() for eid in g.edges}
     alphabet = {eid: e.alphabet for eid, e in g.edges.items()}
-    for eid, edge in g.edges.items():
-        vs = {p.vertex for p in edge.endpoints}
-        endpoints[eid] = vs
-        for vid in vs:
-            incident[vid].add(eid)
+    for vid, eids in incident.items():
+        for eid in eids:
+            endpoints[eid].add(vid)
 
     steps: List[Tuple[str, str]] = []
     total = 0
@@ -314,7 +290,6 @@ def _trace_out_self_loops(g: Nfg, vid: str) -> None:
         keep = [s for s in range(len(vtx.ciliation)) if s not in (s1, s2)]
         del g.edges[loop_eid]
         g.vertices[vid] = Vertex(vtx.tensor.trace_axes(s1, s2), [vtx.ciliation[s] for s in keep])
-        g.rewire({PortRef(vid, old): PortRef(vid, new) for new, old in enumerate(keep)})
 
 
 def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:
@@ -324,9 +299,10 @@ def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:
     remaining vertices carry only dangling edges and are combined by tensor
     product, then the axes are reordered to the declared interface.
     """
-    g.check_valid()
     if plan is None:
-        plan = plan_greedy(g)
+        plan = plan_greedy(g)  # validates g
+    else:
+        g.check_valid()
     backend = g.backend()
     work = g.copy()
     for u, v in plan.steps:

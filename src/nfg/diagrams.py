@@ -22,7 +22,7 @@ from . import scalars
 from .algebra import add_nfgs, eval_compound, stack, sub_nfgs
 from .builtins import EPS_DEFAULT_LIMIT, delta2, delta_point, levi_civita
 from .contraction import exterior_brute, exterior_planned
-from .graph import Nfg, NfgError, PortRef, Vertex
+from .graph import Nfg, NfgError, Vertex
 from .scalars import EXACT
 from .tensor import Tensor
 
@@ -504,16 +504,17 @@ def insert_delta2(g: Nfg, eid: str) -> Nfg:
     """Splice an identity-matrix vertex into the middle of an edge; the
     exterior function is unchanged (the wire abbreviation).
 
-    The edge keeps its id and moves its first endpoint onto the identity's
+    The edge keeps its id and moves from its first port (the first vertex
+    whose ciliation names it, at its first slot there) onto the identity's
     slot 1; a new edge joins the identity's slot 0 to the freed port.
     """
     if eid not in g.edges:
         raise NfgError(f"unknown edge {eid!r}")
     out = g.copy()
-    p = out.edges[eid].endpoints[0]
+    vid = next(vid for vid, vtx in out.vertices.items() if eid in vtx.ciliation)
+    slot = out.vertices[vid].ciliation.index(eid)
     dv = out.fresh_vertex_id()
     out.vertices[dv] = Vertex(delta2(out.edges[eid].alphabet, g.backend()), [None, eid])
-    out.vertices[p.vertex].ciliation[p.slot] = None
-    out.rewire({p: PortRef(dv, 1)})
-    out.connect((dv, 0), p)
+    out.vertices[vid].ciliation[slot] = None
+    out.connect((dv, 0), (vid, slot))
     return out

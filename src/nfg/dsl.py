@@ -30,6 +30,7 @@ offending token.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -195,7 +196,11 @@ class _Parser:
         if tok.kind != "NUMBER":
             self.error(f"expected an integer, found {tok.text or 'end of input'!r}")
         self.next()
-        return int(tok.text), tok
+        try:
+            return int(tok.text), tok
+        except ValueError:  # longer than int()'s string limit
+            self.error(f"integer of {len(tok.text)} digits is over the limit of "
+                       f"{sys.get_int_max_str_digits()}", tok)
 
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
@@ -217,13 +222,18 @@ class _Parser:
 
     def parse_values(self) -> List[Fraction]:
         """A tensor's value list, read by _VALUE an entry at a time; an entry
-        it cannot read goes to the token methods, which raise the error."""
+        it cannot read, or whose number int() refuses as too long, goes to the
+        token methods, which raise the error."""
         values: List[Fraction] = []
         while True:
             m = _VALUE.match(self.source, self.pos)
-            den = m and int(m[3] or 1)
+            try:
+                den = m and int(m[3] or 1)
+                num = den and int(m[2])
+            except ValueError:
+                den = 0
             if den:
-                values.append(Fraction(-int(m[2]) if m[1] else int(m[2]), den))
+                values.append(Fraction(-num if m[1] else num, den))
                 self.pos, comma = m.end(), m[4]
             else:
                 values.append(self.parse_rational())

@@ -1,10 +1,12 @@
 """The normal factor graph structure: vertices with ciliation-ordered ports,
-internal edges on exactly two ports, dangling edges on exactly one.
+and edges that are an id and an alphabet.
 
 Ciliation is an explicit ordered edge list per vertex (slot 0 is the marked
-first argument); there is no geometric embedding.  The dangling-edge list is
-ordered and fixes the axis order of the exterior function.  Self-loops are
-permitted and occupy two distinct slots of one vertex.
+first argument); there is no geometric embedding.  It is the only record of
+the wiring: an edge id sits on two ports if the edge is internal and on one
+if it dangles.  The dangling-edge list is ordered and fixes the axis order of
+the exterior function.  Self-loops are permitted and occupy two distinct
+slots of one vertex.
 """
 
 from __future__ import annotations
@@ -24,15 +26,10 @@ class PortRef:
 Port = Union[PortRef, Tuple[str, int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
     id: str
     alphabet: int
-    endpoints: Tuple[PortRef, ...]  # two for internal edges, one for dangling
-
-    @property
-    def is_dangling(self) -> bool:
-        return len(self.endpoints) == 1
 
 
 @dataclass
@@ -128,7 +125,7 @@ class Nfg:
             self.vertices[pa.vertex].ciliation[pa.slot] = None
             raise
         assert size_a == size_b
-        self.edges[eid] = Edge(eid, size_a, (pa, pb))
+        self.edges[eid] = Edge(eid, size_a)
         return eid
 
     def add_dangling(self, port: Port, alphabet: Optional[int] = None,
@@ -140,7 +137,7 @@ class Nfg:
         if eid in self.edges:
             raise NfgError(f"duplicate edge id {eid!r}")
         size = self._claim_port(p, eid, alphabet)
-        self.edges[eid] = Edge(eid, size, (p,))
+        self.edges[eid] = Edge(eid, size)
         self.dangling.append(eid)
         return eid
 
@@ -158,7 +155,8 @@ class Nfg:
     # -- inspection ------------------------------------------------------------
 
     def internal_edge_ids(self) -> List[str]:
-        return [eid for eid in self.edges if len(self.edges[eid].endpoints) == 2]
+        dangling = set(self.dangling)
+        return [eid for eid in self.edges if eid not in dangling]
 
     def dangling_shape(self) -> Tuple[int, ...]:
         return tuple(self.edges[eid].alphabet for eid in self.dangling)
@@ -171,7 +169,7 @@ class Nfg:
     def copy(self) -> "Nfg":
         g = Nfg()
         g.vertices = {vid: Vertex(v.tensor, list(v.ciliation)) for vid, v in self.vertices.items()}
-        g.edges = {eid: Edge(e.id, e.alphabet, e.endpoints) for eid, e in self.edges.items()}
+        g.edges = dict(self.edges)
         g.dangling = list(self.dangling)
         g._vcount = self._vcount
         g._ecount = self._ecount
@@ -182,40 +180,9 @@ class Nfg:
     def validate(self) -> List[str]:
         """All structural invariants; returns violations (empty means ok)."""
         violations: List[str] = []
-        claimed: Dict[Tuple[str, int], str] = {}
-        for eid, edge in self.edges.items():
-            if len(edge.endpoints) not in (1, 2):
-                violations.append(f"edge {eid!r} has {len(edge.endpoints)} endpoints")
-                continue
-            if len(edge.endpoints) == 2 and edge.endpoints[0] == edge.endpoints[1]:
-                violations.append(f"edge {eid!r} uses one port twice")
-            for p in edge.endpoints:
-                if p.vertex not in self.vertices:
-                    violations.append(f"edge {eid!r} references unknown vertex {p.vertex!r}")
-                    continue
-                vtx = self.vertices[p.vertex]
-                if not (0 <= p.slot < len(vtx.ciliation)):
-                    violations.append(
-                        f"edge {eid!r} references slot {p.slot} of vertex {p.vertex!r} "
-                        f"(degree {len(vtx.ciliation)})"
-                    )
-                    continue
-                if (p.vertex, p.slot) in claimed:
-                    violations.append(
-                        f"port ({p.vertex!r}, {p.slot}) covered by edges "
-                        f"{claimed[(p.vertex, p.slot)]!r} and {eid!r}"
-                    )
-                claimed[(p.vertex, p.slot)] = eid
-                if vtx.ciliation[p.slot] != eid:
-                    violations.append(
-                        f"ciliation of {p.vertex!r} slot {p.slot} disagrees with edge {eid!r}"
-                    )
-                if vtx.tensor.shape[p.slot] != edge.alphabet:
-                    violations.append(
-                        f"alphabet mismatch on edge {eid!r}: size {edge.alphabet} vs axis "
-                        f"{vtx.tensor.shape[p.slot]} at ({p.vertex!r}, {p.slot})"
-                    )
+        ports: Dict[str, int] = dict.fromkeys(self.edges, 0)  # edge id -> ports it sits on
         for vid, vtx in self.vertices.items():
+            shape = vtx.tensor.shape
             if len(vtx.ciliation) != vtx.tensor.rank:
                 violations.append(
                     f"vertex {vid!r} rank {vtx.tensor.rank} != degree {len(vtx.ciliation)}"
@@ -225,11 +192,25 @@ class Nfg:
                     violations.append(f"uncovered port ({vid!r}, {slot})")
                 elif eid not in self.edges:
                     violations.append(f"vertex {vid!r} slot {slot} names unknown edge {eid!r}")
+                else:
+                    ports[eid] += 1
+                    alphabet = self.edges[eid].alphabet
+                    if slot < len(shape) and shape[slot] != alphabet:
+                        violations.append(
+                            f"alphabet mismatch on edge {eid!r}: size {alphabet} vs axis "
+                            f"{shape[slot]} at ({vid!r}, {slot})"
+                        )
+        listed = set()
         for eid in self.dangling:
-            if eid not in self.edges or not self.edges[eid].is_dangling:
+            if eid in listed:
+                violations.append(f"interface lists edge {eid!r} twice")
+            elif ports.get(eid) != 1:
                 violations.append(f"interface lists non-dangling edge {eid!r}")
-        for eid, edge in self.edges.items():
-            if edge.is_dangling and eid not in self.dangling:
+            listed.add(eid)
+        for eid, n in ports.items():
+            if n not in (1, 2):
+                violations.append(f"edge {eid!r} sits on {n} ports")
+            elif n == 1 and eid not in listed:
                 violations.append(f"dangling edge {eid!r} missing from the interface order")
         backends = {v.tensor.backend for v in self.vertices.values()}
         if len(backends) > 1:
@@ -242,18 +223,6 @@ class Nfg:
             raise NfgError("invalid NFG: " + "; ".join(violations))
 
     # -- rewrites ------------------------------------------------------------
-
-    def rewire(self, moves: Dict[PortRef, PortRef]) -> None:
-        """Repoint every edge endpoint that is a key of moves to its value.
-
-        Call it once the rewritten vertices are in place: the ciliation at
-        each target port names the edge to rebuild, so only edges with a
-        moved endpoint are touched (in place, on a graph the caller owns).
-        """
-        for eid in {self.vertices[p.vertex].ciliation[p.slot] for p in moves.values()}:
-            edge = self.edges[eid]
-            self.edges[eid] = Edge(eid, edge.alphabet,
-                                   tuple(moves.get(p, p) for p in edge.endpoints))
 
     def reciliate(self, vid: str, new_order: Sequence[int]) -> "Nfg":
         """Permute vertex vid's argument order; the exterior function is unchanged.
@@ -273,5 +242,4 @@ class Nfg:
             vtx.tensor.permute_axes(new_order),
             [vtx.ciliation[old] for old in new_order],
         )
-        g.rewire({PortRef(vid, old): PortRef(vid, new) for new, old in enumerate(new_order)})
         return g

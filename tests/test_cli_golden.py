@@ -29,7 +29,9 @@ The ``contract corpus/eNN_*.nfg X`` rows run every error document of the
 corpus; each exits 2 with nothing on stdout, and ``tests/test_dsl.py`` pins
 each full ``DslError`` message.  They were recorded before the DSL scanner
 became one regular expression, except ``e14_superscript``, a traceback with
-exit 1 then.
+exit 1 then, and ``e15_long_number``, recorded when a number longer than
+``int()``'s string limit became a positioned error (a traceback with exit 1
+before).
 
 To re-record after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.

@@ -47,7 +47,8 @@ def test_error_positions(path):
 
 
 # Full messages, recorded before the scanner replaced the per-character lexer;
-# e14 was a ValueError from int('²') then.
+# e14 was a ValueError from int('²') then, and e15 a ValueError from int() on
+# a number over its string limit until that became a positioned error.
 ERROR_MESSAGES = {
     "e01_lexical.nfg": "2:8: unexpected character '~'",
     "e02_syntax.nfg": "2:14: expected '=', found '1'",
@@ -63,6 +64,7 @@ ERROR_MESSAGES = {
     "e12_expr_iface.nfg": "12:14: interface mismatch: 'gw' has (2,)",
     "e13_decimal.nfg": "2:17: expected ',' or the next statement, found '.'",
     "e14_superscript.nfg": "2:11: unexpected character '²'",
+    "e15_long_number.nfg": "2:16: integer of 5000 digits is over the limit of 4300",
 }
 
 
@@ -112,6 +114,23 @@ def test_float_backend_parse():
     t = doc.tensors["u"]
     assert t.backend == F64
     assert t.get((0,)) == 0.5
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("source", [
+    f"tensor u [{LONG}] = 1",
+    f"tensor E = eps({LONG})",
+    f"tensor u [2] = 1, -{LONG}",
+    f"tensor u [2] = 1, 2/{LONG}",
+    f"tensor u [1] = 1 graph g {{ vertex a: u dangling x(a.{LONG}) }}",
+], ids=["dim", "builtin", "numerator", "denominator", "slot"])
+def test_numbers_over_the_int_digit_limit_are_positioned_errors(source):
+    with pytest.raises(dsl.DslError) as exc:
+        dsl.parse(source)
+    assert (exc.value.line, exc.value.col) == (1, source.index(LONG) + 1)
+    assert exc.value.message.startswith("integer of 5000 digits is over the limit")
 
 
 def test_frozen_after_parse():

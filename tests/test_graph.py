@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from nfg.contraction import exterior_brute
 from nfg.diagrams import matmul_oracle, transpose
-from nfg.graph import FrozenNfgError, Nfg, NfgError
+from nfg.graph import Edge, FrozenNfgError, Nfg, NfgError, Vertex
 from nfg.scalars import F64
 from nfg.suites import rand_mat
 from nfg.tensor import Tensor
@@ -95,6 +96,58 @@ def test_validate_reports_mixed_backends():
     g.add_vertex(Tensor.from_values((2,), [1.0, 0.0], backend=F64), "b")
     g.connect(("a", 0), ("b", 0))
     assert any("mixed scalar backends" in v for v in g.validate())
+
+
+def _corrupt(g, kind):
+    """Break one invariant of matmul_graph's output by editing its dicts directly."""
+    a = g.vertices["a"]
+    if kind == "rank":
+        g.vertices["a"] = Vertex(Tensor.from_values((2, 3, 1), [0] * 6), a.ciliation)
+    elif kind == "uncovered":
+        a.ciliation[0] = None
+    elif kind == "unknown edge":
+        a.ciliation[0] = "nowhere"
+    elif kind == "no port":
+        g.edges["idle"] = Edge("idle", 2)
+    elif kind == "three ports":
+        g.vertices["c"] = Vertex(Tensor.from_values((3,), [1, 2, 3]), ["mid"])
+    elif kind == "alphabet":
+        g.edges["mid"] = Edge("mid", 4)
+    elif kind == "missing from interface":
+        g.dangling.remove("r")
+    elif kind == "internal in interface":
+        g.dangling.append("mid")
+    elif kind == "unknown in interface":
+        g.dangling.append("nowhere")
+    elif kind == "listed twice":
+        g.dangling.append("r")
+    elif kind == "mixed":
+        g.vertices["a"] = Vertex(Tensor.from_values((2, 3), [0.5] * 6, backend=F64), a.ciliation)
+
+
+VIOLATIONS = {
+    "rank": "vertex 'a' rank 3 != degree 2",
+    "uncovered": "uncovered port ('a', 0)",
+    "unknown edge": "vertex 'a' slot 0 names unknown edge 'nowhere'",
+    "no port": "edge 'idle' sits on 0 ports",
+    "three ports": "edge 'mid' sits on 3 ports",
+    "alphabet": "alphabet mismatch on edge 'mid': size 4 vs axis 3 at ('a', 1)",
+    "missing from interface": "dangling edge 'r' missing from the interface order",
+    "internal in interface": "interface lists non-dangling edge 'mid'",
+    "unknown in interface": "interface lists non-dangling edge 'nowhere'",
+    "listed twice": "interface lists edge 'r' twice",
+    "mixed": "mixed scalar backends: ['exact', 'f64']",
+}
+
+
+@pytest.mark.parametrize("kind", VIOLATIONS)
+def test_validate_reports_each_corruption(kind):
+    rng = random.Random(8)
+    g = matmul_graph(rand_mat(rng, 2, 3), rand_mat(rng, 3, 2), 0, 1, 0, 1)
+    _corrupt(g, kind)
+    assert VIOLATIONS[kind] in g.validate()
+    with pytest.raises(NfgError, match=re.escape(VIOLATIONS[kind])):
+        g.check_valid()
 
 
 def test_freeze_blocks_mutation():
