@@ -38,9 +38,9 @@ class UsageError(Exception):
 
 
 def _load(path: str, backend: str) -> dsl.DslDocument:
-    try:  # a missing file, a directory or a file that is not UTF-8 text
+    try:  # an unreadable file is an OSError, which main reports the same way
         source = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise UsageError(exc) from exc
     return dsl.parse(source, backend)
 
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:  # an input or --plan-out it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NfgError, TensorError, scalars.BackendMismatch) as exc:

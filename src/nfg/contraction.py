@@ -14,7 +14,8 @@ which is what makes the large Levi-Civita diagrams tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
+from math import prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Nfg, NfgError, Vertex
@@ -230,45 +231,27 @@ def brute_cost(g: Nfg) -> int:
 def plan_greedy(g: Nfg) -> ContractionPlan:
     """Repeatedly group the adjacent pair with the cheapest grouping step.
 
-    A step's cost is the product of the alphabet sizes of all edges incident
-    on the pair, counting shared edges once.  Ties break on the smallest
-    (vertex id, vertex id) pair; the merged vertex keeps the first id.
+    Each vertex is tracked as its set of edge ids; a pair is adjacent when
+    the sets meet.  A step's cost is the product of the alphabet sizes of all
+    edges incident on the pair, counting shared edges once.  Ties break on
+    the smallest (vertex id, vertex id) pair.  The merged vertex keeps the
+    first id and the symmetric difference of the sets: the shared edges are
+    summed out, and a self-loop, in one set only, stays.
     """
     g.check_valid()
     incident: Dict[str, Set[str]] = {vid: set(vtx.ciliation) for vid, vtx in g.vertices.items()}
-    endpoints: Dict[str, Set[str]] = {eid: set() for eid in g.edges}
     alphabet = {eid: e.alphabet for eid, e in g.edges.items()}
-    for vid, eids in incident.items():
-        for eid in eids:
-            endpoints[eid].add(vid)
 
     steps: List[Tuple[str, str]] = []
     total = 0
     while True:
-        pairs = set()
-        for eid, vs in endpoints.items():
-            if len(vs) == 2:
-                pairs.add(tuple(sorted(vs)))
-        if not pairs:
+        candidates = [(prod(alphabet[eid] for eid in incident[u] | incident[v]), u, v)
+                      for u, v in combinations(sorted(incident), 2)
+                      if not incident[u].isdisjoint(incident[v])]
+        if not candidates:
             break
-        best = None
-        for u, v in sorted(pairs):
-            cost = 1
-            for eid in incident[u] | incident[v]:
-                cost *= alphabet[eid]
-            if best is None or (cost, u, v) < best:
-                best = (cost, u, v)
-        cost, u, v = best
-        shared = {eid for eid in incident[u] & incident[v] if endpoints[eid] == {u, v}}
-        incident[u] = (incident[u] | incident[v]) - shared
-        del incident[v]
-        for eid in shared:
-            del endpoints[eid]
-            del alphabet[eid]
-        for eid, vs in endpoints.items():
-            if v in vs:
-                vs.discard(v)
-                vs.add(u)
+        cost, u, v = min(candidates)
+        incident[u] ^= incident.pop(v)
         steps.append((u, v))
         total += cost
     return ContractionPlan(steps, total)

@@ -333,16 +333,15 @@ class _Parser:
         self.doc.statements.append(decl)
         self.doc.tensors[name] = tensor
 
-    def parse_port(self, graph: Nfg, vertex_names: Dict[str, str]) -> Tuple[PortAst, Tuple[str, int], Token]:
+    def parse_port(self, graph: Nfg) -> Tuple[PortAst, Tuple[str, int]]:
         vtok = self.expect_name("a vertex name")
-        if vtok.text not in vertex_names:
+        if vtok.text not in graph.vertices:
             self.error(f"undefined vertex {vtok.text!r}", vtok)
         self.expect_sym(".")
         slot, stok = self.expect_int()
-        deg = graph.vertices[vtok.text].tensor.rank
-        if not (1 <= slot <= deg):
+        if not (1 <= slot <= graph.vertices[vtok.text].tensor.rank):
             self.error("slot out of range", stok)
-        return PortAst(vtok.text, slot), (vtok.text, slot - 1), stok
+        return PortAst(vtok.text, slot), (vtok.text, slot - 1)
 
     def parse_graph_decl(self) -> None:
         self.next()  # 'graph'
@@ -353,39 +352,34 @@ class _Parser:
         vertices: List[VertexDecl] = []
         links: List[Union[EdgeDecl, DanglingDecl]] = []
         interface: Optional[List[str]] = None
-        vertex_names: Dict[str, str] = {}
-        dangling_names: List[str] = []
-        seen_link = False
         while not self.at_sym("}"):
             tok = self.peek()
             if tok.kind != "NAME":
                 self.error(f"expected a graph item, found {tok.text or 'end of input'!r}")
             if tok.text == "vertex":
-                if seen_link or interface is not None:
+                if links or interface is not None:
                     self.error("vertex declarations must precede edges", tok)
                 self.next()
                 vtok = self.expect_name("a vertex name")
-                if vtok.text in vertex_names:
+                if vtok.text in graph.vertices:
                     self.error(f"duplicate vertex {vtok.text!r}", vtok)
                 self.expect_sym(":")
                 ttok = self.expect_name("a tensor name")
                 if ttok.text not in self.doc.tensors:
                     self.error(f"undefined tensor {ttok.text!r}", ttok)
                 graph.add_vertex(self.doc.tensors[ttok.text], name=vtok.text)
-                vertex_names[vtok.text] = ttok.text
                 vertices.append(VertexDecl(vtok.text, ttok.text))
             elif tok.text == "edge":
                 if interface is not None:
                     self.error("edges must precede the interface", tok)
-                seen_link = True
                 self.next()
                 etok = self.expect_name("an edge name")
                 if etok.text in graph.edges:
                     self.error(f"duplicate edge {etok.text!r}", etok)
                 self.expect_sym("(")
-                ast_a, port_a, tok_a = self.parse_port(graph, vertex_names)
+                ast_a, port_a = self.parse_port(graph)
                 self.expect_sym(",")
-                ast_b, port_b, tok_b = self.parse_port(graph, vertex_names)
+                ast_b, port_b = self.parse_port(graph)
                 self.expect_sym(")")
                 try:
                     graph.connect(port_a, port_b, name=etok.text)
@@ -395,19 +389,17 @@ class _Parser:
             elif tok.text == "dangling":
                 if interface is not None:
                     self.error("dangling edges must precede the interface", tok)
-                seen_link = True
                 self.next()
                 etok = self.expect_name("an edge name")
                 if etok.text in graph.edges:
                     self.error(f"duplicate edge {etok.text!r}", etok)
                 self.expect_sym("(")
-                ast_p, port, _ = self.parse_port(graph, vertex_names)
+                ast_p, port = self.parse_port(graph)
                 self.expect_sym(")")
                 try:
                     graph.add_dangling(port, name=etok.text)
                 except NfgError as exc:
                     self.error(str(exc), etok)
-                dangling_names.append(etok.text)
                 links.append(DanglingDecl(etok.text, ast_p))
             elif tok.text == "interface":
                 if interface is not None:
@@ -417,7 +409,7 @@ class _Parser:
                 order = []
                 while True:
                     ntok = self.expect_name("a dangling edge name")
-                    if ntok.text not in dangling_names:
+                    if ntok.text not in graph.dangling:
                         self.error(f"{ntok.text!r} is not a dangling edge", ntok)
                     if ntok.text in order:
                         self.error(f"duplicate interface entry {ntok.text!r}", ntok)
@@ -427,7 +419,7 @@ class _Parser:
                         continue
                     break
                 self.expect_sym(")")
-                if sorted(order) != sorted(dangling_names):
+                if sorted(order) != sorted(graph.dangling):
                     self.error("interface must list every dangling edge", tok)
                 graph.set_interface(order)
                 interface = order
@@ -456,6 +448,7 @@ class _Parser:
         name = self._declare(name_tok)
         self.expect_sym("=")
         terms: List[ExprTerm] = []
+        parts: List[CompoundNfg] = []  # each term's graph or compound, resolved once
 
         def parse_term(sign: int) -> None:
             coef = Fraction(1)
@@ -464,33 +457,25 @@ class _Parser:
                 coef = self.parse_rational()
                 self.expect_sym("*")
             gtok = self.expect_name("a graph name")
-            compound = self._resolve_graph(gtok)
-            if terms and self._interface_of(terms[0].graph) != compound.interface:
-                self.error(
-                    f"interface mismatch: {gtok.text!r} has {compound.interface}",
-                    gtok,
-                )
+            part = self._resolve_graph(gtok)
+            if parts and parts[0].interface != part.interface:
+                self.error(f"interface mismatch: {gtok.text!r} has {part.interface}", gtok)
             terms.append(ExprTerm(coef * sign, gtok.text))
+            parts.append(part)
 
         parse_term(1)
         while self.at_sym("+") or self.at_sym("-"):
             op = self.next().text
             parse_term(1 if op == "+" else -1)
 
+        # scaled once the statement has parsed, so a syntax error in a later
+        # term is still reported before a scaling error in an earlier one
         compound = None
-        for term in terms:
-            part = scale_nfg(
-                self._resolve_graph(Token("NAME", term.graph, name_tok.line, name_tok.col)),
-                term.coef if self.backend == EXACT else float(term.coef),
-            )
+        for term, part in zip(terms, parts):
+            part = scale_nfg(part, term.coef if self.backend == EXACT else float(term.coef))
             compound = part if compound is None else add_nfgs(compound, part)
         self.doc.statements.append(ExprDecl(name, terms))
         self.doc.compounds[name] = compound
-
-    def _interface_of(self, graph_name: str) -> Tuple[int, ...]:
-        if graph_name in self.doc.graphs:
-            return self.doc.graphs[graph_name].dangling_shape()
-        return self.doc.compounds[graph_name].interface
 
 
 def parse(source: str, backend: str = EXACT) -> DslDocument:

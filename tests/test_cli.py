@@ -213,6 +213,14 @@ def test_contract_plan_out_refuses_compound(doc, tmp_path, capsys, monkeypatch):
     assert not plan_file.exists()
 
 
+def test_contract_plan_out_to_a_directory_is_a_usage_error(doc, tmp_path, capsys):
+    # the plan file cannot be written: one error line and exit 2, not a traceback
+    assert main(["contract", doc(TRACE_DOC), "tr", "--plan-out", str(tmp_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_plan_refuses_compound(doc, capsys, monkeypatch):
     monkeypatch.setattr("nfg.cli.plan_greedy", _must_not_run)
     assert main(["plan", doc(EQ_DOC), "g3"]) == EXIT_USAGE

@@ -33,6 +33,14 @@ exit 1 then, and ``e15_long_number``, recorded when a number longer than
 ``int()``'s string limit became a positioned error (a traceback with exit 1
 before).
 
+The ``plan corpus/vNN.nfg G`` rows print the greedy plan of every graph of
+the corpus (compounds have no plan).  They, and every row of
+``corpus/v09_planner.nfg`` (parallel edges, a self-loop beside a shared edge,
+a dangling edge, two components and a cost tie), were recorded before the
+planner stopped keeping an edge-to-endpoints map beside its vertex-to-edges
+sets, so a change to the planner that alters a step, its order or the
+estimated cost fails here.
+
 To re-record after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
 """
@@ -63,6 +71,12 @@ def _contract_cases():
                            "--engine", engine, "--backend", backend]
 
 
+def _plan_cases():
+    for path in sorted((TESTS / "corpus").glob("v*.nfg")):
+        for name in dsl.parse(path.read_text(encoding="utf-8")).graphs:
+            yield ["plan", f"corpus/{path.name}", name]
+
+
 def _error_cases():
     for path in sorted((TESTS / "corpus").glob("e*.nfg")):
         yield ["contract", f"corpus/{path.name}", "X"]
@@ -80,7 +94,8 @@ def _verify_cases():
         yield ["verify", suite, "--seed", "7", "--trials", "2"]
 
 
-CASES = [*_compare_cases(), *_contract_cases(), *_error_cases(), *_verify_cases()]
+CASES = [*_compare_cases(), *_contract_cases(), *_plan_cases(), *_error_cases(),
+         *_verify_cases()]
 
 
 def _run(argv):

@@ -144,6 +144,65 @@ def test_planner_cost_below_brute_on_pfaffian_diagram():
     assert plan.estimated_cost < brute_cost(g)
 
 
+# Greedy plans recorded before the planner stopped keeping an edge-to-endpoints
+# map beside its vertex-to-edges sets: the steps, their order and the cost.
+DET_PLANS = {
+    1: ([("a1", "d1"), ("a1", "eps")], 2),
+    2: ([("a1", "d1"), ("a1", "eps"), ("a1", "a2"), ("a1", "d2")], 14),
+    3: ([("a1", "d1"), ("a2", "d2"), ("a3", "d3"), ("a1", "eps"), ("a1", "a2"),
+         ("a1", "a3")], 66),
+    4: ([("a1", "d1"), ("a2", "d2"), ("a3", "d3"), ("a4", "d4"), ("a1", "eps"),
+         ("a1", "a2"), ("a1", "a3"), ("a1", "a4")], 404),
+    5: ([("a1", "d1"), ("a2", "d2"), ("a3", "d3"), ("a4", "d4"), ("a5", "d5"),
+         ("a1", "eps"), ("a1", "a2"), ("a1", "a3"), ("a1", "a4"), ("a1", "a5")], 4030),
+    6: ([("a1", "d1"), ("a2", "d2"), ("a3", "d3"), ("a4", "d4"), ("a5", "d5"),
+         ("a6", "d6"), ("a1", "eps"), ("a1", "a2"), ("a1", "a3"), ("a1", "a4"),
+         ("a1", "a5"), ("a1", "a6")], 56202),
+}
+PFAFFIAN_PLANS = {
+    2: ([("a1", "eps")], 4),
+    4: ([("a1", "eps"), ("a1", "a2")], 272),
+    6: ([("a1", "eps"), ("a1", "a2"), ("a1", "a3")], 47988),
+    8: ([("a1", "eps"), ("a1", "a2"), ("a1", "a3"), ("a1", "a4")], 17043520),
+    10: ([("a1", "eps"), ("a1", "a2"), ("a1", "a3"), ("a1", "a4"), ("a1", "a5")],
+         10101010100),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DET_PLANS))
+def test_greedy_plan_of_det_diagram_is_pinned(n):
+    plan = plan_greedy(det_diagram(rand_mat(random.Random(n), n, n)))
+    assert (plan.steps, plan.estimated_cost) == DET_PLANS[n]
+
+
+@pytest.mark.parametrize("dim", sorted(PFAFFIAN_PLANS))
+def test_greedy_plan_of_pfaffian_diagram_is_pinned(dim):
+    plan = plan_greedy(pfaffian_diagram(rand_skew(random.Random(dim), dim)))
+    assert (plan.steps, plan.estimated_cost) == PFAFFIAN_PLANS[dim]
+
+
+def test_greedy_plan_of_planner_corner_cases_is_pinned():
+    # the graph of tests/corpus/v09_planner.nfg: a and b share two parallel
+    # edges, b has a self-loop beside them, a has a dangling edge, and the
+    # ring z - m - c is a second component whose first three pairs tie on cost
+    rng = random.Random(9)
+    g = Nfg()
+    g.add_vertex(_tensor(rng, (2, 2, 2)), "a")
+    g.add_vertex(_tensor(rng, (2, 2, 2, 2)), "b")
+    for vid in ("z", "m", "c"):
+        g.add_vertex(_tensor(rng, (2, 2)), vid)
+    g.connect(("a", 1), ("b", 0), name="p1")
+    g.connect(("a", 2), ("b", 1), name="p2")
+    g.connect(("b", 2), ("b", 3), name="loop")
+    g.connect(("z", 1), ("m", 0), name="zm")
+    g.connect(("m", 1), ("c", 0), name="mc")
+    g.connect(("c", 1), ("z", 0), name="cz")
+    g.add_dangling(("a", 0), name="x")
+    plan = plan_greedy(g)
+    assert (plan.steps, plan.estimated_cost) == ([("c", "m"), ("c", "z"), ("a", "b")], 28)
+    assert exterior_planned(g, plan).equal(exterior_brute(g))
+
+
 def test_exterior_of_disconnected_graph():
     u = Tensor.from_values((2,), [1, 2])
     v = Tensor.from_values((3,), [3, 4, 5])

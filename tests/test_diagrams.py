@@ -97,6 +97,35 @@ def test_fig11b_identity():
     assert check_fig11b(a1, b, c).equal
 
 
+def _columns(t: Tensor):
+    m = t.shape[1]
+    return [Tensor.from_values((3,), t.values()[j::m]) for j in range(m)]
+
+
+@pytest.mark.parametrize("m,m2", itertools.product(range(1, 5), repeat=2))
+def test_fig10_fig11a_lhs_is_the_literal_sum(m, m2):
+    # sum_ij (x1 x x2).(x3 x x4) column by column, with no contraction
+    rng = random.Random(10 * m + m2)
+    for check, pattern in ((check_fig10, "ijji"), (check_fig11a, "iijj")):
+        mats = [rand_mat(rng, 3, m if p == "i" else m2) for p in pattern]
+        cols = [_columns(t) for t in mats]
+        literal = 0
+        for i in range(m):
+            for j in range(m2):
+                x1, x2, x3, x4 = (c[i if p == "i" else j] for c, p in zip(cols, pattern))
+                literal += dot_oracle(cross_oracle(x1, x2), cross_oracle(x3, x4))
+        assert check(*mats).lhs.values() == [literal]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_fig11b_lhs_is_the_literal_sum(m):
+    rng = random.Random(m)
+    a1, b, c = rand_vec(rng), rand_mat(rng, 3, m), rand_mat(rng, 3, m)
+    terms = [cross_oracle(cross_oracle(a1, bi), ci).values()
+             for bi, ci in zip(_columns(b), _columns(c))]
+    assert check_fig11b(a1, b, c).lhs.values() == [sum(x) for x in zip(*terms)]
+
+
 def test_report_line_format():
     rng = random.Random(7)
     rep = check_fig11a(rand_mat(rng, 3, 2), rand_mat(rng, 3, 2),
