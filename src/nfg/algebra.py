@@ -84,7 +84,7 @@ def scale_via_constant_vertex(g: Nfg, lam) -> Nfg:
     """The stacked realization of scaling: a degree-0 vertex holding lam."""
     backend = g.backend()
     lam_t = Tensor.from_values((), [scalars.coerce(backend, lam)], backend)
-    extra = Nfg()
+    extra = Nfg(backend)
     extra.add_vertex(lam_t, name="lam")
     return stack(g, extra)
 

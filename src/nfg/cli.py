@@ -7,6 +7,7 @@ Exit codes: 0 success/equal/pass, 1 unequal/fail, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -87,16 +88,31 @@ def cmd_equal(args) -> int:
     return EXIT_UNEQUAL
 
 
+def _compare_routes(command: str):
+    """Diagram builder, engine, oracle and diagram-to-value ratio (None when 1)
+    of a comparison command.  Each diagram builder runs every input and size
+    check of both routes before it builds anything, and the oracles have no
+    size limit.  The names are read when the command runs, not kept in the
+    parser, which is built once."""
+    return {
+        "pfaffian": (pfaffian_diagram, exterior_planned, pfaffian_oracle,
+                     lambda a: pfaffian_factor(a.shape[0] // 2)),
+        "det": (det_diagram, exterior_planned, det_oracle, None),
+        "trace": (trace_diagram, exterior_brute, trace_oracle, None),
+    }[command]
+
+
 def cmd_compare(args) -> int:
     """A matrix function through its diagram and through its oracle; exit 0 iff equal."""
+    build, run, oracle, ratio_of = _compare_routes(args.command)
     doc = _load(args.file, args.backend)
     a = _tensor(doc, args.matrix)
-    diagram = args.diagram(a)  # runs every check of both routes before any work
-    via_diagram = args.run(diagram).get(())
-    ratio = args.ratio(a) if args.ratio else None
+    diagram = build(a)  # runs every check of both routes before any work
+    via_diagram = run(diagram).get(())
+    ratio = ratio_of(a) if ratio_of else None
     if ratio is not None:
         via_diagram = via_diagram / ratio
-    via_oracle = args.oracle(a)
+    via_oracle = oracle(a)
     name = args.command
     print(f"{name}(diagram) = {scalars.format_scalar(a.backend, via_diagram)}")
     print(f"{name}(oracle)  = {scalars.format_scalar(a.backend, via_oracle)}")
@@ -135,6 +151,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first call; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfg",
@@ -164,21 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_equal)
 
-    # one comparison command per row: name, what it computes, diagram builder,
-    # engine, oracle, and the diagram-to-value ratio (None when 1); each diagram
-    # builder runs every input and size check of both routes before it builds
-    # anything, and the oracles have no size limit
-    for name, what, diagram, run, oracle, ratio in (
-        ("pfaffian", "Pfaffian", pfaffian_diagram, exterior_planned, pfaffian_oracle,
-         lambda a: pfaffian_factor(a.shape[0] // 2)),
-        ("det", "determinant", det_diagram, exterior_planned, det_oracle, None),
-        ("trace", "trace", trace_diagram, exterior_brute, trace_oracle, None),
-    ):
+    for name, what in (("pfaffian", "Pfaffian"), ("det", "determinant"), ("trace", "trace")):
         p = sub.add_parser(name, help=f"{what} via diagram and via oracle")
         p.add_argument("file")
         p.add_argument("matrix")
         common(p, engine=False)
-        p.set_defaults(fn=cmd_compare, diagram=diagram, run=run, oracle=oracle, ratio=ratio)
+        p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))

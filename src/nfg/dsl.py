@@ -348,7 +348,7 @@ class _Parser:
         name_tok = self.expect_name("a graph name")
         name = self._declare(name_tok)
         self.expect_sym("{")
-        graph = Nfg()
+        graph = Nfg(self.backend)
         vertices: List[VertexDecl] = []
         links: List[Union[EdgeDecl, DanglingDecl]] = []
         interface: Optional[List[str]] = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .scalars import EXACT
 from .tensor import Tensor
 
 
@@ -54,9 +55,14 @@ def _as_port(p: Port) -> PortRef:
 
 
 class Nfg:
-    """Vertices, internal edges E, and an ordered dangling interface D."""
+    """Vertices, internal edges E, and an ordered dangling interface D.
 
-    def __init__(self):
+    ``backend()`` is the scalar backend of the vertices, or ``empty_backend``,
+    the one the graph was built with, while it has none.
+    """
+
+    def __init__(self, backend: str = EXACT):
+        self.empty_backend = backend
         self.vertices: Dict[str, Vertex] = {}
         self.edges: Dict[str, Edge] = {}
         self.dangling: List[str] = []
@@ -164,10 +170,10 @@ class Nfg:
     def backend(self) -> str:
         for vtx in self.vertices.values():
             return vtx.tensor.backend
-        return "exact"
+        return self.empty_backend
 
     def copy(self) -> "Nfg":
-        g = Nfg()
+        g = Nfg(self.empty_backend)
         g.vertices = {vid: Vertex(v.tensor, list(v.ciliation)) for vid, v in self.vertices.items()}
         g.edges = dict(self.edges)
         g.dangling = list(self.dangling)

@@ -19,16 +19,20 @@ A tensor has one of three storage kinds:
   first use, and keeps the result.
 
 Three kernels do all contractions.  Dense x dense forms each output cell as
-one sum of products.  An alternating operand against an operand it fully
-contracts is an exterior-algebra update whose result is alternating: for
-each stored key and each ordered choice of its values on the matched axes,
-the other operand's entry times the sign is added to the entry of the
-remaining values.  Every other contraction with a sparse operand is one hash
-join: each nonzero of the sparse operand meets the other operand's entries
-that agree with it on the matched axes, found in an index by matched
-positions if the other is sparse, or at offsets computed from the key if it
-is dense.  A trace (a self-loop) is a contraction with the equality
-indicator delta, which is zero on an alternating pair of axes.
+one sum of products; on the exact backend, once both sides keep a few cells,
+it packs the side that keeps more into one int per matched cell (Kronecker
+substitution), so one sum of big-int products yields a whole output row.
+Floats keep the plain sums, whose rounding follows the summation order.  An
+alternating operand against an operand it fully contracts is an
+exterior-algebra update whose result is alternating: for each stored key and
+each ordered choice of its values on the matched axes, the other operand's
+entry times the sign is added to the entry of the remaining values.  Every
+other contraction with a sparse operand is one hash join: each nonzero of
+the sparse operand meets the other operand's entries that agree with it on
+the matched axes, found in an index by matched positions if the other is
+sparse, or at offsets computed from the key if it is dense.  A trace (a
+self-loop) is a contraction with the equality indicator delta, which is zero
+on an alternating pair of axes.
 
 Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
@@ -44,6 +48,8 @@ kernel.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from math import lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -58,6 +64,11 @@ Index = Tuple[int, ...]
 ZERO_ENTRY = {EXACT: 0, F64: 0.0}
 ONE_ENTRY = {EXACT: 1, F64: 1.0}
 _ENTRY_TYPE = {EXACT: int, F64: float}
+# An exact dense pair is packed when one side keeps at least _PACK_MIN cells
+# and the other twice that, and, if slots are wider than 8 bytes, it sums
+# over at least _PACK_MIN matched cells; smaller pairs gain nothing, as
+# measured (4 x L x 4, 6 x L x 6, and 16 x 1 x 16 with 70-bit entries).
+_PACK_MIN = 4
 
 
 class TensorError(ValueError):
@@ -472,15 +483,70 @@ def pair_contract(f: Tensor, f_axes: Sequence[int], g: Tensor, g_axes: Sequence[
 
 
 def _contract_dense_dense(f, f_axes, f_keep, g, g_axes, g_keep) -> list:
-    """Row-major output cells, each one C-level sum of matched products."""
-    zero = ZERO_ENTRY[f.backend]
+    """Row-major output cells of a dense pair.
+
+    On ``f64``, and for small exact pairs (see ``_PACK_MIN``), each output
+    cell is one C-level sum of matched products.  Otherwise the exact pair
+    goes by Kronecker substitution: each matched cell l of the side that
+    keeps more cells (P of them) becomes one int P_l holding those P entries
+    in w-byte slots, so one sum of products with a kept cell of the other
+    side yields P output cells at once.  No entry, and no output cell, is
+    larger in size than ``bound``, so w bytes hold it with a sign.  Slots
+    are 8 bytes when that suffices, converted at C speed by ``array`` and
+    ``memoryview``; wider ones take one int conversion per entry.
+    """
     fd, gd = f.dense, g.dense
     f_match, g_match = _offsets(f.shape, f_axes), _offsets(g.shape, g_axes)
-    g_cols = [[gd[base + m] for m in g_match] for base in _offsets(g.shape, g_keep)]
-    data = []
-    for base in _offsets(f.shape, f_keep):
-        f_row = [fd[base + m] for m in f_match]
-        data.extend(sum(map(mul, f_row, col), zero) for col in g_cols)
+    f_base, g_base = _offsets(f.shape, f_keep), _offsets(g.shape, g_keep)
+    rows, cols = len(f_base), len(g_base)
+    pack = (f.backend == EXACT and min(rows, cols) >= _PACK_MIN
+            and max(rows, cols) >= 2 * _PACK_MIN)
+    if pack:
+        f_max, g_max = max(max(fd), -min(fd)), max(max(gd), -min(gd))
+        bound = max(f_max * g_max * len(f_match), f_max, g_max)  # |entry| and |cell|
+        pack = bound < 1 << 63 or len(f_match) >= _PACK_MIN
+    if not pack:
+        zero = ZERO_ENTRY[f.backend]
+        g_cols = [[gd[base + m] for m in g_match] for base in g_base]
+        data = []
+        for base in f_base:
+            f_row = [fd[base + m] for m in f_match]
+            data.extend(sum(map(mul, f_row, col), zero) for col in g_cols)
+        return data
+    by_rows = cols >= rows  # pack g, so each row of f yields one row of the output
+    pd, p_base, p_match = (gd, g_base, g_match) if by_rows else (fd, f_base, f_match)
+    qd, q_base, q_match = (fd, f_base, f_match) if by_rows else (gd, g_base, g_match)
+    cells = [pd[base + m] for m in p_match for base in p_base]
+    if bound < 1 << 63:
+        width, order = 8, sys.byteorder
+        raw = array("q", cells).tobytes()
+    else:
+        width, order = bound.bit_length() // 8 + 1, "little"
+        raw = b"".join([x.to_bytes(width, order, signed=True) for x in cells])
+    run = width * len(p_base)
+    bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, order) * len(p_base), order)
+    # P_l holds the entries at matched cell l; read unsigned, a run of signed
+    # slots becomes that sum through xor with the bias (the top bit of every
+    # slot) and back
+    packed = [(int.from_bytes(raw[i:i + run], order) ^ bias) - bias
+              for i in range(0, len(raw), run)]
+    sums = []
+    for base in q_base:
+        # every slot of sum(q_l * P_l) + bias is a digit in range, so no carry
+        # crosses a slot, and the xor reads each slot back as a signed number
+        s = sum(map(mul, [qd[base + m] for m in q_match], packed), bias)
+        sums.append((s ^ bias).to_bytes(run, order))
+    raw = b"".join(sums)
+    if width == 8:
+        flat = memoryview(raw).cast("q").tolist()
+    else:
+        flat = [int.from_bytes(raw[i:i + width], order, signed=True)
+                for i in range(0, len(raw), width)]
+    if by_rows:
+        return flat
+    data = [0] * (rows * cols)
+    for c in range(cols):
+        data[c::cols] = flat[c * rows:(c + 1) * rows]
     return data
 
 

@@ -13,7 +13,7 @@ from nfg.algebra import (
 )
 from nfg.contraction import exterior_brute
 from nfg.graph import Nfg, NfgError
-from nfg.scalars import rat
+from nfg.scalars import EXACT, F64, rat
 from nfg.suites import rand_mat, rand_vec
 from nfg.tensor import Tensor
 
@@ -103,3 +103,18 @@ def test_compound_of_single_graph_is_identity():
     assert eval_compound(g).equal(v)
     c = CompoundNfg(terms=[(rat(1), g)], interface=g.dangling_shape())
     assert eval_compound(c).equal(v)
+
+
+@pytest.mark.parametrize("backend, lam, expected", [(EXACT, rat(5, 2), rat(5, 2)),
+                                                    (F64, 2.5, 2.5)])
+@pytest.mark.parametrize("engine", ["brute", "planned"])
+def test_graph_without_vertices_keeps_the_backend_it_was_built_with(backend, lam,
+                                                                    expected, engine):
+    """Its exterior function is the scalar 1 of that backend, so a scaled sum
+    of copies coerces its coefficients there, copied or stacked alike."""
+    g = Nfg(backend)
+    assert g.backend() == g.copy().backend() == stack(g, Nfg(backend)).backend() == backend
+    out = eval_compound(add_nfgs(scale_nfg(g, lam), scale_nfg(g.copy(), 0)), engine=engine)
+    assert out.backend == backend and out.shape == ()
+    assert out.get(()) == expected
+    assert scale_via_constant_vertex(g, lam).backend() == backend

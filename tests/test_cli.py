@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from nfg.cli import EXIT_OK, EXIT_UNEQUAL, EXIT_USAGE, EXIT_VALIDATION, main
+from nfg import suites
+from nfg.cli import EXIT_OK, EXIT_UNEQUAL, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from nfg.diagrams import pfaffian_factor
+from nfg.scalars import rat
 from nfg.suites import rand_skew
 
 from test_acceptance import pfaffian_expansion
@@ -225,3 +227,39 @@ def test_plan_refuses_compound(doc, capsys, monkeypatch):
     monkeypatch.setattr("nfg.cli.plan_greedy", _must_not_run)
     assert main(["plan", doc(EQ_DOC), "g3"]) == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: plan needs a graph; 'g3' is a compound\n")
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(doc, tmp_path, capsys,
+                                                              monkeypatch):
+    """main reuses one parser; flags given to one call are absent from the next."""
+    assert build_parser() is build_parser()
+    assert main(["--help"]) == EXIT_OK
+    help_text = capsys.readouterr().out
+    path, plan_file = doc(TRACE_DOC), tmp_path / "plan.txt"
+    assert main(["contract", path, "tr", "--plan-out", str(plan_file),
+                 "--engine", "brute"]) == EXIT_OK
+    first = capsys.readouterr().out
+    assert plan_file.exists()
+    plan_file.unlink()
+    assert main(["contract", path, "tr"]) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert not plan_file.exists()
+
+    runs = []
+    monkeypatch.setattr("nfg.suites.run_suite",
+                        lambda suite, seed, trials: runs.append((suite, seed, trials)) or [])
+    assert main(["verify", "lemma2", "--trials", "2", "--seed", "5"]) == EXIT_OK
+    assert main(["verify", "lemma2"]) == EXIT_OK
+    assert runs == [("lemma2", 5, 2), ("lemma2", suites.DEFAULT_SEED, None)]
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out == help_text
+
+
+def test_compare_commands_read_their_routes_at_call_time(doc, capsys, monkeypatch):
+    """The parser holds no route of pfaffian/det/trace, so a patched oracle is
+    the one that runs even after the parser was built."""
+    assert main(["det", doc(MAT_DOC), "M"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("nfg.cli.det_oracle", lambda a: rat(1))
+    assert main(["det", doc(MAT_DOC), "M"]) == EXIT_UNEQUAL
+    assert capsys.readouterr().out == "det(diagram) = 25\ndet(oracle)  = 1\n"

@@ -41,6 +41,11 @@ planner stopped keeping an edge-to-endpoints map beside its vertex-to-edges
 sets, so a change to the planner that alters a step, its order or the
 estimated cost fails here.
 
+The rows of ``corpus/v10_empty.nfg`` (a graph with no vertices, and
+compounds of it) were recorded when such a graph began to take its backend
+from the document; before, every ``--backend f64`` row of that file exited 3
+with ``validation error: float value rejected by the exact backend``.
+
 To re-record after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
 """
