@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import dsl, scalars, suites
+from . import __version__, dsl, scalars, suites
 from .algebra import CompoundNfg, eval_compound
 from .contraction import exterior_brute, exterior_planned, plan_greedy
 from .diagrams import (
@@ -157,6 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nfg",
         description="Normal factor graphs: contraction, comparison, identity suites.",
     )
+    exact = scalars.ExactValue
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__} "
+                        f"(exact scalars: {exact.__module__}.{exact.__qualname__})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, engine=True):

@@ -22,9 +22,11 @@ decimal digits that int() reads, so "1.5" and "²" are errors.  Whitespace
 (space, tab, CR, LF) and comments, which run from "#" to end of line, may
 stand between any two tokens, inside a value list too.  One compiled pattern
 scans the source a token at a time, as the parser asks for it, and a
-tensor's value list is read in bulk by one value pattern.  Every error,
-lexical, syntactic, or semantic, carries the 1-based line and column of the
-offending token.
+tensor's value list is read in bulk by one value pattern, straight into int
+numerators over one denominator, as an exact tensor stores them; no rational
+is built per value.  Every error, lexical, syntactic, or semantic, carries
+the 1-based line and column of the offending token, and on f64 so does a
+value beyond the largest float.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from .algebra import CompoundNfg, add_nfgs, as_compound, scale_nfg
 from .builtins import delta2, delta_point, levi_civita
 from .graph import Nfg, NfgError
-from .scalars import EXACT
-from .tensor import Tensor
+from .scalars import EXACT, F64
+from .tensor import Tensor, lowest_terms
 
 
 class DslError(Exception):
@@ -83,10 +85,20 @@ _VALUE = re.compile(_SKIP + rf"(?:(-){_SKIP})?(\d+)(?:{_SKIP}/{_SKIP}(\d+))?{_SK
 
 @dataclass
 class TensorDecl:
+    """A value list is kept as an exact tensor stores it, on either backend:
+    int numerators over one denominator, in lowest terms as a whole
+    (``tensor.lowest_terms``).  ``values`` forms the rationals on demand."""
     name: str
-    dims: Optional[List[int]]      # None for the builtin form
-    values: Optional[List[Fraction]]
+    dims: Optional[List[int]]        # None for the builtin form
+    numerators: Optional[List[int]]  # None for the builtin form
+    denom: int = 1
     builtin: Optional[Tuple] = None  # ("eps", n) | ("delta", n) | ("e", i, n)
+
+    @property
+    def values(self) -> Optional[List[Fraction]]:
+        if self.numerators is None:
+            return None
+        return [Fraction(n, self.denom) for n in self.numerators]
 
 
 @dataclass
@@ -207,6 +219,7 @@ class _Parser:
         return tok.kind == "SYM" and tok.text == text
 
     def parse_rational(self) -> Fraction:
+        first = self.peek()
         sign = 1
         if self.at_sym("-"):
             self.next()
@@ -218,13 +231,22 @@ class _Parser:
             den, dtok = self.expect_int()
             if den == 0:
                 self.error("zero denominator", dtok)
-        return Fraction(sign * num, den)
+        value = Fraction(sign * num, den)
+        if self.backend != EXACT:
+            try:
+                float(value)
+            except OverflowError:
+                self.error(f"value too large for {F64}", first)
+        return value
 
-    def parse_values(self) -> List[Fraction]:
-        """A tensor's value list, read by _VALUE an entry at a time; an entry
-        it cannot read, or whose number int() refuses as too long, goes to the
-        token methods, which raise the error."""
-        values: List[Fraction] = []
+    def parse_values(self) -> Tuple[List[int], List[int]]:
+        """A tensor's value list as signed int numerators and positive int
+        denominators, in the terms written (2/4 stays 2 over 4), with no
+        rational built per value.  _VALUE reads an entry at a time; an entry
+        it cannot read, or whose number int() refuses as too long, goes to
+        the token methods, which raise the error."""
+        nums: List[int] = []
+        dens: List[int] = []
         while True:
             m = _VALUE.match(self.source, self.pos)
             try:
@@ -233,13 +255,16 @@ class _Parser:
             except ValueError:
                 den = 0
             if den:
-                values.append(Fraction(-num if m[1] else num, den))
+                nums.append(-num if m[1] else num)
+                dens.append(den)
                 self.pos, comma = m.end(), m[4]
             else:
-                values.append(self.parse_rational())
+                value = self.parse_rational()
+                nums.append(value.numerator)
+                dens.append(value.denominator)
                 comma = self.at_sym(",") and self.next()
             if not comma:
-                return values
+                return nums, dens
 
     # statements ----------------------------------------------------------
 
@@ -284,21 +309,33 @@ class _Parser:
                     break
             self.expect_sym("]")
             eq_tok = self.expect_sym("=")
-            values = self.parse_values()
+            start = self.pos
+            nums, dens = self.parse_values()
             tok = self.peek()
             if tok.kind not in ("NAME", "EOF"):
                 self.error(f"expected ',' or the next statement, found {tok.text!r}")
             expected = 1
             for d in dims:
                 expected *= d
-            if len(values) != expected:
+            if len(nums) != expected:
                 self.error(
-                    f"expected {expected} values for shape {dims}, got {len(values)}",
+                    f"expected {expected} values for shape {dims}, got {len(nums)}",
                     eq_tok,
                 )
-            decl = TensorDecl(name, dims, values)
-            raw = values if self.backend == EXACT else [float(v) for v in values]
-            tensor = Tensor.from_values(tuple(dims), raw, self.backend)
+            entries, denom = lowest_terms(nums, dens)
+            decl = TensorDecl(name, dims, entries, denom)
+            if self.backend == EXACT:
+                tensor = Tensor(tuple(dims), EXACT, dense=entries, denom=denom)
+            else:  # int / int is correctly rounded: float(Fraction) bit for bit
+                try:
+                    floats = [n / denom for n in entries]
+                except OverflowError:
+                    # the token methods read the list again and raise at the value
+                    self.pos, self.tok = start, None
+                    while True:
+                        self.parse_rational()
+                        self.next()  # ','
+                tensor = Tensor(tuple(dims), F64, dense=floats)
         else:
             self.expect_sym("=")
             fn_tok = self.expect_name("a builtin name")
@@ -329,7 +366,7 @@ class _Parser:
             else:
                 self.error(f"unknown builtin {fn_tok.text!r}", fn_tok)
             self.expect_sym(")")
-            decl = TensorDecl(name, None, None, builtin)
+            decl = TensorDecl(name, None, None, builtin=builtin)
         self.doc.statements.append(decl)
         self.doc.tensors[name] = tensor
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -149,18 +149,28 @@ def _drop_zeros(store: dict) -> dict:
     return store
 
 
-def _over_common_denominator(backend: str, values: Iterable) -> Tuple[list, int]:
-    """Admit values to a backend; return their stored entries and denominator.
-
-    Exact values are scaled by the lcm of their denominators, so the entries
-    are int numerators and the result is in lowest terms as a whole.
+def lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
+    """Int fractions nums[i] / dens[i] (dens positive, in any terms) as
+    stored exact entries: int numerators over the lcm of the denominators,
+    divided through by their gcd with it when that is not 1, as it is when a
+    fraction such as 2/4 comes unreduced.  The result is in lowest terms as a
+    whole, so equal values give the same (entries, denom) however written.
     """
+    denom = lcm(*dens)
+    entries = [n * (denom // d) for n, d in zip(nums, dens)]
+    g = gcd(denom, *entries)
+    if g != 1:
+        denom //= g
+        entries = [n // g for n in entries]
+    return entries, denom
+
+
+def _over_common_denominator(backend: str, values: Iterable) -> Tuple[list, int]:
+    """Admit values to a backend; return their stored entries and denominator."""
     vals = [scalars.coerce(backend, v) for v in values]
     if backend != EXACT:
         return vals, 1
-    dens = [int(v.denominator) for v in vals]
-    denom = lcm(*dens)
-    return [int(v.numerator) * (denom // d) for v, d in zip(vals, dens)], denom
+    return lowest_terms([int(v.numerator) for v in vals], [int(v.denominator) for v in vals])
 
 
 class Tensor:

@@ -239,13 +239,13 @@ def test_criterion_11_parser_corpus():
         assert dsl.parse(text).statements == doc.statements, path.name
         assert dsl.serialize(dsl.parse(text)) == text, path.name
 
-    expect = re.compile(r"# expect: (\d+):(\d+) (.*)")
+    expect = re.compile(r"# expect(?: on (\w+))?: (\d+):(\d+) (.*)")  # a backend, or exact
     for path in errors:
         src = path.read_text()
         m = expect.match(src.splitlines()[0])
         assert m, f"{path.name} is missing its expect header"
         with pytest.raises(dsl.DslError) as exc:
-            dsl.parse(src)
-        assert (exc.value.line, exc.value.col) == (int(m.group(1)), int(m.group(2)))
-        assert m.group(3) in exc.value.message
+            dsl.parse(src, m.group(1) or "exact")
+        assert (exc.value.line, exc.value.col) == (int(m.group(2)), int(m.group(3)))
+        assert m.group(4) in exc.value.message
     report(11, "DSL corpus", f"{len(valid)} round-trip + {len(errors)} diagnostic files")

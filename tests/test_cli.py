@@ -263,3 +263,21 @@ def test_compare_commands_read_their_routes_at_call_time(doc, capsys, monkeypatc
     monkeypatch.setattr("nfg.cli.det_oracle", lambda a: rat(1))
     assert main(["det", doc(MAT_DOC), "M"]) == EXIT_UNEQUAL
     assert capsys.readouterr().out == "det(diagram) = 25\ndet(oracle)  = 1\n"
+
+
+def test_version(capsys):
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out == "nfg 0.1.0 (exact scalars: fractions.Fraction)\n"
+
+
+@pytest.mark.parametrize("text, position", [
+    ("tensor u [1] = " + "9" * 400 + "\ngraph g { vertex a: u dangling x(a.1) }\n", "1:16"),
+    ("tensor u [1] = 1\ngraph g { vertex a: u dangling x(a.1) }\nlet h = " + "9" * 400 + "*g\n",
+     "3:9"),
+], ids=["value", "coefficient"])
+def test_value_beyond_the_largest_float_is_a_parse_error_on_f64(doc, capsys, text, position):
+    path = doc(text)
+    assert main(["contract", path, "g", "--backend", "f64"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"parse error: {position}: value too large for f64\n")
+    assert main(["contract", path, "g"]) == EXIT_OK

@@ -1,4 +1,5 @@
 import pathlib
+import random
 import re
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +17,12 @@ CORPUS = pathlib.Path(__file__).parent / "corpus"
 VALID = sorted(CORPUS.glob("v*.nfg"))
 ERRORS = sorted(CORPUS.glob("e*.nfg"))
 
-EXPECT_RE = re.compile(r"# expect: (\d+):(\d+) (.*)")
+# "# expect on f64: ..." names the one backend where a file fails to parse
+EXPECT_RE = re.compile(r"# expect(?: on (\w+))?: (\d+):(\d+) (.*)")
+
+
+def _backend(src):
+    return EXPECT_RE.match(src).group(1) or EXACT
 
 
 def test_corpus_is_large_enough():
@@ -37,9 +43,9 @@ def test_error_positions(path):
     src = path.read_text(encoding="utf-8")
     m = EXPECT_RE.match(src.splitlines()[0])
     assert m, f"{path.name} is missing its expect header"
-    line, col, fragment = int(m.group(1)), int(m.group(2)), m.group(3)
+    line, col, fragment = int(m.group(2)), int(m.group(3)), m.group(4)
     with pytest.raises(dsl.DslError) as exc:
-        dsl.parse(src)
+        dsl.parse(src, _backend(src))
     err = exc.value
     assert (err.line, err.col) == (line, col)
     assert fragment in err.message
@@ -48,7 +54,8 @@ def test_error_positions(path):
 
 # Full messages, recorded before the scanner replaced the per-character lexer;
 # e14 was a ValueError from int('²') then, and e15 a ValueError from int() on
-# a number over its string limit until that became a positioned error.
+# a number over its string limit until that became a positioned error.  e16
+# fails on f64 only, where it was an OverflowError until that became one too.
 ERROR_MESSAGES = {
     "e01_lexical.nfg": "2:8: unexpected character '~'",
     "e02_syntax.nfg": "2:14: expected '=', found '1'",
@@ -65,14 +72,16 @@ ERROR_MESSAGES = {
     "e13_decimal.nfg": "2:17: expected ',' or the next statement, found '.'",
     "e14_superscript.nfg": "2:11: unexpected character '²'",
     "e15_long_number.nfg": "2:16: integer of 5000 digits is over the limit of 4300",
+    "e16_f64_overflow.nfg": "4:19: value too large for f64",
 }
 
 
 def test_error_messages_are_pinned():
     assert sorted(ERROR_MESSAGES) == [path.name for path in ERRORS]
     for path in ERRORS:
+        src = path.read_text(encoding="utf-8")
         with pytest.raises(dsl.DslError) as exc:
-            dsl.parse(path.read_text(encoding="utf-8"))
+            dsl.parse(src, _backend(src))
         assert str(exc.value) == ERROR_MESSAGES[path.name], path.name
 
 
@@ -329,3 +338,76 @@ LEXER_ALPHABET = (
 @example("\u00bd")
 def test_scanner_matches_reference_lexer(source):
     assert scanner_tokens(source) == reference_tokens(source)
+
+
+# -- values straight to int numerators over one denominator --------------------
+
+NINES = "9" * 400
+
+
+@pytest.mark.parametrize("source, position", [
+    (f"tensor u [2] = 1, -{NINES}", (1, 19)),
+    (f"tensor u [2] = 1,\n  {NINES}/3", (2, 3)),
+    (f"tensor u [1] = 1 graph g {{ vertex a: u dangling x(a.1) }} let h = g + {NINES}*g",
+     (1, 70)),
+    (f"tensor u [1] = 1 graph g {{ vertex a: u dangling x(a.1) }} let h = -{NINES}/7*g",
+     (1, 66)),
+], ids=["value", "second line", "coefficient", "negative coefficient"])
+def test_values_beyond_the_largest_float_are_positioned_errors_on_f64(source, position):
+    with pytest.raises(dsl.DslError) as exc:
+        dsl.parse(source, F64)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (
+        *position, "value too large for f64")
+    dsl.parse(source, EXACT)  # exact holds them
+
+
+@st.composite
+def written_values(draw):
+    """A value as the DSL reads it, in any terms, signed zeros and numerators
+    around and above 2**63 included."""
+    num = draw(st.one_of(st.integers(0, 12), st.integers(2**62, 2**66), st.integers(0, 2**130)))
+    text = draw(st.sampled_from(["", "-"])) + str(num)
+    if draw(st.booleans()):
+        text += "/" + str(draw(st.one_of(st.integers(1, 12), st.integers(1, 2**70))))
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(written_values(), st.sampled_from(["2/4", "-0", "0/7", "-6/4"])),
+                min_size=1, max_size=12))
+def test_values_read_as_from_values_reads_their_rationals(texts):
+    """The parsed tensor is what Tensor.from_values makes of the same
+    rationals: the same entries and denominator on exact, and floats bit for
+    bit on f64; and the canonical text parses back to the same statements."""
+    source = f"tensor u [{len(texts)}] = " + ", ".join(texts) + "\n"
+    rationals = [Fraction(t) for t in texts]
+    exact = dsl.parse(source, EXACT)
+    expected = Tensor.from_values((len(texts),), rationals, EXACT)
+    assert (exact.tensors["u"].dense, exact.tensors["u"].denom) == (expected.dense, expected.denom)
+    assert exact.statements[0].values == rationals
+    floats = dsl.parse(source, F64).tensors["u"].dense
+    assert [x.hex() for x in floats] == [float(r).hex() for r in rationals]
+    assert dsl.parse(dsl.serialize(exact)).statements == exact.statements
+
+
+def test_parsing_values_builds_no_fraction_per_value(monkeypatch):
+    """2,048 exact values, in every form a value list admits, are read
+    without a single Fraction, on either backend."""
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(12)
+    values = [f"{rng.choice(['', '-'])}{rng.randint(0, 99)}{rng.choice(['', '/7', '/12'])}"
+              for _ in range(2047)]
+    source = ("tensor A [8,16,16] = " + ", ".join(values) + ",  # last\n - 1 / 2\n"
+              "graph g { vertex a: A dangling x(a.1) dangling y(a.2) dangling z(a.3) }\n")
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for backend in (EXACT, F64):
+        assert dsl.parse(source, backend).tensors["A"].shape == (8, 16, 16)
+        assert made == [], backend
+    # the counter does see Fractions: those that values forms on demand
+    assert len(dsl.parse(source).statements[0].values) == len(made) == 2048
