@@ -24,15 +24,17 @@ it packs the side that keeps more into one int per matched cell (Kronecker
 substitution), so one sum of big-int products yields a whole output row.
 Floats keep the plain sums, whose rounding follows the summation order.  An
 alternating operand against an operand it fully contracts is an
-exterior-algebra update whose result is alternating: for each stored key and
-each ordered choice of its values on the matched axes, the other operand's
-entry times the sign is added to the entry of the remaining values.  Every
-other contraction with a sparse operand is one hash join: each nonzero of
-the sparse operand meets the other operand's entries that agree with it on
-the matched axes, found in an index by matched positions if the other is
-sparse, or at offsets computed from the key if it is dense.  A trace (a
-self-loop) is a contraction with the equality indicator delta, which is zero
-on an alternating pair of axes.
+exterior-algebra update whose result is alternating.  Only the other
+operand's alternating part reaches it, so that operand is first folded onto
+sorted index tuples (an alternating one from its stored keys, never written
+out); then for each stored key and each set of its positions for the matched
+axes, the folded entry at those values times the sign is added to the entry
+of the remaining values.  Every other contraction with a sparse operand is
+one hash join: each nonzero of the sparse operand meets the other operand's
+entries that agree with it on the matched axes, found in an index by matched
+positions if the other is sparse, or at offsets computed from the key if it
+is dense.  A trace (a self-loop) is a contraction with the equality
+indicator delta, which is zero on an alternating pair of axes.
 
 Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
@@ -50,8 +52,8 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from math import gcd, lcm
-from operator import itemgetter, mul
+from math import factorial, gcd, lcm
+from operator import itemgetter, lt, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import scalars
@@ -196,9 +198,14 @@ class Tensor:
             if len(set(shape)) > 1:
                 raise TensorError(f"alternating storage needs one alphabet size, got {list(shape)}")
             n = shape[0] if shape else 0
+            # a float or bool passes the comparisons but is not an index; one
+            # C-level type pass over every component finds it, so the per-key
+            # work stays the comparisons (every kernel output is checked here)
+            ints = set(map(type, itertools.chain.from_iterable(alt))) <= {int}
             for key in alt:
-                if len(key) != len(shape) or not all(0 <= i < j <= n
-                                                     for i, j in zip(key, key[1:] + (n,))):
+                if (len(key) != len(shape) or not ints and set(map(type, key)) - {int}
+                        or key and not (0 <= key[0] and key[-1] < n
+                                        and all(map(lt, key, key[1:])))):
                     raise TensorError(f"alternating key {key!r} is not a strictly increasing index")
         if dense is not None and len(dense) != shape_size(shape):
             raise TensorError(
@@ -563,21 +570,37 @@ def _contract_dense_dense(f, f_axes, f_keep, g, g_axes, g_keep) -> list:
 def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> dict:
     """Exterior-algebra update of an alternating operand by one it fully contracts.
 
+    Only the other operand's alternating part reaches the result, so it is
+    first folded onto sorted tuples: each nonzero x, read over the matched
+    axes in their paired order and with no repeated value, adds
+    inversion_sign(x) * entry at sorted(x).  An alternating operand folds
+    without being written out: m! * sign(ot_axes) * entry at each stored key.
     A stored key K is sorted, so the sign of a full index made from K depends
-    only on which positions of K go to which axes: for each ordered choice of
-    positions for the matched axes (the rest fill the kept axes in order) the
-    sign is computed once, then every key adds sign * entry * the other
-    operand's entry at the chosen values to the entry of the remaining ones.
+    only on which positions of K go to which axes: for each set of m
+    positions for the matched axes, in increasing order (the rest fill the
+    kept axes in order), the sign is computed once, then every key adds
+    sign * entry * the folded entry at the chosen values to the entry of the
+    remaining ones.
     """
-    if ot.dense is not None:
-        data = ot.dense
-        lookup = {x: data[off] for x, off in _cells(ot.shape, ot_axes) if data[off]}
+    m = len(ot_axes)
+    if ot.alt is not None:
+        scale = factorial(m) * inversion_sign(ot_axes)
+        lookup = {k: scale * v for k, v in ot.alt.items()}
     else:
-        get_om = _getter(ot_axes)
-        lookup = {get_om(k): v for k, v in ot.sparse.items()}
+        if ot.dense is not None:
+            data = ot.dense
+            nonzeros = ((x, data[off]) for x, off in _cells(ot.shape, ot_axes) if data[off])
+        else:
+            nonzeros = zip(map(_getter(ot_axes), ot.sparse), ot.sparse.values())
+        lookup = {}
+        fget = lookup.get
+        for x, v in nonzeros:
+            if len(set(x)) == m:
+                k = tuple(sorted(x))
+                lookup[k] = fget(k, 0) + inversion_sign(x) * v
     rank = al.rank
     choices = []
-    for chosen in itertools.permutations(range(rank), len(al_axes)):
+    for chosen in itertools.combinations(range(rank), m):
         rest = [q for q in range(rank) if q not in chosen]
         seq = [0] * rank
         for axis, q in zip(al_axes + al_keep, list(chosen) + rest):

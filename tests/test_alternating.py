@@ -158,10 +158,38 @@ def test_levi_civita_is_one_sorted_entry():
     ((3, 3), {(1, 1): 1}),            # repeated value
     ((3, 3), {(1, 3): 1}),            # out of range
     ((3, 3), {(1,): 1}),              # wrong length
+    ((3, 3), {(0.5, 1): 1}),          # not an int
+    ((3, 3), {(True, 2): 1}),         # a bool, not an int
 ])
 def test_alternating_storage_rejects_malformed_input(shape, alt):
-    with pytest.raises(TensorError):
+    message = ("alternating storage needs one alphabet size" if len(set(shape)) > 1
+               else "is not a strictly increasing index")
+    with pytest.raises(TensorError, match=message):
         Tensor(shape, EXACT, alt=alt)
+
+
+def dense_matrix(rng, n, backend, symmetric=False):
+    rows = [[entry(rng, backend) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return Tensor((n, n), backend, dense=[x for row in rows for x in row])
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.parametrize("n", [4, 6])
+def test_only_the_alternating_part_of_a_partner_reaches_epsilon(backend, n):
+    """eps(n) kills a symmetric partner, so M and (M - M^T) / 2 contract alike."""
+    rng = random.Random(n)
+    eps = levi_civita(n, backend)
+    for axes in ([0, 1], [1, 3], [3, 0]):
+        sym = pair_contract(eps, axes, dense_matrix(rng, n, backend, symmetric=True), [0, 1])
+        assert sym.alt == {} and sym.shape == (n,) * (n - 2)
+        m = dense_matrix(rng, n, backend)
+        skew = m.add(m.permute_axes([1, 0]).neg())
+        half = Fraction(1, 2) if backend == EXACT else 0.5
+        got = pair_contract(eps, axes, m, [0, 1])
+        want = pair_contract(eps, axes, skew, [0, 1]).scale(half)
+        assert got.alt and agree(written_out(got), explicit(want))
 
 
 def bareiss_det(a: Tensor):
@@ -213,3 +241,25 @@ def test_epsilon_networks_expand_no_alternating_tensor(monkeypatch):
         z = exterior_planned(g, plan_greedy(g))
         assert z.alt is not None and z.get(()) != 0
     assert expanded and set(expanded) == {0}
+
+
+def test_alternating_partner_is_read_without_expansion(monkeypatch):
+    """An alternating operand that is fully contracted is folded from its
+    stored keys, on either side and with its axes in any order."""
+    expanded = []
+    monkeypatch.setattr(tensor_module, "_expand_alt", lambda alt, rank: expanded.append(rank))
+    rng = random.Random(17)
+    for backend in (EXACT, F64):
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            rank = rng.randint(1, n)
+            m = rng.randint(1, rank)
+            alt, partner = rand_alt(rng, rank, n, backend), rand_alt(rng, m, n, backend)
+            matched, p_axes = rng.sample(range(rank), m), rng.sample(range(m), m)
+            if rng.random() < 0.5:
+                got = pair_contract(alt, matched, partner, p_axes)
+            else:
+                got = pair_contract(partner, p_axes, alt, matched)
+            want = pair_contract(written_out(alt), matched, written_out(partner), p_axes)
+            assert got.alt is not None and agree(written_out(got), want)
+    assert expanded == []

@@ -7,8 +7,15 @@ were re-recorded with that kernel: the ``--backend f64`` Pfaffian diagram
 value of ``m6`` and ``m8``, which it sums in another order, so the last
 digits moved (-10.349768518518518 to -10.34976851851852 and
 -205.85024691358026 to -205.85024691358032; the exact values are
--44711/4320 and -1667387/8100).  Four more were re-recorded when the
-factorial oracles gave way to eliminations, which round differently: the
+-44711/4320 and -1667387/8100).  The f64 Pfaffian diagram values of ``m6``,
+``m8`` and ``m10`` were re-recorded again when that kernel began to fold its
+partner onto the partner's alternating part, which sums in another order:
+-10.34976851851852 to -10.349768518518522, -205.85024691358032 to
+-205.8502469135802 and 4869.703356481482 to 4869.70335648148 (exact
+42074237/8640); ``test_f64_pfaffian_diagram_is_within_4_ulp`` pins them by
+their error against the exact rows as well as by their bytes.  Four more
+were re-recorded when the factorial oracles gave way to eliminations, which
+round differently: the
 ``--backend f64`` oracle value of ``pfaffian`` on ``m6`` (-10.349768518518488
 to -10.349768518518518) and ``m8`` (-205.85024691358157 to
 -205.85024691358024), and of ``det`` on ``m6`` (-162.78988472222207 to
@@ -56,6 +63,8 @@ To re-record after an intended change of output, run
 import contextlib
 import io
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -126,6 +135,18 @@ def test_golden_covers_every_case():
 def test_cli_output_matches_golden(argv):
     expected = json.loads(GOLDEN_FILE.read_text())[" ".join(argv)]
     assert _run(argv) == (expected["exit"], expected["stdout"])
+
+
+def _diagram_value(argv) -> str:
+    return _run(argv)[1].splitlines()[0].split(" = ")[1]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 10])
+def test_f64_pfaffian_diagram_is_within_4_ulp(dim):
+    """The f64 rows move with the summation order; their error must not."""
+    exact = Fraction(_diagram_value(["pfaffian", f"golden/m{dim}.nfg", "S"]))
+    got = float(_diagram_value(["pfaffian", f"golden/m{dim}.nfg", "S", "--backend", "f64"]))
+    assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 if __name__ == "__main__":
