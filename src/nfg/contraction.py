@@ -8,7 +8,8 @@ backtracking join over each vertex's nonzero entries (the generic-join view
 of a sum-product, Ngo-Re-Rudra 2013), which shares no code with the
 contraction kernels or the planner.  The planned path replays pairwise
 groupings (each one a two-tensor contraction) and exploits sparse operands,
-which is what makes the large Levi-Civita diagrams tractable.
+which is what makes the large Levi-Civita diagrams tractable.  One step
+function, ``_group``, does every grouping, on a map vertex id -> Vertex.
 """
 
 from __future__ import annotations
@@ -142,31 +143,31 @@ def exterior_brute(g: Nfg) -> Tensor:
     return Tensor(shape, backend, sparse=out, denom=denom).to_dense()
 
 
-def group_vertices(g: Nfg, u: str, v: str) -> Nfg:
-    """Replace u and v by one vertex realizing their pairwise contraction.
+def _group(work: Dict[str, Vertex], u: str, v: str) -> List[str]:
+    """Merge v into u in a map vertex id -> Vertex, summing out every edge
+    they share in one pair contraction; return those edge ids.  The merged
+    vertex, a new object, has u's surviving slots in order, then v's."""
+    vu, vv = work[u], work.pop(v)
+    # an edge id on both ciliations joins u and v, on one slot of each
+    shared = [eid for eid in vu.ciliation if eid in vv.ciliation]
+    merged = pair_contract(vu.tensor, [vu.ciliation.index(eid) for eid in shared],
+                           vv.tensor, [vv.ciliation.index(eid) for eid in shared])
+    work[u] = Vertex(merged, [eid for eid in vu.ciliation if eid not in shared] +
+                     [eid for eid in vv.ciliation if eid not in shared])
+    return shared
 
-    Every edge joining u and v is summed out in this one step; edges to
-    third vertices, self-loops, and dangling edges are re-attached.  The
-    merged vertex keeps u's identifier; its ciliation is u's surviving slots
-    in order, then v's surviving slots in order.
-    """
+
+def group_vertices(g: Nfg, u: str, v: str) -> Nfg:
+    """Replace u and v by one vertex realizing their pairwise contraction,
+    which keeps u's id: ``_group`` on a copy of g, which is left unchanged."""
     if u == v:
         raise NfgError("cannot group a vertex with itself")
     for vid in (u, v):
         if vid not in g.vertices:
             raise NfgError(f"unknown vertex {vid!r}")
     g = g.copy()
-    vu, vv = g.vertices[u], g.vertices[v]
-    # an edge id on both ciliations joins u and v, on one slot of each
-    shared = [eid for eid in vu.ciliation if eid in vv.ciliation]
-    f_axes = [vu.ciliation.index(eid) for eid in shared]
-    g_axes = [vv.ciliation.index(eid) for eid in shared]
-    merged = pair_contract(vu.tensor, f_axes, vv.tensor, g_axes)
-    for eid in shared:
+    for eid in _group(g.vertices, u, v):
         del g.edges[eid]
-    del g.vertices[v]
-    g.vertices[u] = Vertex(merged, [eid for eid in vu.ciliation if eid not in shared] +
-                           [eid for eid in vv.ciliation if eid not in shared])
     return g
 
 
@@ -257,51 +258,46 @@ def plan_greedy(g: Nfg) -> ContractionPlan:
     return ContractionPlan(steps, total)
 
 
-def _trace_out_self_loops(g: Nfg, vid: str) -> None:
-    """Sum out every self-loop on a vertex, in slot order (mutates g in place)."""
-    while True:
-        vtx = g.vertices[vid]
-        loop_eid = None
-        for eid in vtx.ciliation:
-            if vtx.ciliation.count(eid) == 2:
-                loop_eid = eid
-                break
-        if loop_eid is None:
-            return
-        s1 = vtx.ciliation.index(loop_eid)
-        s2 = vtx.ciliation.index(loop_eid, s1 + 1)
-        keep = [s for s in range(len(vtx.ciliation)) if s not in (s1, s2)]
-        del g.edges[loop_eid]
-        g.vertices[vid] = Vertex(vtx.tensor.trace_axes(s1, s2), [vtx.ciliation[s] for s in keep])
+def _without_self_loops(vtx: Vertex) -> Vertex:
+    """The vertex with every self-loop summed out, in slot order."""
+    cil = vtx.ciliation
+    for s1, eid in enumerate(cil):
+        if eid in cil[s1 + 1:]:
+            s2 = cil.index(eid, s1 + 1)
+            return _without_self_loops(Vertex(vtx.tensor.trace_axes(s1, s2),
+                                              cil[:s1] + cil[s1 + 1:s2] + cil[s2 + 1:]))
+    return vtx
 
 
 def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:
-    """Replay a grouping plan (greedy by default), then combine components.
+    """Replay a grouping plan (greedy by default), then join what is left.
 
-    After all groupings each remaining vertex has its self-loops summed out;
-    remaining vertices carry only dangling edges and are combined by tensor
-    product, then the axes are reordered to the declared interface.
+    Every step is checked against the live vertex ids before the first
+    contraction; ``_group`` then replays them on a working map vertex id ->
+    Vertex, with no copy of g and no change to it.  Each remaining vertex
+    has its self-loops summed out, ``_group`` joins the rest in id order
+    (summing the edges an incomplete plan left), and the axes are reordered
+    to the declared interface.
     """
     if plan is None:
         plan = plan_greedy(g)  # validates g
     else:
         g.check_valid()
-    backend = g.backend()
-    work = g.copy()
+    live = set(g.vertices)
     for u, v in plan.steps:
-        if u not in work.vertices or v not in work.vertices:
+        if u == v or u not in live or v not in live:
             raise NfgError(f"plan step ({u!r}, {v!r}) is not replayable")
-        work = group_vertices(work, u, v)
-    for vid in sorted(work.vertices):
-        _trace_out_self_loops(work, vid)
-    acc: Optional[Tensor] = None
-    axis_edges: List[str] = []
-    for vid in sorted(work.vertices):
-        vtx = work.vertices[vid]
-        acc = vtx.tensor if acc is None else pair_contract(acc, [], vtx.tensor, [])
-        axis_edges.extend(vtx.ciliation)
-    if acc is None:
+        live.remove(v)
+    work = dict(g.vertices)
+    for u, v in plan.steps:
+        _group(work, u, v)
+    if not work:
+        backend = g.backend()
         return Tensor((), backend, dense=[ONE_ENTRY[backend]])
-    # axes currently follow axis_edges; reorder to the dangling interface
-    order = [axis_edges.index(eid) for eid in g.dangling]
-    return acc.permute_axes(order)
+    first, *rest = sorted(work)
+    for vid in work:
+        work[vid] = _without_self_loops(work[vid])
+    for vid in rest:
+        _group(work, first, vid)
+    root = work[first]
+    return root.tensor.permute_axes([root.ciliation.index(eid) for eid in g.dangling])

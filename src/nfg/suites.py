@@ -68,10 +68,10 @@ def _trials_row(name: str, trials: int, check: Callable) -> Row:
 # -- suites -------------------------------------------------------------------
 
 
-def suite_lemma2(nmax: int = 6, **_) -> List[Row]:
+def suite_lemma2(**_) -> List[Row]:
     """Cyclic-shift law of the Levi-Civita symbol, exhaustive over all tuples."""
     rows: List[Row] = []
-    for n in range(1, nmax + 1):
+    for n in range(1, 7):
         eps = levi_civita(n)
         sign = scalars.rat(1) if (n - 1) % 2 == 0 else scalars.rat(-1)
         ok = all(
@@ -88,9 +88,9 @@ def suite_lemma2(nmax: int = 6, **_) -> List[Row]:
     return rows
 
 
-def suite_lemma3(nmax: int = 10, **_) -> List[Row]:
+def suite_lemma3(**_) -> List[Row]:
     rows: List[Row] = []
-    for n in range(1, nmax + 1):
+    for n in range(1, 11):
         sgn = perm_sign(tau(n))
         swaps = tau_swap_count(n)
         ok = sgn == 1 and swaps % 2 == 0
@@ -109,11 +109,10 @@ def suite_fig9(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, **_) -> L
                         lambda: check_cross_chain(*(rand_vec(rng) for _ in range(4))))]
 
 
-def _matrix_identity_suite(name: str, runner, seed: int, trials: int,
-                           max_cols: int = 4) -> List[Row]:
+def _matrix_identity_suite(name: str, runner, seed: int, trials: int) -> List[Row]:
     rng = random.Random(seed)
     return [_trials_row(f"{name}-m={m}-m'={mp}", trials, lambda: runner(rng, m, mp))
-            for m in range(1, max_cols + 1) for mp in range(1, max_cols + 1)]
+            for m in range(1, 5) for mp in range(1, 5)]
 
 
 def suite_fig10(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:

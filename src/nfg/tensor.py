@@ -16,7 +16,8 @@ A tensor has one of three storage kinds:
   intermediate of the epsilon networks stay at C(n, k) entries instead of
   n!/k! (packed antisymmetric storage, as in the Cyclops Tensor Framework).
   An alternating tensor reads as sparse: ``sparse`` expands it once, on
-  first use, and keeps the result.
+  first use, and keeps the result; ``scale``, and ``add`` and ``equal`` of
+  two alternating tensors, read the stored keys instead.
 
 Three kernels do all contractions.  Dense x dense forms each output cell as
 one sum of products; on the exact backend, once both sides keep a few cells,
@@ -324,21 +325,23 @@ class Tensor:
         denom = self.denom * den
         if self.dense is not None:
             return Tensor(self.shape, self.backend, dense=[num * v for v in self.dense], denom=denom)
+        kind, (store,) = _stored(self)
         if not num:
-            return Tensor(self.shape, self.backend, sparse={})
+            return Tensor(self.shape, self.backend, **{kind: {}})
         return Tensor(self.shape, self.backend,
-                      sparse={k: num * v for k, v in self.sparse.items()}, denom=denom)
+                      **{kind: {k: num * v for k, v in store.items()}}, denom=denom)
 
     def add(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
         denom = lcm(self.denom, other.denom)
         ma, mb = denom // self.denom, denom // other.denom
         if self.is_sparse and other.is_sparse:
-            out = {k: v * ma for k, v in self.sparse.items()}
+            kind, (sa, sb) = _stored(self, other)
+            out = {k: v * ma for k, v in sa.items()}
             oget = out.get
-            for k, v in other.sparse.items():
+            for k, v in sb.items():
                 out[k] = oget(k, 0) + v * mb
-            return Tensor(self.shape, self.backend, sparse=_drop_zeros(out), denom=denom)
+            return Tensor(self.shape, self.backend, **{kind: _drop_zeros(out)}, denom=denom)
         a = self.to_dense()
         b = other.to_dense()
         return Tensor(self.shape, self.backend,
@@ -359,10 +362,10 @@ class Tensor:
         ma, mb = other.denom, self.denom
         if self.is_sparse and other.is_sparse:
             z = ZERO_ENTRY[backend]
+            _, (sa, sb) = _stored(self, other)
             return all(
-                scalars.scalar_eq(backend, self.sparse.get(k, z) * ma,
-                                  other.sparse.get(k, z) * mb, tol)
-                for k in set(self.sparse) | set(other.sparse)
+                scalars.scalar_eq(backend, sa.get(k, z) * ma, sb.get(k, z) * mb, tol)
+                for k in set(sa) | set(sb)
             )
         a = self.to_dense()
         b = other.to_dense()
@@ -429,6 +432,13 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "dense" if not self.is_sparse else "alt" if self.alt is not None else "sparse"
         return f"Tensor(shape={list(self.shape)}, backend={self.backend}, {kind})"
+
+
+def _stored(*ts: Tensor):
+    """("alt", stored keys) if every tensor is alternating, else ("sparse", nonzeros)."""
+    if all(t.alt is not None for t in ts):
+        return "alt", [t.alt for t in ts]
+    return "sparse", [t.sparse for t in ts]
 
 
 def _check_index(shape: Shape, index: Index) -> None:

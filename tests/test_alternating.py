@@ -263,3 +263,37 @@ def test_alternating_partner_is_read_without_expansion(monkeypatch):
             want = pair_contract(written_out(alt), matched, written_out(partner), p_axes)
             assert got.alt is not None and agree(written_out(got), want)
     assert expanded == []
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_scale_add_equal_read_alternating_keys(backend, monkeypatch):
+    """scale, add and equal of alternating tensors keep alternating storage
+    and give the written-out route's entries, bit for bit on f64."""
+    rng = random.Random(19)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rank = rng.randint(0, n)
+        a, b = rand_alt(rng, rank, n, backend), rand_alt(rng, rank, n, backend)
+        lam = rng.choice([0, -1, Fraction(-3, 4), Fraction(5, 2), 3])
+        if backend == F64:
+            lam = float(lam)
+        cases.append((a, b, lam, written_out(a), written_out(b)))
+    m = Tensor((6, 6), backend, dense=[entry(rng, backend) for _ in range(36)])
+    eps_m = pair_contract(levi_civita(6, backend), [0, 1], m, [0, 1])
+    half = Fraction(1, 2) if backend == EXACT else 0.5
+    cases.append((eps_m, eps_m.scale(-2), half, written_out(eps_m), written_out(eps_m.scale(-2))))
+    expanded = []
+    monkeypatch.setattr(tensor_module, "_expand_alt", lambda alt, rank: expanded.append(rank))
+    for a, b, lam, wa, wb in cases:
+        scaled, summed = a.scale(lam), a.add(b)
+        assert scaled.alt is not None and summed.alt is not None
+        assert (scaled.alt == {}) == (lam == 0 or not a.alt)
+        for got, want in ((scaled, wa.scale(lam)), (summed, wa.add(wb))):
+            got = written_out(got)
+            assert (got.sparse, got.denom) == (want.sparse, want.denom)
+        for x, y in ((a, b), (a, a.scale(1)), (summed, b.add(a)), (scaled, b)):
+            assert x.equal(y, TOL) == written_out(x).equal(written_out(y), TOL)
+        assert a.equal(a.scale(1)) and summed.equal(b.add(a), TOL)
+    assert len(eps_m.scale(half).alt) == len(eps_m.alt) > 0
+    assert expanded == []

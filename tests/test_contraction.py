@@ -1,8 +1,11 @@
 import itertools
+import pathlib
 import random
+import re
 
 import pytest
 
+from nfg import dsl
 from nfg.builtins import levi_civita
 from nfg.contraction import (
     ContractionPlan,
@@ -492,3 +495,97 @@ def test_brute_det_n6_diagram_against_oracle():
     # 6^12 assignments for the literal enumeration
     a = rand_mat(random.Random(27), 6, 6)
     assert exterior_brute(det_diagram(a)).get(()) == det_oracle(a)
+
+
+# -- the planned replay: checked first, copies nothing, finishes any prefix ----
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a contraction ran before the plan was checked")
+
+
+def _abc_chain():
+    rng = random.Random(30)
+    g = Nfg()
+    for vid in "abc":
+        g.add_vertex(rand_mat(rng, 2, 2), vid)
+    g.connect(("a", 1), ("b", 0))
+    g.connect(("b", 1), ("c", 0))
+    g.add_dangling(("a", 0))
+    g.add_dangling(("c", 1))
+    return g
+
+
+@pytest.mark.parametrize("steps", [[("a", "b"), ("b", "c")], [("a", "a")], [("a", "x")]])
+def test_plan_is_checked_before_any_contraction(steps, monkeypatch):
+    g = _abc_chain()
+    monkeypatch.setattr("nfg.contraction.pair_contract", _must_not_run)
+    bad = steps[-1]
+    with pytest.raises(NfgError, match=re.escape(f"plan step {bad!r} is not replayable")):
+        exterior_planned(g, ContractionPlan(steps))
+
+
+def test_empty_plan_on_a_connected_chain_is_the_matrix_product():
+    rng = random.Random(31)
+    a, b = rand_mat(rng, 3, 4), rand_mat(rng, 4, 2)
+    z = exterior_planned(chain_graph([a, b], 4), ContractionPlan([]))
+    assert z.shape == (3, 2) and z.equal(matmul_oracle(a, b))
+
+
+def _prefix_cases():
+    from test_acceptance import random_nfg
+
+    rng = random.Random(32)
+    for _ in range(60):
+        g = random_nfg(rng)
+        yield g
+        yield with_storage(g, F64)
+    for n in range(1, 5):
+        a = rand_mat(rng, n, n)
+        yield det_diagram(a)
+        yield det_diagram(on_backend(a.shape, a.values(), F64))
+    for dim in (2, 4, 6):
+        a = rand_skew(rng, dim)
+        yield pfaffian_diagram(a)
+        yield pfaffian_diagram(on_backend(a.shape, a.values(), F64))
+
+
+def test_every_prefix_of_the_greedy_plan_is_finished_in_id_order():
+    """A plan that stops early leaves the rest to the id-order join; the
+    value is the same (exactly on exact, within 1e-9 on f64)."""
+    backends = set()
+    for g in _prefix_cases():
+        z = exterior_brute(g)
+        steps = plan_greedy(g).steps
+        for k in range(len(steps) + 1):
+            out = exterior_planned(g, ContractionPlan(steps[:k]))
+            assert out.shape == z.shape and out.equal(z, tol=1e-9), (k, steps)
+        backends.add(g.backend())
+    assert backends == {EXACT, F64}
+
+
+def _snapshot(g):
+    """Every vertex object, ciliation, edge and the interface, as they are now."""
+    return ([(vid, id(vtx), list(vtx.ciliation)) for vid, vtx in g.vertices.items()],
+            dict(g.edges), list(g.dangling))
+
+
+def test_planned_contraction_copies_and_changes_nothing(monkeypatch):
+    copies = []
+    original = Nfg.copy
+    monkeypatch.setattr(Nfg, "copy", lambda self: copies.append(self) or original(self))
+    rng = random.Random(33)
+    planner = dsl.parse((CORPUS / "v09_planner.nfg").read_text()).graphs["p"]
+    for g in (pfaffian_diagram(rand_skew(rng, 6)), det_diagram(rand_mat(rng, 4, 4)), planner):
+        before = _snapshot(g)
+        steps = plan_greedy(g).steps
+        for plan in (ContractionPlan(steps), None, ContractionPlan(steps[:1])):
+            exterior_planned(g, plan)
+        assert copies == [] and _snapshot(g) == before
+        # the public one-step rewrite makes one copy and leaves its input as it was
+        merged = group_vertices(g, *steps[0])
+        assert copies == [g] and steps[0][1] not in merged.vertices
+        assert _snapshot(g) == before
+        copies.clear()
