@@ -9,7 +9,8 @@ of a sum-product, Ngo-Re-Rudra 2013), which shares no code with the
 contraction kernels or the planner.  The planned path replays pairwise
 groupings (each one a two-tensor contraction) and exploits sparse operands,
 which is what makes the large Levi-Civita diagrams tractable.  One step
-function, ``_group``, does every grouping, on a map vertex id -> Vertex.
+function, ``_group``, does every grouping, on a map vertex id -> Vertex;
+self-loops are summed out before the first grouping, so no step carries one.
 """
 
 from __future__ import annotations
@@ -273,11 +274,13 @@ def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:
     """Replay a grouping plan (greedy by default), then join what is left.
 
     Every step is checked against the live vertex ids before the first
-    contraction; ``_group`` then replays them on a working map vertex id ->
-    Vertex, with no copy of g and no change to it.  Each remaining vertex
-    has its self-loops summed out, ``_group`` joins the rest in id order
-    (summing the edges an incomplete plan left), and the axes are reordered
-    to the declared interface.
+    contraction.  The working map vertex id -> Vertex starts with every
+    self-loop summed out: a loop sums one variable of one vertex, so it
+    commutes with every grouping, and no step need carry its two slots
+    (``_group`` makes no loop, as it sums every edge two vertices share).
+    ``_group`` replays the plan on that map, with no copy of g and no change
+    to it, then joins the rest in id order (summing the edges an incomplete
+    plan left), and the axes are reordered to the declared interface.
     """
     if plan is None:
         plan = plan_greedy(g)  # validates g
@@ -288,15 +291,13 @@ def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:
         if u == v or u not in live or v not in live:
             raise NfgError(f"plan step ({u!r}, {v!r}) is not replayable")
         live.remove(v)
-    work = dict(g.vertices)
+    work = {vid: _without_self_loops(vtx) for vid, vtx in g.vertices.items()}
     for u, v in plan.steps:
         _group(work, u, v)
     if not work:
         backend = g.backend()
         return Tensor((), backend, dense=[ONE_ENTRY[backend]])
     first, *rest = sorted(work)
-    for vid in work:
-        work[vid] = _without_self_loops(work[vid])
     for vid in rest:
         _group(work, first, vid)
     root = work[first]

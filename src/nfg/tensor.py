@@ -119,15 +119,21 @@ def inversion_sign(seq: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-def _expand_alt(alt: dict, rank: int) -> dict:
-    """Every nonzero of an alternating tensor, one block of permutations per key."""
-    # itertools permutes a sorted key in lexicographic order: m blocks, the
-    # r-th led by the r-th item, which precedes r smaller items, followed by
-    # the permutations of the rest in the same order; so each block repeats
-    # the signs for m-1, negated when r is odd
+def _perm_signs(rank: int) -> List[int]:
+    """The sign of each permutation of a sorted rank-tuple, in the
+    lexicographic order in which ``itertools.permutations`` lists them."""
+    # m blocks, the r-th led by the r-th item, which precedes r smaller
+    # items, followed by the permutations of the rest in the same order; so
+    # each block repeats the signs for m-1, negated when r is odd
     signs = [1]
     for m in range(2, rank + 1):
         signs = (signs + [-s for s in signs]) * (m // 2) + signs * (m % 2)
+    return signs
+
+
+def _expand_alt(alt: dict, rank: int) -> dict:
+    """Every nonzero of an alternating tensor, one block of permutations per key."""
+    signs = _perm_signs(rank)
     out = {}
     for key, v in alt.items():
         out.update(zip(itertools.permutations(key), [s * v for s in signs]))
@@ -198,16 +204,21 @@ class Tensor:
         if alt is not None:
             if len(set(shape)) > 1:
                 raise TensorError(f"alternating storage needs one alphabet size, got {list(shape)}")
-            n = shape[0] if shape else 0
-            # a float or bool passes the comparisons but is not an index; one
-            # C-level type pass over every component finds it, so the per-key
-            # work stays the comparisons (every kernel output is checked here)
-            ints = set(map(type, itertools.chain.from_iterable(alt))) <= {int}
-            for key in alt:
-                if (len(key) != len(shape) or not ints and set(map(type, key)) - {int}
-                        or key and not (0 <= key[0] and key[-1] < n
-                                        and all(map(lt, key, key[1:])))):
-                    raise TensorError(f"alternating key {key!r} is not a strictly increasing index")
+            n, r = shape[0] if shape else 0, len(shape)
+            # every kernel output is checked here, so the keys' components
+            # are checked together in C-level passes (a float or bool passes
+            # the comparisons but is not an index, hence the type pass); only
+            # a failure walks the keys, to name the first bad one
+            flat = list(itertools.chain.from_iterable(alt))
+            if not (set(map(len, alt)) <= {r} and set(map(type, flat)) <= {int}
+                    and (not flat or 0 <= min(flat) and max(flat) < n)
+                    and all(itertools.compress(map(lt, flat, flat[1:]),
+                                               itertools.cycle([1] * (r - 1) + [0])))):
+                for key in alt:
+                    if (len(key) != r or set(map(type, key)) - {int} or key and not (
+                            0 <= key[0] and key[-1] < n and all(map(lt, key, key[1:])))):
+                        raise TensorError(
+                            f"alternating key {key!r} is not a strictly increasing index")
         if dense is not None and len(dense) != shape_size(shape):
             raise TensorError(
                 f"dense storage length {len(dense)} != element count {shape_size(shape)}"
@@ -581,14 +592,17 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> dict:
     """Exterior-algebra update of an alternating operand by one it fully contracts.
 
     Only the other operand's alternating part reaches the result, so it is
-    first folded onto sorted tuples: each nonzero x, read over the matched
-    axes in their paired order and with no repeated value, adds
-    inversion_sign(x) * entry at sorted(x).  An alternating operand folds
-    without being written out: m! * sign(ot_axes) * entry at each stored key.
-    A stored key K is sorted, so the sign of a full index made from K depends
-    only on which positions of K go to which axes: for each set of m
-    positions for the matched axes, in increasing order (the rest fill the
-    kept axes in order), the sign is computed once, then every key adds
+    first folded onto sorted tuples: the folded entry at a sorted m-set K is
+    the sum, over each ordering x of K read over the matched axes in their
+    paired order, of inversion_sign(x) * entry at x.  A dense operand is
+    folded set by set, its orderings listed lexicographically against one
+    m!-entry sign table; a sparse one nonzero by nonzero.  An alternating
+    operand folds without being written out: m! * sign(ot_axes) * entry at
+    each stored key.  A stored key K is sorted, so the sign of a full index
+    made from K depends only on which positions of K go to which axes: a set
+    of m positions for the matched axes, in increasing order (the rest fill
+    the kept axes in order), is a shuffle of parity sum(chosen) - m(m-1)/2,
+    times the sign of the axis order al_axes + al_keep.  Every key then adds
     sign * entry * the folded entry at the chosen values to the entry of the
     remaining ones.
     """
@@ -596,26 +610,34 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> dict:
     if ot.alt is not None:
         scale = factorial(m) * inversion_sign(ot_axes)
         lookup = {k: scale * v for k, v in ot.alt.items()}
+    elif ot.dense is not None:
+        # the entry at ordering p of K sits at sum(K[i] * weight[i]), where
+        # K[i] goes to matched axis p.index(i)
+        data, st = ot.dense, _strides(ot.shape)
+        strides = [st[a] for a in ot_axes]
+        weights = [[strides[p.index(i)] for i in range(m)]
+                   for p in itertools.permutations(range(m))]
+        signs = _perm_signs(m)
+        lookup = {}
+        for k in itertools.combinations(range(ot.shape[0] if m else 0), m):
+            v = sum(map(mul, signs, [data[sum(map(mul, k, w))] for w in weights]))
+            if v:
+                lookup[k] = v
     else:
-        if ot.dense is not None:
-            data = ot.dense
-            nonzeros = ((x, data[off]) for x, off in _cells(ot.shape, ot_axes) if data[off])
-        else:
-            nonzeros = zip(map(_getter(ot_axes), ot.sparse), ot.sparse.values())
         lookup = {}
         fget = lookup.get
-        for x, v in nonzeros:
+        for x, v in zip(map(_getter(ot_axes), ot.sparse), ot.sparse.values()):
             if len(set(x)) == m:
                 k = tuple(sorted(x))
                 lookup[k] = fget(k, 0) + inversion_sign(x) * v
     rank = al.rank
+    base = inversion_sign(al_axes + al_keep)
+    shift = m * (m - 1) // 2
     choices = []
     for chosen in itertools.combinations(range(rank), m):
         rest = [q for q in range(rank) if q not in chosen]
-        seq = [0] * rank
-        for axis, q in zip(al_axes + al_keep, list(chosen) + rest):
-            seq[axis] = q
-        choices.append((_getter(chosen), _getter(rest), inversion_sign(seq)))
+        sign = -base if (sum(chosen) - shift) % 2 else base
+        choices.append((_getter(chosen), _getter(rest), sign))
     out: Dict[Index, object] = {}
     oget, lget = out.get, lookup.get
     for key, val in al.alt.items():

@@ -9,6 +9,7 @@ expansion and the sign rule are each checked against code they do not share.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -160,12 +161,49 @@ def test_levi_civita_is_one_sorted_entry():
     ((3, 3), {(1,): 1}),              # wrong length
     ((3, 3), {(0.5, 1): 1}),          # not an int
     ((3, 3), {(True, 2): 1}),         # a bool, not an int
+    ((3, 3), {(0, "b"): 1}),          # not comparable with an int
+    ((3, 3), {(-1, 2): 1}),           # negative
+    ((), {(0,): 1}),                  # a rank-0 tensor's only key is ()
 ])
 def test_alternating_storage_rejects_malformed_input(shape, alt):
     message = ("alternating storage needs one alphabet size" if len(set(shape)) > 1
                else "is not a strictly increasing index")
     with pytest.raises(TensorError, match=message):
         Tensor(shape, EXACT, alt=alt)
+
+
+def test_alternating_keys_are_checked_key_by_key():
+    """Keys are checked together, but a value may drop from one key to the
+    next, and a failure names the first bad key in dict order."""
+    good = {(2, 3, 4): 1, (0, 1, 2): -2, (1, 3, 4): 5}
+    assert Tensor((5,) * 3, EXACT, alt=good).alt == good
+    for alt in ({(): 3}, {(4,): 1, (0,): 2}):
+        Tensor((5,) * len(next(iter(alt))), EXACT, alt=alt)
+    for bad, first in [({(1, 2, 5): 1}, (1, 2, 5)),
+                       ({(1, 2): 1}, (1, 2)),
+                       ({(3, 2, 4): 1, (0, 0, 1): 1}, (3, 2, 4)),
+                       ({(0, 1, 1.0): 1, (4, 3, 2): 1}, (0, 1, 1.0))]:
+        with pytest.raises(TensorError, match=re.escape(
+                f"alternating key {first!r} is not a strictly increasing index")):
+            Tensor((5,) * 3, EXACT, alt={**good, **bad, (0, 2, 4): 1})
+
+
+def test_dense_partner_is_folded_without_a_sign_per_cell(monkeypatch):
+    """A dense partner is folded over sorted sets against one sign table,
+    and each set of key positions is signed by its shuffle parity: one
+    inversion count per contraction, of the alternating operand's axis order."""
+    calls = []
+    original = tensor_module.inversion_sign
+    monkeypatch.setattr(tensor_module, "inversion_sign",
+                        lambda seq: calls.append(tuple(seq)) or original(seq))
+    rng = random.Random(23)
+    for backend in (EXACT, F64):
+        a = rand_alt(rng, 6, 6, backend)
+        m = dense_matrix(rng, 6, backend)
+        calls.clear()
+        got = pair_contract(m, [1, 0], a, [4, 2])
+        assert calls == [(4, 2, 0, 1, 3, 5)]
+        assert agree(written_out(got), pair_contract(m, [1, 0], written_out(a), [4, 2]))
 
 
 def dense_matrix(rng, n, backend, symmetric=False):

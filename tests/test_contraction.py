@@ -28,7 +28,7 @@ from nfg.diagrams import (
 from nfg.graph import Nfg, NfgError, Vertex
 from nfg.scalars import EXACT, F64
 from nfg.suites import rand_mat, rand_rat, rand_skew
-from nfg.tensor import ONE_ENTRY, ZERO_ENTRY, Tensor
+from nfg.tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, pair_contract
 
 
 def chain_graph(tensors, alphabet):
@@ -589,3 +589,129 @@ def test_planned_contraction_copies_and_changes_nothing(monkeypatch):
         assert copies == [g] and steps[0][1] not in merged.vertices
         assert _snapshot(g) == before
         copies.clear()
+
+
+# -- self-loops are summed out before the first grouping step ------------------
+
+
+def _looped_nfg(rng):
+    """A random tree of one to four vertices, each with up to two self-loops
+    and maybe a dangling edge, every slot order shuffled (alphabets 1-3)."""
+    vids = [f"v{i}" for i in range(rng.randint(1, 4))]
+    slots = {vid: [] for vid in vids}  # vid -> the edges on its slots
+    edges = []  # edge -> alphabet
+
+    def edge(*ends):
+        edges.append(rng.randint(1, 3))
+        for vid in ends:
+            slots[vid].append(len(edges) - 1)
+
+    for i in range(1, len(vids)):
+        edge(vids[rng.randrange(i)], vids[i])
+    for vid in vids:
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            edge(vid, vid)
+        if rng.random() < 0.4:
+            edge(vid)
+    g = Nfg()
+    ports = {}  # edge -> its ports
+    for vid in vids:
+        rng.shuffle(slots[vid])
+        g.add_vertex(_tensor(rng, tuple(edges[e] for e in slots[vid])), vid)
+        for slot, e in enumerate(slots[vid]):
+            ports.setdefault(e, []).append((vid, slot))
+    for e in range(len(edges)):
+        if len(ports[e]) == 2:
+            g.connect(*ports[e])
+        else:
+            g.add_dangling(ports[e][0])
+    g.check_valid()
+    return g
+
+
+def _eps_with_loop(rng, backend):
+    """eps(n) with a loop on two of its slots, every other slot read by a
+    vector or left dangling."""
+    n = rng.randint(2, 4)
+    g = Nfg(backend)
+    g.add_vertex(levi_civita(n, backend), "eps")
+    a, b = rng.sample(range(n), 2)
+    g.connect(("eps", a), ("eps", b))
+    for slot in sorted(set(range(n)) - {a, b}):
+        if rng.random() < 0.5:
+            g.add_dangling(("eps", slot))
+        else:
+            vid = g.add_vertex(on_backend((n,), [rand_rat(rng) for _ in range(n)], backend))
+            g.connect(("eps", slot), (vid, 0))
+    g.check_valid()
+    return g
+
+
+def _looped_cases():
+    rng = random.Random(34)
+    for _ in range(80):
+        g = _looped_nfg(rng)
+        for backend in (EXACT, F64):
+            yield with_storage(g, backend, rng, zero_rate=rng.choice([0.0, 0.3]))
+    for _ in range(6):
+        for backend in (EXACT, F64):
+            yield _eps_with_loop(rng, backend)
+
+
+def _loop_counts(g):
+    return {vid: len(vtx.ciliation) - len(set(vtx.ciliation)) for vid, vtx in g.vertices.items()}
+
+
+def test_planned_matches_brute_on_graphs_with_self_loops():
+    """Every prefix of the greedy plan, the empty plan included, leaves some
+    looped vertices to the id-order join; the value is the same (exactly on
+    exact, within 1e-9 on f64)."""
+    seen = set()
+    for g in _looped_cases():
+        loops = _loop_counts(g)
+        z = exterior_brute(g)
+        steps = plan_greedy(g).steps
+        for plan in [None] + [ContractionPlan(steps[:k]) for k in range(len(steps) + 1)]:
+            out = exterior_planned(g, plan)
+            assert out.shape == z.shape and out.equal(z, tol=1e-9), (g.backend(), steps)
+        if any(loops.values()):
+            seen.add("one vertex" if len(loops) == 1 else "tadpole")
+        if max(loops.values()) > 1:
+            seen.add("two loops on one vertex")
+        if "eps" in g.vertices:
+            seen.add("loop on eps")
+        seen.add(g.backend())
+    assert seen == {"one vertex", "tadpole", "two loops on one vertex", "loop on eps",
+                    EXACT, F64}, seen
+
+
+def test_no_grouping_step_carries_a_self_loop(monkeypatch):
+    """A recorder on the step contraction: neither operand's vertex has an
+    edge id on two slots, also when the plan groups a looped vertex."""
+    import nfg.contraction as contraction
+
+    ciliations = {}  # id(tensor) -> (tensor, ciliation) of every vertex a step may read
+
+    def vertex(tensor, ciliation):
+        ciliations[id(tensor)] = (tensor, list(ciliation))
+        return Vertex(tensor, ciliation)
+
+    def record(f, f_axes, g, g_axes):
+        for t in (f, g):
+            _, ciliation = ciliations[id(t)]
+            assert len(set(ciliation)) == len(ciliation), ciliation
+        return pair_contract(f, f_axes, g, g_axes)
+
+    monkeypatch.setattr(contraction, "Vertex", vertex)
+    monkeypatch.setattr(contraction, "pair_contract", record)
+    looped_steps = 0
+    for g in _looped_cases():
+        ciliations.clear()
+        for vtx in g.vertices.values():
+            vertex(vtx.tensor, vtx.ciliation)
+        loops = _loop_counts(g)
+        plan = plan_greedy(g)
+        looped_steps += sum(bool(loops[u] or loops[v]) for u, v in plan.steps)
+        exterior_planned(g, plan)
+        exterior_planned(g, ContractionPlan([]))
+    assert looped_steps

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,39 @@ def test_pfaffian_small_cases():
     s0 = Tensor.from_values((4, 4), [0 if i in (1, 4) else v for i, v in enumerate(s.values())])
     assert pfaffian_oracle(s0) == rat(-2 * 5 + 3 * 4)
     assert det_oracle(s0) == rat(-2 * 5 + 3 * 4) ** 2
+
+
+def _skew_with(backend, changes):
+    """A 4x4 skew matrix of fractions (floats on f64) with some cells replaced."""
+    cells = {(0, 1): rat(1, 2), (0, 2): rat(-2, 3), (0, 3): rat(1, 3),
+             (1, 2): rat(5, 7), (1, 3): rat(-4), (2, 3): rat(9, 8)}
+    m = [[rat(0)] * 4 for _ in range(4)]
+    for (i, j), v in cells.items():
+        m[i][j], m[j][i] = v, -v
+    for (i, j), v in changes.items():
+        m[i][j] = v
+    values = [v for row in m for v in row]
+    return Tensor.from_values((4, 4), [float(v) for v in values] if backend == F64 else values,
+                              backend)
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_pfaffian_names_the_first_cell_that_is_not_skew(backend):
+    """Row by row, j >= i: the first (i, j) with a_ij + a_ji != 0 is named,
+    by the diagram and the oracle, whatever the tensor's storage."""
+    pf = rat(1, 2) * rat(9, 8) - rat(-2, 3) * rat(-4) + rat(1, 3) * rat(5, 7)
+    assert scalars.scalar_eq(backend, pfaffian_oracle(_skew_with(backend, {})),
+                             pf if backend == EXACT else float(pf), 1e-12)
+    for changes, cell in [({(1, 2): rat(5, 6)}, (1, 2)),
+                          ({(2, 1): rat(5, 7)}, (1, 2)),
+                          ({(3, 3): rat(1, 9)}, (3, 3)),
+                          ({(3, 3): rat(1), (3, 0): rat(1, 3)}, (0, 3))]:
+        a = _skew_with(backend, changes)
+        for t in (a, a.to_sparse()):
+            for build in (pfaffian_diagram, pfaffian_oracle):
+                with pytest.raises(NfgError, match=re.escape(
+                        f"matrix is not skew-symmetric at {cell}")):
+                    build(t)
 
 
 def test_pfaffian_square_is_det():
