@@ -20,7 +20,6 @@ from .builtins import (
 )
 from .contraction import (
     ContractionPlan,
-    brute_cost,
     exterior_brute,
     exterior_planned,
     group_vertices,

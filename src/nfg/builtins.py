@@ -8,7 +8,7 @@ and reads as sparse with its n! nonzeros out of n**n cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from . import scalars
 from .scalars import EXACT
@@ -38,12 +38,6 @@ class Permutation:
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, i in enumerate(self.images, start=1):
-            inv[i - 1] = j
-        return Permutation(tuple(inv))
 
 
 def perm_sign(p: Permutation) -> int:
@@ -86,12 +80,7 @@ def levi_civita(n: int, backend: str = EXACT) -> Tensor:
     if n > EPS_DEFAULT_LIMIT:
         raise ValueError(f"n={n} exceeds the Levi-Civita limit {EPS_DEFAULT_LIMIT} (n! storage)")
     scalars.check_backend(backend)
-    return Tensor((n,) * n, backend, alt={tuple(range(n)): ONE_ENTRY[backend]})
-
-
-def eps_get(eps: Tensor, args: Sequence[int]):
-    """Levi-Civita lookup with 1-based arguments."""
-    return eps.get(tuple(a - 1 for a in args))
+    return Tensor((n,) * n, backend, alt=[ONE_ENTRY[backend]])
 
 
 def delta2(size: int, backend: str = EXACT) -> Tensor:

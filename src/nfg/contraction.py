@@ -16,7 +16,7 @@ self-loops are summed out before the first grouping, so no step carries one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from math import prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -76,10 +76,7 @@ def exterior_brute(g: Nfg) -> Tensor:
     for vtx in g.vertices.values():
         tensor = vtx.tensor
         denom *= tensor.denom
-        if tensor.dense is None:
-            items = tensor.sparse.items()
-        else:
-            items = compress(zip(tensor.indices(), tensor.dense), tensor.dense)
+        items = tensor.nonzeros()
         first: Dict[str, int] = {}
         for slot, eid in enumerate(vtx.ciliation):
             first.setdefault(eid, slot)
@@ -216,18 +213,6 @@ def split_vertex(g: Nfg, h: str, f: Tensor, f_slots: Sequence[int],
     g.vertices[hf] = Vertex(f, [vh.ciliation[sl] for sl in f_slots] + new_eids)
     g.vertices[hg] = Vertex(gt, new_eids + [vh.ciliation[sl] for sl in g_slots])
     return g
-
-
-def brute_cost(g: Nfg) -> int:
-    """Multiplication count of the naive sum of products over every assignment.
-
-    The planner's tests use it as the baseline a plan must beat.  It is not
-    the cost of ``exterior_brute``, which enumerates nonzero terms only.
-    """
-    terms = 1
-    for edge in g.edges.values():
-        terms *= edge.alphabet
-    return max(len(g.vertices) - 1, 1) * terms
 
 
 def plan_greedy(g: Nfg) -> ContractionPlan:

@@ -53,12 +53,6 @@ def _report(name: str, lhs: Tensor, rhs: Tensor) -> IdentityCheckReport:
 # -- small vector/matrix plumbing -------------------------------------------
 
 
-def vec_values(t: Tensor) -> list:
-    if t.rank != 1:
-        raise NfgError("expected a rank-1 tensor")
-    return t.values()
-
-
 def transpose(a: Tensor) -> Tensor:
     return a.permute_axes([1, 0])
 
@@ -99,23 +93,6 @@ def trace_oracle(a: Tensor):
     for v in a.values()[::n + 1]:
         acc = acc + v
     return acc
-
-
-def dot_oracle(u: Tensor, v: Tensor):
-    acc = scalars.zero(u.backend)
-    for x, y in zip(vec_values(u), vec_values(v)):
-        acc = acc + x * y
-    return acc
-
-
-def cross_oracle(u: Tensor, v: Tensor) -> Tensor:
-    """Componentwise cross product of two length-3 vectors."""
-    a, b = vec_values(u), vec_values(v)
-    return Tensor.from_values((3,), [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ], u.backend)
 
 
 def scalar_tensor(value, backend: str = EXACT) -> Tensor:

@@ -160,10 +160,6 @@ class Nfg:
 
     # -- inspection ------------------------------------------------------------
 
-    def internal_edge_ids(self) -> List[str]:
-        dangling = set(self.dangling)
-        return [eid for eid in self.edges if eid not in dangling]
-
     def dangling_shape(self) -> Tuple[int, ...]:
         return tuple(self.edges[eid].alphabet for eid in self.dangling)
 

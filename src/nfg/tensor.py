@@ -8,16 +8,20 @@ A tensor has one of three storage kinds:
 
 * ``dense``: a row-major list of every cell;
 * ``sparse``: a map from index tuple to nonzero entry;
-* ``alt`` (alternating): a map from strictly increasing index tuples to
-  nonzero entries, over one alphabet size on every axis.  The value at any
+* ``alt`` (alternating): a list of C(n, r) entries, zeros included, one per
+  sorted r-subset of ``range(n)`` in ``itertools.combinations`` order, over
+  one alphabet size n on every axis of a rank-r tensor.  The value at any
   index is the sign of the permutation that sorts it times the entry at the
   sorted tuple, or zero if the index repeats a value.  The Levi-Civita
-  symbol eps(n) is the single entry ``(0, ..., n-1): 1``, so it and every
-  intermediate of the epsilon networks stay at C(n, k) entries instead of
-  n!/k! (packed antisymmetric storage, as in the Cyclops Tensor Framework).
-  An alternating tensor reads as sparse: ``sparse`` expands it once, on
-  first use, and keeps the result; ``scale``, and ``add`` and ``equal`` of
-  two alternating tensors, read the stored keys instead.
+  symbol eps(n) is ``[1]``, so it and every intermediate of the epsilon
+  networks stay at C(n, k) entries instead of n!/k! (packed antisymmetric
+  storage, as in the Cyclops Tensor Framework).  ``get``, ``scale``, ``add``
+  and ``equal`` of alternating tensors, ``permute_axes`` and the alternating
+  kernel read the packed list, and ``nonzeros`` generates each nonzero
+  set's signed orderings without keeping them.  Only ``sparse`` writes the
+  tensor out, once, and keeps the result: the hash join reads it when an
+  alternating operand meets one with kept axes, as do ``add`` and ``equal``
+  of an alternating tensor with a sparse one.
 
 Three kernels do all contractions.  Dense x dense forms each output cell as
 one sum of products; on the exact backend, once both sides keep a few cells,
@@ -27,15 +31,17 @@ Floats keep the plain sums, whose rounding follows the summation order.  An
 alternating operand against an operand it fully contracts is an
 exterior-algebra update whose result is alternating.  Only the other
 operand's alternating part reaches it, so that operand is first folded onto
-sorted index tuples (an alternating one from its stored keys, never written
-out); then for each stored key and each set of its positions for the matched
-axes, the folded entry at those values times the sign is added to the entry
-of the remaining values.  Every other contraction with a sparse operand is
-one hash join: each nonzero of the sparse operand meets the other operand's
-entries that agree with it on the matched axes, found in an index by matched
-positions if the other is sparse, or at offsets computed from the key if it
-is dense.  A trace (a self-loop) is a contraction with the equality
-indicator delta, which is zero on an alternating pair of axes.
+the sorted sets of its matched values (an alternating one from its packed
+list, never written out).  Each output entry, one per sorted set of the
+remaining values, is then one sum of equally many signed products of a
+packed entry and a folded one; which ones, and their signs, depend on the
+shape alone, so the tables listing them are built once per (n, r, m) and
+kept.  Every other contraction with a sparse operand is one hash join: each
+nonzero of the sparse operand meets the other operand's entries that agree
+with it on the matched axes, found in an index by matched positions if the
+other is sparse, or at offsets computed from the key if it is dense.  A
+trace (a self-loop) is a contraction with the equality indicator delta,
+which is zero on an alternating pair of axes.
 
 Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
@@ -53,8 +59,9 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from math import factorial, gcd, lcm
-from operator import itemgetter, lt, mul
+from functools import cache
+from math import comb, factorial, gcd, lcm
+from operator import gt, itemgetter, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import scalars
@@ -67,6 +74,7 @@ Index = Tuple[int, ...]
 ZERO_ENTRY = {EXACT: 0, F64: 0.0}
 ONE_ENTRY = {EXACT: 1, F64: 1.0}
 _ENTRY_TYPE = {EXACT: int, F64: float}
+_EXACT_ZERO = ExactValue(0)  # the one exact zero that ``get`` and ``values`` return
 # An exact dense pair is packed when one side keeps at least _PACK_MIN cells
 # and the other twice that, and, if slots are wider than 8 bytes, it sums
 # over at least _PACK_MIN matched cells; smaller pairs gain nothing, as
@@ -110,13 +118,7 @@ def _cells(shape: Shape, axes: Sequence[int]):
 
 def inversion_sign(seq: Sequence[int]) -> int:
     """(-1)**inversions: the sign of the permutation that sorts distinct values."""
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return -1 if sum(itertools.starmap(gt, itertools.combinations(seq, 2))) % 2 else 1
 
 
 def _perm_signs(rank: int) -> List[int]:
@@ -131,13 +133,68 @@ def _perm_signs(rank: int) -> List[int]:
     return signs
 
 
-def _expand_alt(alt: dict, rank: int) -> dict:
-    """Every nonzero of an alternating tensor, one block of permutations per key."""
+def _alt_dims(shape: Shape) -> Tuple[int, int]:
+    """(alphabet size n, rank r) of alternating storage; n is 0 at rank 0."""
+    return (shape[0] if shape else 0), len(shape)
+
+
+def _signed_orderings(alt: list, n: int, rank: int):
+    """(index, entry) of every nonzero of packed alternating storage: each
+    nonzero set's orderings, in ``itertools.permutations`` order, signed."""
     signs = _perm_signs(rank)
-    out = {}
-    for key, v in alt.items():
-        out.update(zip(itertools.permutations(key), [s * v for s in signs]))
-    return out
+    for key, v in zip(itertools.combinations(range(n), rank), alt):
+        if v:
+            yield from zip(itertools.permutations(key), [s * v for s in signs])
+
+
+def _expand_alt(alt: list, n: int, rank: int) -> dict:
+    """An alternating tensor written out: index tuple -> nonzero entry."""
+    return dict(_signed_orderings(alt, n, rank))
+
+
+@cache
+def _ranks(n: int, k: int) -> dict:
+    """Sorted k-subset of range(n) -> its place in packed order."""
+    return dict(zip(itertools.combinations(range(n), k), itertools.count()))
+
+
+# the alternating kernel's tables, by shape (n, r, m), built on first use and only read
+_ALT_TABLES: Dict[Tuple[int, int, int], Tuple[array, array]] = {}
+
+
+def _alt_tables(n: int, r: int, m: int) -> Tuple[array, array]:
+    """The alternating kernel's rows for a rank-r operand over alphabet n
+    with m axes contracted, as (source rank, signed fold rank) arrays.
+
+    For each sorted (r-m)-set D of kept values, in packed order, there are
+    C(n-r+m, m) rows, one per sorted m-set F of the values not in D.  The
+    source is the packed rank of D | F.  The fold rank is F's, plus C(n, m)
+    if the sign is negative, so it indexes the folded entries followed by
+    their negations.  Putting F's values on the contracted axes and D's on
+    the kept ones takes #{(d, f): d < f} transpositions from sorted order;
+    if F holds the j-th values of the complement of D for j in idx, that is
+    sum(F) - sum(idx).  One C-level pass per idx lists the rows of every D.
+    """
+    tables = _ALT_TABLES.get((n, r, m))
+    if tables is None:
+        src, fold = [], []
+        if r <= n:
+            c = n - r + m
+            # the complements of the (r-m)-sets, in packed order; an r-set's
+            # packed rank, keyed by its complement (complements reverse the order)
+            comps = list(itertools.combinations(range(n), c))[::-1]
+            source = dict(zip(itertools.combinations(range(n), n - r),
+                              itertools.count(comb(n, r) - 1, -1)))
+            sets = list(itertools.combinations(range(n), m))
+            signed = [{f: i + len(sets) * ((sum(f) + p) % 2) for i, f in enumerate(sets)}
+                      for p in (0, 1)]
+            for idx in itertools.combinations(range(c), m):
+                rest = [j for j in range(c) if j not in idx]
+                src.append(map(source.__getitem__, map(_getter(rest), comps)))
+                fold.append(map(signed[sum(idx) % 2].__getitem__, map(_getter(idx), comps)))
+        tables = _ALT_TABLES[n, r, m] = tuple(
+            array("i", list(itertools.chain.from_iterable(zip(*cols)))) for cols in (src, fold))
+    return tables
 
 
 def _getter(indices: Sequence[int]):
@@ -186,8 +243,8 @@ class Tensor:
     """Immutable multi-dimensional array over one scalar backend.
 
     ``dense`` (row-major list), ``sparse`` (index tuple -> nonzero entry) or
-    ``alt`` (sorted index tuple -> nonzero entry, alternating) holds the
-    entries; the value at an index is entry / ``denom``.
+    ``alt`` (alternating: one entry per sorted index, in packed order) holds
+    the entries; the value at an index is entry / ``denom``.
     """
 
     __slots__ = ("shape", "backend", "dense", "alt", "denom", "_sparse")
@@ -204,21 +261,10 @@ class Tensor:
         if alt is not None:
             if len(set(shape)) > 1:
                 raise TensorError(f"alternating storage needs one alphabet size, got {list(shape)}")
-            n, r = shape[0] if shape else 0, len(shape)
-            # every kernel output is checked here, so the keys' components
-            # are checked together in C-level passes (a float or bool passes
-            # the comparisons but is not an index, hence the type pass); only
-            # a failure walks the keys, to name the first bad one
-            flat = list(itertools.chain.from_iterable(alt))
-            if not (set(map(len, alt)) <= {r} and set(map(type, flat)) <= {int}
-                    and (not flat or 0 <= min(flat) and max(flat) < n)
-                    and all(itertools.compress(map(lt, flat, flat[1:]),
-                                               itertools.cycle([1] * (r - 1) + [0])))):
-                for key in alt:
-                    if (len(key) != r or set(map(type, key)) - {int} or key and not (
-                            0 <= key[0] and key[-1] < n and all(map(lt, key, key[1:])))):
-                        raise TensorError(
-                            f"alternating key {key!r} is not a strictly increasing index")
+            n, r = _alt_dims(shape)
+            if type(alt) is not list or len(alt) != comb(n, r):
+                raise TensorError(f"alternating storage is a list of C({n}, {r}) = "
+                                  f"{comb(n, r)} entries, one per sorted index")
         if dense is not None and len(dense) != shape_size(shape):
             raise TensorError(
                 f"dense storage length {len(dense)} != element count {shape_size(shape)}"
@@ -228,7 +274,7 @@ class Tensor:
                 f"denominator {denom!r} is not a positive int (always 1 for {F64})"
             )
         entry = _ENTRY_TYPE[backend]
-        stored = dense if dense is not None else (sparse if alt is None else alt).values()
+        stored = sparse.values() if sparse is not None else dense if alt is None else alt
         stray = set(map(type, stored)) - {entry}
         if stray:
             names = ", ".join(sorted(t.__name__ for t in stray))
@@ -284,24 +330,44 @@ class Tensor:
     @property
     def sparse(self):
         """Index tuple -> nonzero entry (None if dense); an alternating tensor
-        is expanded on first read, one sign block per stored key, and kept."""
+        is written out on first read, one sign block per nonzero set, and kept."""
         if self._sparse is None and self.alt is not None:
-            self._sparse = _expand_alt(self.alt, self.rank)
+            self._sparse = _expand_alt(self.alt, *_alt_dims(self.shape))
         return self._sparse
+
+    def nonzeros(self) -> Iterable[Tuple[Index, object]]:
+        """(index, entry) of every nonzero entry, in storage order; an
+        alternating tensor's are generated as read, not kept."""
+        if self.dense is not None:
+            return itertools.compress(zip(self.indices(), self.dense), self.dense)
+        if self.alt is not None:
+            return _signed_orderings(self.alt, *_alt_dims(self.shape))
+        return self._sparse.items()
 
     def _value(self, entry):
         """A stored entry as a backend scalar (exact: in lowest terms)."""
         if self.backend != EXACT:
             return entry
+        if not entry:
+            return _EXACT_ZERO
         return ExactValue(entry) if self.denom == 1 else ExactValue(entry, self.denom)
 
     def get(self, index: Sequence[int]):
-        """Entry at a multi-index; absent sparse keys read as zero."""
+        """Entry at a multi-index; absent sparse keys, and alternating
+        indices that repeat a value, read as zero."""
         index = tuple(index)
         if self.dense is not None:
             return self._value(self.dense[_checked_offset(self.shape, index)])
-        _check_index(self.shape, index)
-        return self._value(self.sparse.get(index, ZERO_ENTRY[self.backend]))
+        if self.alt is None:
+            _check_index(self.shape, index)
+            return self._value(self._sparse.get(index, ZERO_ENTRY[self.backend]))
+        shape, r = self.shape, len(index)
+        if r != len(shape) or index and not (0 <= min(index) and max(index) < shape[0]):
+            _check_index(shape, index)  # raises the rank or bounds error
+        if len(set(index)) < r or not (
+                entry := self.alt[_ranks(r and shape[0], r)[tuple(sorted(index))]]):
+            return self._value(ZERO_ENTRY[self.backend])
+        return self._value(entry if inversion_sign(index) > 0 else -entry)
 
     def values(self) -> list:
         """All entries in row-major order, as backend scalars."""
@@ -315,7 +381,7 @@ class Tensor:
             return self
         data = [ZERO_ENTRY[self.backend]] * shape_size(self.shape)
         st = _strides(self.shape)
-        for key, v in self.sparse.items():
+        for key, v in self.nonzeros():
             data[sum(i * s for i, s in zip(key, st))] = v
         return Tensor(self.shape, self.backend, dense=data, denom=self.denom)
 
@@ -334,29 +400,24 @@ class Tensor:
         else:
             num, den = lam, 1
         denom = self.denom * den
-        if self.dense is not None:
-            return Tensor(self.shape, self.backend, dense=[num * v for v in self.dense], denom=denom)
         kind, (store,) = _stored(self)
-        if not num:
-            return Tensor(self.shape, self.backend, **{kind: {}})
-        return Tensor(self.shape, self.backend,
-                      **{kind: {k: num * v for k, v in store.items()}}, denom=denom)
+        store = ([num * v for v in store] if kind != "sparse"
+                 else _drop_zeros({k: num * v for k, v in store.items()}))
+        return Tensor(self.shape, self.backend, **{kind: store}, denom=denom)
 
     def add(self, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
         denom = lcm(self.denom, other.denom)
         ma, mb = denom // self.denom, denom // other.denom
-        if self.is_sparse and other.is_sparse:
-            kind, (sa, sb) = _stored(self, other)
-            out = {k: v * ma for k, v in sa.items()}
-            oget = out.get
-            for k, v in sb.items():
-                out[k] = oget(k, 0) + v * mb
-            return Tensor(self.shape, self.backend, **{kind: _drop_zeros(out)}, denom=denom)
-        a = self.to_dense()
-        b = other.to_dense()
-        return Tensor(self.shape, self.backend,
-                      dense=[x * ma + y * mb for x, y in zip(a.dense, b.dense)], denom=denom)
+        kind, (sa, sb) = _stored(self, other)
+        if kind != "sparse":
+            return Tensor(self.shape, self.backend,
+                          **{kind: [x * ma + y * mb for x, y in zip(sa, sb)]}, denom=denom)
+        out = {k: v * ma for k, v in sa.items()}
+        oget = out.get
+        for k, v in sb.items():
+            out[k] = oget(k, 0) + v * mb
+        return Tensor(self.shape, self.backend, sparse=_drop_zeros(out), denom=denom)
 
     def neg(self) -> "Tensor":
         return self.scale(-1 if self.backend == EXACT else -1.0)
@@ -371,17 +432,14 @@ class Tensor:
         self._check_compatible(other)
         backend = self.backend
         ma, mb = other.denom, self.denom
-        if self.is_sparse and other.is_sparse:
-            z = ZERO_ENTRY[backend]
-            _, (sa, sb) = _stored(self, other)
-            return all(
-                scalars.scalar_eq(backend, sa.get(k, z) * ma, sb.get(k, z) * mb, tol)
-                for k in set(sa) | set(sb)
-            )
-        a = self.to_dense()
-        b = other.to_dense()
-        return all(scalars.scalar_eq(backend, x * ma, y * mb, tol)
-                   for x, y in zip(a.dense, b.dense))
+        kind, (sa, sb) = _stored(self, other)
+        if kind != "sparse":
+            return all(scalars.scalar_eq(backend, x * ma, y * mb, tol) for x, y in zip(sa, sb))
+        z = ZERO_ENTRY[backend]
+        return all(
+            scalars.scalar_eq(backend, sa.get(k, z) * ma, sb.get(k, z) * mb, tol)
+            for k in set(sa) | set(sb)
+        )
 
     def _check_compatible(self, other: "Tensor") -> None:
         if self.backend != other.backend:
@@ -400,7 +458,7 @@ class Tensor:
         if self.alt is not None:
             sign = inversion_sign(order)
             return Tensor(new_shape, self.backend, denom=self.denom,
-                          alt={k: sign * v for k, v in self.alt.items()})
+                          alt=[sign * v for v in self.alt])
         if self.is_sparse:
             getk = _getter(order)
             return Tensor(new_shape, self.backend,
@@ -446,10 +504,14 @@ class Tensor:
 
 
 def _stored(*ts: Tensor):
-    """("alt", stored keys) if every tensor is alternating, else ("sparse", nonzeros)."""
+    """The tensors' entries in one layout: ("alt", packed lists) if all are
+    alternating, else ("sparse", nonzero maps) if all are sparse or
+    alternating, else ("dense", row-major lists)."""
     if all(t.alt is not None for t in ts):
         return "alt", [t.alt for t in ts]
-    return "sparse", [t.sparse for t in ts]
+    if all(t.is_sparse for t in ts):
+        return "sparse", [t.sparse for t in ts]
+    return "dense", [t.to_dense().dense for t in ts]
 
 
 def _check_index(shape: Shape, index: Index) -> None:
@@ -588,28 +650,27 @@ def _contract_dense_dense(f, f_axes, f_keep, g, g_axes, g_keep) -> list:
     return data
 
 
-def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> dict:
+def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     """Exterior-algebra update of an alternating operand by one it fully contracts.
 
     Only the other operand's alternating part reaches the result, so it is
-    first folded onto sorted tuples: the folded entry at a sorted m-set K is
+    first folded onto sorted sets: the folded entry at a sorted m-set K is
     the sum, over each ordering x of K read over the matched axes in their
     paired order, of inversion_sign(x) * entry at x.  A dense operand is
     folded set by set, its orderings listed lexicographically against one
     m!-entry sign table; a sparse one nonzero by nonzero.  An alternating
-    operand folds without being written out: m! * sign(ot_axes) * entry at
-    each stored key.  A stored key K is sorted, so the sign of a full index
-    made from K depends only on which positions of K go to which axes: a set
-    of m positions for the matched axes, in increasing order (the rest fill
-    the kept axes in order), is a shuffle of parity sum(chosen) - m(m-1)/2,
-    times the sign of the axis order al_axes + al_keep.  Every key then adds
-    sign * entry * the folded entry at the chosen values to the entry of the
-    remaining ones.
+    operand folds without being written out: m! * sign(ot_axes) * its packed
+    entries.  The fold also carries the sign of the axis order al_axes +
+    al_keep, so what is left is shape-only (``_alt_tables``): each output
+    entry is the sum, over its run of rows, of a packed entry times a folded
+    entry or its negation.
     """
     m = len(ot_axes)
+    n, r = _alt_dims(al.shape)
+    base = inversion_sign(al_axes + al_keep)
     if ot.alt is not None:
-        scale = factorial(m) * inversion_sign(ot_axes)
-        lookup = {k: scale * v for k, v in ot.alt.items()}
+        scale = base * factorial(m) * inversion_sign(ot_axes)
+        fold = [scale * v for v in ot.alt]
     elif ot.dense is not None:
         # the entry at ordering p of K sits at sum(K[i] * weight[i]), where
         # K[i] goes to matched axis p.index(i)
@@ -617,36 +678,21 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> dict:
         strides = [st[a] for a in ot_axes]
         weights = [[strides[p.index(i)] for i in range(m)]
                    for p in itertools.permutations(range(m))]
-        signs = _perm_signs(m)
-        lookup = {}
-        for k in itertools.combinations(range(ot.shape[0] if m else 0), m):
-            v = sum(map(mul, signs, [data[sum(map(mul, k, w))] for w in weights]))
-            if v:
-                lookup[k] = v
+        signs = [base * s for s in _perm_signs(m)]
+        fold = [sum(map(mul, signs, [data[sum(map(mul, k, w))] for w in weights]))
+                for k in itertools.combinations(range(n), m)]
     else:
-        lookup = {}
-        fget = lookup.get
+        fold, ranks = [0] * comb(n, m), _ranks(n, m)
         for x, v in zip(map(_getter(ot_axes), ot.sparse), ot.sparse.values()):
             if len(set(x)) == m:
-                k = tuple(sorted(x))
-                lookup[k] = fget(k, 0) + inversion_sign(x) * v
-    rank = al.rank
-    base = inversion_sign(al_axes + al_keep)
-    shift = m * (m - 1) // 2
-    choices = []
-    for chosen in itertools.combinations(range(rank), m):
-        rest = [q for q in range(rank) if q not in chosen]
-        sign = -base if (sum(chosen) - shift) % 2 else base
-        choices.append((_getter(chosen), _getter(rest), sign))
-    out: Dict[Index, object] = {}
-    oget, lget = out.get, lookup.get
-    for key, val in al.alt.items():
-        for get_x, get_rest, sign in choices:
-            ov = lget(get_x(key))
-            if ov:
-                k2 = get_rest(key)
-                out[k2] = oget(k2, 0) + sign * val * ov
-    return _drop_zeros(out)
+                fold[ranks[tuple(sorted(x))]] += base * inversion_sign(x) * v
+    src, fold_at = _alt_tables(n, r, m)
+    zero, count = ZERO_ENTRY[al.backend], comb(n, r - m)
+    if not src:
+        return [zero] * count
+    fold += [-v for v in fold]
+    prods = map(mul, map(al.alt.__getitem__, src), map(fold.__getitem__, fold_at))
+    return list(map(sum, zip(*[prods] * (len(src) // count)), itertools.repeat(zero)))
 
 
 def _contract_sparse(sp, sp_axes, sp_keep, ot, ot_axes, ot_keep, sparse_first: bool) -> dict:

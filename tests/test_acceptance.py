@@ -14,7 +14,6 @@ import pytest
 
 from nfg import dsl
 from nfg.contraction import (
-    brute_cost,
     exterior_brute,
     exterior_planned,
     group_vertices,
@@ -30,6 +29,8 @@ from nfg.diagrams import (
 from nfg.graph import Nfg
 from nfg.suites import rand_mat, rand_rat, rand_skew, run_suite
 from nfg.tensor import Tensor, pair_contract
+
+from test_contraction import brute_cost
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 

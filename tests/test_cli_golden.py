@@ -13,7 +13,13 @@ partner onto the partner's alternating part, which sums in another order:
 -10.34976851851852 to -10.349768518518522, -205.85024691358032 to
 -205.8502469135802 and 4869.703356481482 to 4869.70335648148 (exact
 42074237/8640); ``test_f64_pfaffian_diagram_is_within_4_ulp`` pins them by
-their error against the exact rows as well as by their bytes.  Four more
+their error against the exact rows as well as by their bytes.  When that
+kernel began to read packed storage through shape-only tables, which sum
+each output entry in a fixed order of its sorted sets, four f64 diagram
+values were re-recorded: ``pfaffian`` on ``m8`` (-205.8502469135802 to
+-205.85024691358024) and ``det`` on ``m6`` (-162.78988472222215 to
+-162.78988472222218), ``m8`` (91150.26230619215 to 91150.26230619202) and
+``m10`` (-43210795.515037194 to -43210795.51503721).  Four more
 were re-recorded when the factorial oracles gave way to eliminations, which
 round differently: the
 ``--backend f64`` oracle value of ``pfaffian`` on ``m6`` (-10.349768518518488

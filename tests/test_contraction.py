@@ -9,7 +9,6 @@ from nfg import dsl
 from nfg.builtins import levi_civita
 from nfg.contraction import (
     ContractionPlan,
-    brute_cost,
     exterior_brute,
     exterior_planned,
     group_vertices,
@@ -29,6 +28,18 @@ from nfg.graph import Nfg, NfgError, Vertex
 from nfg.scalars import EXACT, F64
 from nfg.suites import rand_mat, rand_rat, rand_skew
 from nfg.tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, pair_contract
+
+
+def brute_cost(g: Nfg) -> int:
+    """Multiplication count of the naive sum of products over every assignment.
+
+    A plan must beat it.  It is not the cost of ``exterior_brute``, which
+    enumerates nonzero terms only.
+    """
+    terms = 1
+    for edge in g.edges.values():
+        terms *= edge.alphabet
+    return max(len(g.vertices) - 1, 1) * terms
 
 
 def chain_graph(tensors, alphabet):
@@ -288,7 +299,7 @@ def literal_exterior(g):
     g.check_valid()
     backend = g.backend()
     dang = list(g.dangling)
-    internal = sorted(g.internal_edge_ids())
+    internal = sorted(eid for eid in g.edges if eid not in g.dangling)
     pos = {eid: i for i, eid in enumerate(dang + internal)}
     sizes = [g.edges[eid].alphabet for eid in dang + internal]
     zero = ZERO_ENTRY[backend]
