@@ -14,7 +14,6 @@ from .builtins import (
     delta2,
     delta_point,
     levi_civita,
-    perm_compose,
     perm_sign,
     tau,
 )
@@ -38,7 +37,7 @@ from .diagrams import (
     pfaffian_oracle,
     trace_diagram,
 )
-from .graph import Edge, Nfg, NfgError, PortRef
+from .graph import Edge, Nfg, NfgError
 from .scalars import EXACT, F64, BackendMismatch, rat
 from .tensor import Tensor, TensorError, pair_contract
 

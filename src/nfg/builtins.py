@@ -35,21 +35,10 @@ class Permutation:
     def __call__(self, j: int) -> int:
         return self.images[j - 1]
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
 
 def perm_sign(p: Permutation) -> int:
     """Parity by inversion counting: (-1)**inversions."""
     return inversion_sign(p.images)
-
-
-def perm_compose(p: Permutation, q: Permutation) -> Permutation:
-    """p after q: (p o q)(j) = p(q(j))."""
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    return Permutation(tuple(p.images[q.images[j] - 1] for j in range(p.n)))
 
 
 def tau(n: int) -> Permutation:

@@ -21,7 +21,7 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Nfg, NfgError, Vertex
-from .tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, pair_contract, shape_size
+from .tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, pair_contract
 
 
 @dataclass
@@ -89,7 +89,7 @@ def exterior_brute(g: Nfg) -> Tensor:
         else:
             entries = list(items)
         if not entries:
-            return Tensor(shape, backend, dense=[zero] * shape_size(shape), denom=denom)
+            return Tensor(shape, backend, dense=[zero] * prod(shape), denom=denom)
         factors.append((list(first), entries))
 
     # visiting order, and per visit an index of the entries by the bound edges
@@ -126,7 +126,7 @@ def exterior_brute(g: Nfg) -> Tensor:
     last = len(steps) - 1
     stack = [(0, (), one)]
     while stack:
-        depth, assign, prod = stack.pop()
+        depth, assign, term = stack.pop()
         look, index = steps[depth]
         matches = index.get(look(assign))
         if not matches:
@@ -134,9 +134,9 @@ def exterior_brute(g: Nfg) -> Tensor:
         if depth == last:
             for values, v in matches:
                 key = dangling_values(assign + values)
-                out[key] = oget(key, zero) + prod * v
+                out[key] = oget(key, zero) + term * v
         else:
-            stack.extend((depth + 1, assign + values, prod * v) for values, v in matches)
+            stack.extend((depth + 1, assign + values, term * v) for values, v in matches)
 
     return Tensor(shape, backend, sparse=out, denom=denom).to_dense()
 

@@ -12,19 +12,10 @@ slots of one vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import EXACT
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class PortRef:
-    vertex: str
-    slot: int
-
-
-Port = Union[PortRef, Tuple[str, int]]
 
 
 @dataclass(frozen=True)
@@ -45,13 +36,6 @@ class NfgError(ValueError):
 
 class FrozenNfgError(NfgError):
     pass
-
-
-def _as_port(p: Port) -> PortRef:
-    if isinstance(p, PortRef):
-        return p
-    v, s = p
-    return PortRef(str(v), int(s))
 
 
 class Nfg:
@@ -94,55 +78,51 @@ class Nfg:
         self.vertices[vid] = Vertex(tensor, [None] * tensor.rank)
         return vid
 
-    def _claim_port(self, port: PortRef, eid: str, alphabet: Optional[int]) -> int:
-        if port.vertex not in self.vertices:
-            raise NfgError(f"unknown vertex {port.vertex!r}")
-        vtx = self.vertices[port.vertex]
-        if not (0 <= port.slot < vtx.tensor.rank):
+    def _claim_port(self, port: Tuple[str, int], eid: str, alphabet: Optional[int] = None) -> int:
+        vid, slot = port
+        if vid not in self.vertices:
+            raise NfgError(f"unknown vertex {vid!r}")
+        vtx = self.vertices[vid]
+        if not (0 <= slot < vtx.tensor.rank):
             raise NfgError(
-                f"slot {port.slot} out of range for vertex {port.vertex!r} "
-                f"of degree {vtx.tensor.rank}"
+                f"slot {slot} out of range for vertex {vid!r} of degree {vtx.tensor.rank}"
             )
-        if vtx.ciliation[port.slot] is not None:
-            raise NfgError(f"port ({port.vertex!r}, {port.slot}) already in use")
-        axis = vtx.tensor.shape[port.slot]
+        if vtx.ciliation[slot] is not None:
+            raise NfgError(f"port ({vid!r}, {slot}) already in use")
+        axis = vtx.tensor.shape[slot]
         if alphabet is not None and alphabet != axis:
             raise NfgError(
-                f"alphabet {alphabet} does not match axis size {axis} at "
-                f"({port.vertex!r}, {port.slot})"
+                f"alphabet {alphabet} does not match axis size {axis} at ({vid!r}, {slot})"
             )
-        vtx.ciliation[port.slot] = eid
+        vtx.ciliation[slot] = eid
         return axis
 
-    def connect(self, port_a: Port, port_b: Port, alphabet: Optional[int] = None,
+    def connect(self, port_a: Tuple[str, int], port_b: Tuple[str, int],
                 name: Optional[str] = None) -> str:
-        """Join two free ports with an internal edge; alphabet inferred if omitted."""
+        """Join two free (vertex id, slot) ports with an internal edge; its
+        alphabet is their axis size, which must agree."""
         self._check_mutable()
-        pa, pb = _as_port(port_a), _as_port(port_b)
-        if pa == pb:
+        if tuple(port_a) == tuple(port_b):
             raise NfgError("an internal edge needs two distinct ports")
         eid = name if name is not None else self.fresh_edge_id()
         if eid in self.edges:
             raise NfgError(f"duplicate edge id {eid!r}")
-        size_a = self._claim_port(pa, eid, alphabet)
+        size = self._claim_port(port_a, eid)
         try:
-            size_b = self._claim_port(pb, eid, size_a)
+            self._claim_port(port_b, eid, size)
         except NfgError:
-            self.vertices[pa.vertex].ciliation[pa.slot] = None
+            self.vertices[port_a[0]].ciliation[port_a[1]] = None
             raise
-        assert size_a == size_b
-        self.edges[eid] = Edge(eid, size_a)
+        self.edges[eid] = Edge(eid, size)
         return eid
 
-    def add_dangling(self, port: Port, alphabet: Optional[int] = None,
-                     name: Optional[str] = None) -> str:
+    def add_dangling(self, port: Tuple[str, int], name: Optional[str] = None) -> str:
         """Attach a dangling edge; it is appended to the external interface order."""
         self._check_mutable()
-        p = _as_port(port)
         eid = name if name is not None else self.fresh_edge_id()
         if eid in self.edges:
             raise NfgError(f"duplicate edge id {eid!r}")
-        size = self._claim_port(p, eid, alphabet)
+        size = self._claim_port(port, eid)
         self.edges[eid] = Edge(eid, size)
         self.dangling.append(eid)
         return eid

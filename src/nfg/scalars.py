@@ -91,9 +91,3 @@ def format_scalar(backend: str, value) -> str:
     if backend == EXACT:
         return str(value)
     return repr(float(value))
-
-
-def parse_scalar(backend: str, text: str) -> ScalarValue:
-    if backend == EXACT:
-        return Fraction(text)
-    return float(text)

@@ -18,10 +18,12 @@ A tensor has one of three storage kinds:
   storage, as in the Cyclops Tensor Framework).  ``get``, ``scale``, ``add``
   and ``equal`` of alternating tensors, ``permute_axes`` and the alternating
   kernel read the packed list, and ``nonzeros`` generates each nonzero
-  set's signed orderings without keeping them.  Only ``sparse`` writes the
-  tensor out, once, and keeps the result: the hash join reads it when an
-  alternating operand meets one with kept axes, as do ``add`` and ``equal``
-  of an alternating tensor with a sparse one.
+  set's signed orderings without keeping them: the hash join reads those
+  when an alternating operand meets one with kept axes, as do ``add`` and
+  ``equal`` of an alternating tensor with a sparse one.  Only ``sparse``
+  writes the tensor out, once, and keeps the result; no code in this
+  package reads it on an alternating tensor, only callers such as the
+  benchmark tracer and the tests.
 
 Three kernels do all contractions.  Dense x dense forms each output cell as
 one sum of products; on the exact backend, once both sides keep a few cells,
@@ -57,10 +59,11 @@ kernel.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from array import array
 from functools import cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import gt, itemgetter, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -84,13 +87,6 @@ _PACK_MIN = 4
 
 class TensorError(ValueError):
     pass
-
-
-def shape_size(shape: Shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
 
 
 def _strides(shape: Shape) -> Tuple[int, ...]:
@@ -265,9 +261,9 @@ class Tensor:
             if type(alt) is not list or len(alt) != comb(n, r):
                 raise TensorError(f"alternating storage is a list of C({n}, {r}) = "
                                   f"{comb(n, r)} entries, one per sorted index")
-        if dense is not None and len(dense) != shape_size(shape):
+        if dense is not None and len(dense) != prod(shape):
             raise TensorError(
-                f"dense storage length {len(dense)} != element count {shape_size(shape)}"
+                f"dense storage length {len(dense)} != element count {prod(shape)}"
             )
         if type(denom) is not int or denom <= 0 or (backend == F64 and denom != 1):
             raise TensorError(
@@ -294,9 +290,9 @@ class Tensor:
     def from_values(shape: Sequence[int], values: Sequence, backend: str = EXACT) -> "Tensor":
         """Dense tensor from row-major values; each value admitted to the backend."""
         shape = tuple(shape)
-        if len(values) != shape_size(shape):
+        if len(values) != prod(shape):
             raise TensorError(
-                f"expected {shape_size(shape)} values for shape {list(shape)}, got {len(values)}"
+                f"expected {prod(shape)} values for shape {list(shape)}, got {len(values)}"
             )
         data, denom = _over_common_denominator(backend, values)
         return Tensor(shape, backend, dense=data, denom=denom)
@@ -309,12 +305,6 @@ class Tensor:
             _check_index(shape, key)
         nums, denom = _over_common_denominator(backend, entries.values())
         return Tensor(shape, backend, sparse={k: v for k, v in zip(keys, nums) if v}, denom=denom)
-
-    @staticmethod
-    def zeros(shape: Sequence[int], backend: str = EXACT) -> "Tensor":
-        scalars.check_backend(backend)
-        shape = tuple(shape)
-        return Tensor(shape, backend, dense=[ZERO_ENTRY[backend]] * shape_size(shape))
 
     # -- basic access ------------------------------------------------------
 
@@ -353,9 +343,12 @@ class Tensor:
         return ExactValue(entry) if self.denom == 1 else ExactValue(entry, self.denom)
 
     def get(self, index: Sequence[int]):
-        """Entry at a multi-index; absent sparse keys, and alternating
+        """Entry at a multi-index of ints; absent sparse keys, and alternating
         indices that repeat a value, read as zero."""
-        index = tuple(index)
+        try:
+            index = tuple(map(operator.index, index))
+        except TypeError:
+            raise TensorError(f"index {index!r} has a component that is not an int") from None
         if self.dense is not None:
             return self._value(self.dense[_checked_offset(self.shape, index)])
         if self.alt is None:
@@ -379,7 +372,7 @@ class Tensor:
     def to_dense(self) -> "Tensor":
         if self.dense is not None:
             return self
-        data = [ZERO_ENTRY[self.backend]] * shape_size(self.shape)
+        data = [ZERO_ENTRY[self.backend]] * prod(self.shape)
         st = _strides(self.shape)
         for key, v in self.nonzeros():
             data[sum(i * s for i, s in zip(key, st))] = v
@@ -418,9 +411,6 @@ class Tensor:
         for k, v in sb.items():
             out[k] = oget(k, 0) + v * mb
         return Tensor(self.shape, self.backend, sparse=_drop_zeros(out), denom=denom)
-
-    def neg(self) -> "Tensor":
-        return self.scale(-1 if self.backend == EXACT else -1.0)
 
     def equal(self, other: "Tensor", tol=None) -> bool:
         """Exact backend compares exactly (tol ignored); float entrywise within
@@ -493,11 +483,6 @@ class Tensor:
             "values": [scalars.format_scalar(self.backend, v) for v in self.values()],
         }
 
-    @staticmethod
-    def from_obj(obj: dict, backend: str = EXACT) -> "Tensor":
-        values = [scalars.parse_scalar(backend, str(v)) for v in obj["values"]]
-        return Tensor.from_values(tuple(obj["shape"]), values, backend)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "dense" if not self.is_sparse else "alt" if self.alt is not None else "sparse"
         return f"Tensor(shape={list(self.shape)}, backend={self.backend}, {kind})"
@@ -510,7 +495,7 @@ def _stored(*ts: Tensor):
     if all(t.alt is not None for t in ts):
         return "alt", [t.alt for t in ts]
     if all(t.is_sparse for t in ts):
-        return "sparse", [t.sparse for t in ts]
+        return "sparse", [dict(t.nonzeros()) for t in ts]
     return "dense", [t.to_dense().dense for t in ts]
 
 
@@ -705,7 +690,7 @@ def _contract_sparse(sp, sp_axes, sp_keep, ot, ot_axes, ot_keep, sparse_first: b
     if ot.is_sparse:
         get_om, get_ok = _getter(ot_axes), _getter(ot_keep)
         index: Dict[Index, List[Tuple[Index, object]]] = {}
-        for key, val in ot.sparse.items():
+        for key, val in ot.nonzeros():
             index.setdefault(get_om(key), []).append((get_ok(key), val))
 
         def partners(key):
@@ -720,7 +705,7 @@ def _contract_sparse(sp, sp_axes, sp_keep, ot, ot_axes, ot_keep, sparse_first: b
             return [(okey, v) for okey, off in kept if (v := data[base + off])]
     out: Dict[Index, object] = {}
     oget = out.get
-    for key, val in sp.sparse.items():
+    for key, val in sp.nonzeros():
         cells = partners(key)
         if cells:
             ks = get_keep(key)

@@ -38,7 +38,7 @@ def test_add_sub_linearity():
     u, v = rand_vec(rng), rand_vec(rng)
     gu, gv = vec_graph(u), vec_graph(v)
     assert eval_compound(add_nfgs(gu, gv)).equal(u.add(v))
-    assert eval_compound(sub_nfgs(gu, gv)).equal(u.add(v.neg()))
+    assert eval_compound(sub_nfgs(gu, gv)).equal(u.add(v.scale(-1)))
     combo = add_nfgs(scale_nfg(gu, rat(2)), scale_nfg(gv, rat(-1, 3)))
     assert eval_compound(combo).equal(u.scale(rat(2)).add(v.scale(rat(-1, 3))))
 

@@ -270,7 +270,7 @@ def test_only_the_alternating_part_of_a_partner_reaches_epsilon(backend, n):
         sym = pair_contract(eps, axes, dense_matrix(rng, n, backend, symmetric=True), [0, 1])
         assert sym.alt is not None and not any(sym.alt) and sym.shape == (n,) * (n - 2)
         m = dense_matrix(rng, n, backend)
-        skew = m.add(m.permute_axes([1, 0]).neg())
+        skew = m.add(m.permute_axes([1, 0]).scale(-1))
         half = Fraction(1, 2) if backend == EXACT else 0.5
         got = pair_contract(eps, axes, m, [0, 1])
         want = pair_contract(eps, axes, skew, [0, 1]).scale(half)
@@ -420,6 +420,41 @@ def test_alternating_partner_is_read_without_expansion(monkeypatch):
                 got = pair_contract(partner, p_axes, alt, matched)
             want = pair_contract(written_out(alt), matched, written_out(partner), p_axes)
             assert got.alt is not None and agree(written_out(got), want)
+    assert expanded == []
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_hash_join_and_sparse_mix_read_alternating_operands_without_expansion(
+        backend, monkeypatch):
+    """An alternating operand whose partner keeps axes meets it in the hash
+    join, on either side; that join, and ``add`` and ``equal`` of an
+    alternating tensor with a sparse one, read its signed orderings as they
+    are generated, never written out, and give the written-out route's values."""
+    expanded = record_expansions(monkeypatch)
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rank = rng.randint(1, n)
+        alt = rand_alt(rng, rank, n, backend)
+        matched = rng.sample(range(rank), rng.randint(0, rank - 1))
+        kind = rng.choice(["dense", "sparse", "alt"])
+        p_rank = len(matched) + rng.randint(1, 2)
+        p_axes = rng.sample(range(p_rank), len(matched))
+        shape = [n if kind == "alt" else rng.randint(1, 4) for _ in range(p_rank)]
+        for a in p_axes:
+            shape[a] = n
+        partner = rand_partner(rng, tuple(shape), backend, kind)
+        if rng.random() < 0.5:
+            got = pair_contract(alt, matched, partner, p_axes)
+            want = pair_contract(written_out(alt), matched, explicit(partner), p_axes)
+        else:
+            got = pair_contract(partner, p_axes, alt, matched)
+            want = pair_contract(explicit(partner), p_axes, written_out(alt), matched)
+        assert got.alt is None and got.is_sparse and agree(got, want)
+        other = written_out(rand_alt(rng, rank, n, backend))
+        assert agree(alt.add(other), written_out(alt).add(other))
+        assert alt.equal(written_out(alt)) and written_out(alt).equal(alt)
+        assert alt.equal(other) == written_out(alt).equal(other)
     assert expanded == []
 
 

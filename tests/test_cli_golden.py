@@ -13,7 +13,10 @@ partner onto the partner's alternating part, which sums in another order:
 -10.34976851851852 to -10.349768518518522, -205.85024691358032 to
 -205.8502469135802 and 4869.703356481482 to 4869.70335648148 (exact
 42074237/8640); ``test_f64_pfaffian_diagram_is_within_4_ulp`` pins them by
-their error against the exact rows as well as by their bytes.  When that
+their error against the exact rows as well as by their bytes, and
+``test_f64_det_diagram_is_within_8_ulp`` pins the f64 determinant diagram
+values of ``m4`` to ``m10`` the same way (today's errors are -1.0, +1.37,
+-7.76 and -1.44 ulp).  When that
 kernel began to read packed storage through shape-only tables, which sum
 each output entry in a fixed order of its sorted sets, four f64 diagram
 values were re-recorded: ``pfaffian`` on ``m8`` (-205.8502469135802 to
@@ -153,6 +156,14 @@ def test_f64_pfaffian_diagram_is_within_4_ulp(dim):
     exact = Fraction(_diagram_value(["pfaffian", f"golden/m{dim}.nfg", "S"]))
     got = float(_diagram_value(["pfaffian", f"golden/m{dim}.nfg", "S", "--backend", "f64"]))
     assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 10])
+def test_f64_det_diagram_is_within_8_ulp(dim):
+    """The f64 determinant rows are bounded the same way as the Pfaffian rows."""
+    exact = Fraction(_diagram_value(["det", f"golden/m{dim}.nfg", "M"]))
+    got = float(_diagram_value(["det", f"golden/m{dim}.nfg", "M", "--backend", "f64"]))
+    assert abs(Fraction(got) - exact) <= 8 * Fraction(math.ulp(float(exact)))
 
 
 if __name__ == "__main__":

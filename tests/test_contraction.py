@@ -417,7 +417,7 @@ def test_brute_rank0_vertices_and_zero_tensors():
         assert_matches_literal(g)
         assert exterior_brute(g).equal(a.scale(scalar.get(())))
     # a dense all-zero tensor and an empty sparse one, each inside a chain
-    for zero in (Tensor.zeros((3, 2)), Tensor((3, 2), EXACT, sparse={})):
+    for zero in (Tensor.from_values((3, 2), [0] * 6), Tensor((3, 2), EXACT, sparse={})):
         g = chain_graph([a, zero], 3)
         assert_matches_literal(g)
         assert not any(exterior_brute(g).values())

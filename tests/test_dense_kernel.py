@@ -9,6 +9,7 @@ one sum of products.  ``tensor._PACK_MIN`` sets the size where packing starts:
 
 import random
 from array import array
+from math import prod
 from operator import mul
 
 import pytest
@@ -55,8 +56,8 @@ def dense_pairs(draw):
     g_axes = [g_order.index(len(g_kept) + k) for k in range(len(matched))]
     rng = draw(st.randoms(use_true_random=False))
     zeros = draw(st.sampled_from((0.0, 0.3, 1.0)))
-    f_data = _fill(rng, tensor.shape_size(f_shape), draw(st.sampled_from(MAGNITUDES)), zeros)
-    g_data = _fill(rng, tensor.shape_size(g_shape), draw(st.sampled_from(MAGNITUDES)), zeros)
+    f_data = _fill(rng, prod(f_shape), draw(st.sampled_from(MAGNITUDES)), zeros)
+    g_data = _fill(rng, prod(g_shape), draw(st.sampled_from(MAGNITUDES)), zeros)
     if draw(st.booleans()):  # one huge entry among the others
         f_data[rng.randrange(len(f_data))] = draw(st.sampled_from((-1, 1))) * 2**200
     f = Tensor(f_shape, EXACT, dense=f_data, denom=draw(st.integers(1, 6)))

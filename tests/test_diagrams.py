@@ -77,7 +77,7 @@ def test_cross_diagram_matches_oracle():
 def test_cross_anticommutes():
     rng = random.Random(2)
     u, v = rand_vec(rng), rand_vec(rng)
-    assert cross_oracle(u, v).equal(cross_oracle(v, u).neg())
+    assert cross_oracle(u, v).equal(cross_oracle(v, u).scale(-1))
     assert dot_oracle(cross_oracle(u, v), u) == rat(0)
 
 
@@ -140,15 +140,6 @@ def test_fig11b_lhs_is_the_literal_sum(m):
     terms = [cross_oracle(cross_oracle(a1, bi), ci).values()
              for bi, ci in zip(_columns(b), _columns(c))]
     assert check_fig11b(a1, b, c).lhs.values() == [sum(x) for x in zip(*terms)]
-
-
-def test_report_line_format():
-    rng = random.Random(7)
-    rep = check_fig11a(rand_mat(rng, 3, 2), rand_mat(rng, 3, 2),
-                       rand_mat(rng, 3, 2), rand_mat(rng, 3, 2))
-    line = rep.line()
-    assert rep.name in line
-    assert "PASS" in line
 
 
 def test_det_diagram_matches_oracles():

@@ -99,7 +99,7 @@ def test_let_expressions_evaluate():
     v = doc.tensors["v"]
     s = u.scale(rat(2)).add(v.scale(rat(2, 3)))  # 2u + v - v/3
     assert eval_compound(doc.compounds["s"]).equal(s)
-    assert eval_compound(doc.compounds["t"]).equal(s.neg().add(u))
+    assert eval_compound(doc.compounds["t"]).equal(s.scale(-1).add(u))
 
 
 def test_interface_statement_orders_axes():

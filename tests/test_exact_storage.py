@@ -169,7 +169,7 @@ def test_get_and_to_obj_read_lowest_terms_after_add():
     s = a.add(b)
     assert s.to_obj()["values"] == ["1", "1/2"]
     assert s.get((0,)) == 1 and str(s.get((1,))) == "1/2"
-    sp = a.to_sparse().add(b.to_sparse().neg())
+    sp = a.to_sparse().add(b.to_sparse().scale(-1))
     assert sp.to_obj()["values"] == ["0", "-1/6"]
     assert sp.sparse.keys() == {(1,)}
 

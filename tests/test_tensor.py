@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from nfg.builtins import levi_civita
 from nfg.scalars import EXACT, F64, BackendMismatch, rat
 from nfg.tensor import Tensor, TensorError, pair_contract
 
@@ -60,8 +63,8 @@ def test_scale_add_neg():
     a = mat([1, 2, 3, 4], 2, 2)
     b = a.scale(rat(2))
     assert b.get((1, 1)) == rat(8)
-    z = a.add(a.neg())
-    assert z.equal(Tensor.zeros((2, 2)))
+    z = a.add(a.scale(-1))
+    assert z.equal(mat([0, 0, 0, 0], 2, 2))
 
 
 def test_backend_mismatch_on_add():
@@ -151,12 +154,12 @@ def test_pair_contract_alphabet_mismatch():
         pair_contract(a, [1], b, [0])
 
 
-def test_to_obj_from_obj_round_trip():
+def test_to_obj_round_trip():
     t = mat([rat(1, 2), 2, 3, rat(-4, 7)], 2, 2)
     obj = t.to_obj()
     assert obj["shape"] == [2, 2]
     assert obj["values"][0] == "1/2"
-    back = Tensor.from_obj(obj)
+    back = Tensor.from_values(obj["shape"], obj["values"])
     assert back.equal(t)
 
 
@@ -165,3 +168,18 @@ def test_f64_equal_tolerance():
     b = Tensor.from_values((2,), [1.0 + 1e-12, 2.0], backend=F64)
     assert a.equal(b, tol=1e-9)
     assert not a.equal(b, tol=1e-15)
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1"])
+def test_get_takes_only_int_index_components(backend, bad):
+    """A component that is not an int is one TensorError on every storage kind."""
+    eps = levi_civita(3, backend)
+    kinds = {"alt": eps, "dense": eps.to_dense(),
+             "sparse": Tensor((3, 3, 3), backend, sparse=dict(eps.nonzeros()))}
+    for index in ((bad, 1, 2), (0, 2, bad)):
+        message = f"index {index!r} has a component that is not an int"
+        for kind, t in kinds.items():
+            with pytest.raises(TensorError, match=f"^{re.escape(message)}$"):
+                t.get(index)
+            assert t.get((0, 1, 2)) == 1, kind
