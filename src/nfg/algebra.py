@@ -48,8 +48,6 @@ def scale_nfg(g: Union[Nfg, CompoundNfg], lam) -> CompoundNfg:
 
 def add_nfgs(a: Union[Nfg, CompoundNfg], b: Union[Nfg, CompoundNfg]) -> CompoundNfg:
     ca, cb = as_compound(a), as_compound(b)
-    if ca.interface != cb.interface:
-        raise NfgError(f"interface mismatch: {ca.interface} vs {cb.interface}")
     return CompoundNfg(ca.terms + cb.terms, ca.interface)
 
 

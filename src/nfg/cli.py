@@ -162,11 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(exact scalars: {exact.__module__}.{exact.__qualname__})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, engine=True):
+    def common(p, engine=True, tol=True):
         p.add_argument("--backend", choices=[EXACT, F64], default=EXACT)
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="float backend only: values a, b agree when "
-                            "|a - b| <= tol * max(1, |a|, |b|)")
+        if tol:  # only the commands that compare two values
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="float backend only: values a, b agree when "
+                                "|a - b| <= tol * max(1, |a|, |b|)")
         if engine:
             p.add_argument("--engine", choices=["brute", "planned"], default="planned")
 
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("graph")
     p.add_argument("--plan-out", default=None, help="write the greedy plan to a file")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(fn=cmd_contract)
 
     p = sub.add_parser("equal", help="exit 0 iff two exterior functions are equal")
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="print the greedy contraction plan")
     p.add_argument("file")
     p.add_argument("graph")
-    common(p, engine=False)
+    common(p, engine=False, tol=False)
     p.set_defaults(fn=cmd_plan)
 
     return parser

@@ -103,8 +103,7 @@ class DiagramBuilder:
     """
 
     def __init__(self, backend: str = EXACT):
-        self.g = Nfg()
-        self.backend = backend
+        self.g = Nfg(backend)
         self._eps = levi_civita(3, backend)
 
     def vec(self, t: Tensor) -> Tuple[str, int]:
@@ -451,9 +450,8 @@ def pfaffian_factor(n: int) -> int:
 def check_prop1(a: Tensor, engine: str = "planned") -> IdentityCheckReport:
     """The Pfaffian diagram's exterior equals n! 2^n Pf(a)."""
     dim = _check_skew(a)
-    run = exterior_brute if engine == "brute" else exterior_planned
     rhs = scalar_tensor(pfaffian_oracle(a), a.backend).scale(pfaffian_factor(dim // 2))
-    return _report(f"prop1-pfaffian-2n={dim}", run(pfaffian_diagram(a)), rhs)
+    return _report(f"prop1-pfaffian-2n={dim}", eval_compound(pfaffian_diagram(a), engine), rhs)
 
 
 # -- edge utilities used by the delta-insertion property ----------------------

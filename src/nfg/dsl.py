@@ -40,7 +40,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import CompoundNfg, add_nfgs, as_compound, scale_nfg
 from .builtins import delta2, delta_point, levi_civita
-from .graph import Nfg, NfgError
+from .graph import Nfg
 from .scalars import EXACT, F64
 from .tensor import Tensor, lowest_terms
 
@@ -78,6 +78,8 @@ _TOKEN = re.compile(_SKIP + r"(?:(?P<NAME>[^\W\d]\w*)|(?P<NUMBER>\d+)"
 # denominator) and the comma, or the end of the list: a NAME or EOF.
 _VALUE = re.compile(_SKIP + rf"(?:(-){_SKIP})?(\d+)(?:{_SKIP}/{_SKIP}(\d+))?{_SKIP}"
                     rf"(?:(,)|(?=[^\W\d])|{_END})")
+# How many integer arguments each builtin takes; the builtin checks their values.
+_BUILTIN_ARITY = {"eps": 1, "delta": 1, "e": 2}
 
 
 # -- document model -----------------------------------------------------------
@@ -214,6 +216,14 @@ class _Parser:
             self.error(f"integer of {len(tok.text)} digits is over the limit of "
                        f"{sys.get_int_max_str_digits()}", tok)
 
+    def owned(self, tok: Token, build, *args, **kwargs):
+        """Call build(*args, **kwargs); the ValueError by which it refuses a
+        graph or builtin rule, which the library owns, becomes a DslError at tok."""
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            self.error(str(exc), tok)
+
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "SYM" and tok.text == text
@@ -340,31 +350,21 @@ class _Parser:
             self.expect_sym("=")
             fn_tok = self.expect_name("a builtin name")
             self.expect_sym("(")
-            if fn_tok.text == "eps":
-                n, ntok = self.expect_int()
-                if n < 1:
-                    self.error("eps(n) needs n >= 1", ntok)
-                builtin = ("eps", n)
-                try:
-                    tensor = levi_civita(n, self.backend)
-                except ValueError as exc:
-                    self.error(str(exc), ntok)
-            elif fn_tok.text == "delta":
-                n, ntok = self.expect_int()
-                if n < 1:
-                    self.error("delta(n) needs n >= 1", ntok)
-                builtin = ("delta", n)
-                tensor = delta2(n, self.backend)
-            elif fn_tok.text == "e":
-                i, itok = self.expect_int()
-                self.expect_sym(",")
-                n, _ = self.expect_int()
-                if not (1 <= i <= n):
-                    self.error(f"e(i,n) needs 1 <= i <= n, got i={i}, n={n}", itok)
-                builtin = ("e", i, n)
-                tensor = delta_point(n, i, self.backend)
-            else:
-                self.error(f"unknown builtin {fn_tok.text!r}", fn_tok)
+            fn = fn_tok.text
+            if fn not in _BUILTIN_ARITY:
+                self.error(f"unknown builtin {fn!r}", fn_tok)
+            args, arg_tok = [], self.peek()
+            for k in range(_BUILTIN_ARITY[fn]):
+                if k:
+                    self.expect_sym(",")
+                args.append(self.expect_int()[0])
+            builtin = (fn, *args)
+            if fn == "eps":
+                tensor = self.owned(arg_tok, levi_civita, *args, self.backend)
+            elif fn == "delta":
+                tensor = self.owned(arg_tok, delta2, *args, self.backend)
+            else:  # e(i, n) is delta_point(n, i)
+                tensor = self.owned(arg_tok, delta_point, *args[::-1], self.backend)
             self.expect_sym(")")
             decl = TensorDecl(name, None, None, builtin=builtin)
         self.doc.statements.append(decl)
@@ -398,45 +398,33 @@ class _Parser:
                     self.error("vertex declarations must precede edges", tok)
                 self.next()
                 vtok = self.expect_name("a vertex name")
-                if vtok.text in graph.vertices:
-                    self.error(f"duplicate vertex {vtok.text!r}", vtok)
                 self.expect_sym(":")
                 ttok = self.expect_name("a tensor name")
                 if ttok.text not in self.doc.tensors:
                     self.error(f"undefined tensor {ttok.text!r}", ttok)
-                graph.add_vertex(self.doc.tensors[ttok.text], name=vtok.text)
+                self.owned(vtok, graph.add_vertex, self.doc.tensors[ttok.text], name=vtok.text)
                 vertices.append(VertexDecl(vtok.text, ttok.text))
             elif tok.text == "edge":
                 if interface is not None:
                     self.error("edges must precede the interface", tok)
                 self.next()
                 etok = self.expect_name("an edge name")
-                if etok.text in graph.edges:
-                    self.error(f"duplicate edge {etok.text!r}", etok)
                 self.expect_sym("(")
                 ast_a, port_a = self.parse_port(graph)
                 self.expect_sym(",")
                 ast_b, port_b = self.parse_port(graph)
                 self.expect_sym(")")
-                try:
-                    graph.connect(port_a, port_b, name=etok.text)
-                except NfgError as exc:
-                    self.error(str(exc), etok)
+                self.owned(etok, graph.connect, port_a, port_b, name=etok.text)
                 links.append(EdgeDecl(etok.text, (ast_a, ast_b)))
             elif tok.text == "dangling":
                 if interface is not None:
                     self.error("dangling edges must precede the interface", tok)
                 self.next()
                 etok = self.expect_name("an edge name")
-                if etok.text in graph.edges:
-                    self.error(f"duplicate edge {etok.text!r}", etok)
                 self.expect_sym("(")
                 ast_p, port = self.parse_port(graph)
                 self.expect_sym(")")
-                try:
-                    graph.add_dangling(port, name=etok.text)
-                except NfgError as exc:
-                    self.error(str(exc), etok)
+                self.owned(etok, graph.add_dangling, port, name=etok.text)
                 links.append(DanglingDecl(etok.text, ast_p))
             elif tok.text == "interface":
                 if interface is not None:
@@ -448,17 +436,13 @@ class _Parser:
                     ntok = self.expect_name("a dangling edge name")
                     if ntok.text not in graph.dangling:
                         self.error(f"{ntok.text!r} is not a dangling edge", ntok)
-                    if ntok.text in order:
-                        self.error(f"duplicate interface entry {ntok.text!r}", ntok)
                     order.append(ntok.text)
                     if self.at_sym(","):
                         self.next()
                         continue
                     break
                 self.expect_sym(")")
-                if sorted(order) != sorted(graph.dangling):
-                    self.error("interface must list every dangling edge", tok)
-                graph.set_interface(order)
+                self.owned(tok, graph.set_interface, order)
                 interface = order
             else:
                 self.error(

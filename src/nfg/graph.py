@@ -102,8 +102,6 @@ class Nfg:
         """Join two free (vertex id, slot) ports with an internal edge; its
         alphabet is their axis size, which must agree."""
         self._check_mutable()
-        if tuple(port_a) == tuple(port_b):
-            raise NfgError("an internal edge needs two distinct ports")
         eid = name if name is not None else self.fresh_edge_id()
         if eid in self.edges:
             raise NfgError(f"duplicate edge id {eid!r}")

@@ -349,10 +349,10 @@ class Tensor:
             index = tuple(map(operator.index, index))
         except TypeError:
             raise TensorError(f"index {index!r} has a component that is not an int") from None
-        if self.dense is not None:
-            return self._value(self.dense[_checked_offset(self.shape, index)])
         if self.alt is None:
             _check_index(self.shape, index)
+            if self.dense is not None:
+                return self._value(self.dense[sum(map(mul, index, _strides(self.shape)))])
             return self._value(self._sparse.get(index, ZERO_ENTRY[self.backend]))
         shape, r = self.shape, len(index)
         if r != len(shape) or index and not (0 <= min(index) and max(index) < shape[0]):
@@ -466,8 +466,6 @@ class Tensor:
         """
         if ax1 == ax2:
             raise TensorError("trace needs two distinct axes")
-        if self.shape[ax1] != self.shape[ax2]:
-            raise TensorError("traced axes must share an alphabet size")
         n = self.shape[ax1]
         delta = Tensor((n, n), self.backend,
                        sparse=dict.fromkeys(zip(range(n), range(n)), ONE_ENTRY[self.backend]))
@@ -505,19 +503,6 @@ def _check_index(shape: Shape, index: Index) -> None:
     for i, d in zip(index, shape):
         if not (0 <= i < d):
             raise TensorError(f"index {list(index)} out of bounds for shape {list(shape)}")
-
-
-def _checked_offset(shape: Shape, index: Index) -> int:
-    """Row-major offset of a multi-index, bounds-checked in the same pass."""
-    off = 0
-    if len(index) == len(shape):
-        for i, d in zip(index, shape):
-            if not 0 <= i < d:
-                break
-            off = off * d + i
-        else:
-            return off
-    _check_index(shape, index)  # raises the rank or bounds error
 
 
 def pair_contract(f: Tensor, f_axes: Sequence[int], g: Tensor, g_axes: Sequence[int]) -> Tensor:

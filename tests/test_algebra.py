@@ -44,10 +44,12 @@ def test_add_sub_linearity():
 
 
 def test_compound_rejects_interface_mismatch():
+    """CompoundNfg owns the rule; add_nfgs and sub_nfgs meet it there."""
     g1 = vec_graph(Tensor.from_values((3,), [1, 2, 3]))
     g2 = vec_graph(Tensor.from_values((2,), [1, 2]))
-    with pytest.raises(NfgError):
-        add_nfgs(g1, g2)
+    for combine in (add_nfgs, sub_nfgs):
+        with pytest.raises(NfgError, match=r"term interface \(2,\) != compound interface \(3,\)"):
+            combine(g1, g2)
 
 
 def test_scale_via_constant_vertex_agrees_with_formal_scale():

@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import json
 import random
+import re
 
 import pytest
 
@@ -263,6 +266,35 @@ def test_compare_commands_read_their_routes_at_call_time(doc, capsys, monkeypatc
     monkeypatch.setattr("nfg.cli.det_oracle", lambda a: rat(1))
     assert main(["det", doc(MAT_DOC), "M"]) == EXIT_UNEQUAL
     assert capsys.readouterr().out == "det(diagram) = 25\ndet(oracle)  = 1\n"
+
+
+def test_every_cli_option_is_read_by_its_command():
+    """Each argument of each subcommand is read, as args.<dest>, by the
+    function the subcommand runs, so none is accepted and then ignored."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, p in sub.choices.items():
+        source = inspect.getsource(p.get_default("fn"))
+        for action in p._actions:
+            if isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+                continue
+            if not re.search(rf"\bargs\.{action.dest}\b", source):
+                unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
+    assert unread == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["contract", "tr"], EXIT_USAGE),
+    (["plan", "tr"], EXIT_USAGE),
+    (["equal", "tr", "tr"], EXIT_OK),
+    (["trace", "A"], EXIT_OK),
+], ids=["contract", "plan", "equal", "trace"])
+def test_tol_is_taken_only_by_commands_that_compare(doc, capsys, argv, code):
+    command, *names = argv
+    assert main([command, doc(TRACE_DOC), *names, "--tol", "1"]) == code
+    err = capsys.readouterr().err
+    assert ("unrecognized arguments: --tol 1" in err) == (code == EXIT_USAGE)
 
 
 def test_version(capsys):

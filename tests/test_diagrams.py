@@ -9,6 +9,7 @@ from nfg import scalars
 from nfg.builtins import Permutation, perm_sign
 from nfg.contraction import exterior_brute, exterior_planned
 from nfg.diagrams import (
+    DiagramBuilder,
     check_cross_chain,
     check_eps_contraction,
     check_fig10,
@@ -238,6 +239,16 @@ def test_prop1_diagram_value():
     assert z == pfaffian_factor(2) * pfaffian_oracle(s)
     assert check_prop1(s, engine="brute").equal
     assert check_prop1(s, engine="planned").equal
+
+
+def test_prop1_refuses_an_unknown_engine():
+    with pytest.raises(ValueError, match="unknown engine 'brutee'"):
+        check_prop1(rand_skew(random.Random(12), 4), engine="brutee")
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_diagram_builder_builds_on_its_backend(backend):
+    assert DiagramBuilder(backend).g.backend() == backend
 
 
 def test_pfaffian_rejects_non_skew():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nfg import dsl
 from nfg.algebra import eval_compound
+from nfg.cli import EXIT_USAGE, main
 from nfg.contraction import exterior_brute
 from nfg.scalars import EXACT, F64, rat
 from nfg.tensor import Tensor
@@ -83,6 +84,55 @@ def test_error_messages_are_pinned():
         with pytest.raises(dsl.DslError) as exc:
             dsl.parse(src, _backend(src))
         assert str(exc.value) == ERROR_MESSAGES[path.name], path.name
+
+
+MATRIX = "tensor A [2,2] = 1, 0, 0, 1\ngraph g {\n  vertex a: A\n"
+
+# Rules the library owns (nfg.builtins, Nfg), raised by the owner and
+# reported by the parser at the item's token: a builtin's first argument, a
+# vertex or edge name, or the 'interface' keyword.
+OWNED_RULES = [
+    ("tensor E = eps(0)\n", "1:16: n must be positive"),
+    ("tensor I = delta(0)\n", "1:18: size must be positive"),
+    ("tensor x = e(4,3)\n", "1:14: i=4 out of range 1..3"),
+    ("tensor E = eps(11)\n", "1:16: n=11 exceeds the Levi-Civita limit 10 (n! storage)"),
+    (MATRIX + "  vertex a: A\n}\n", "4:10: duplicate vertex id 'a'"),
+    (MATRIX + "  vertex b: A\n  edge m(a.1, b.1)\n  edge m(a.2, b.2)\n}\n",
+     "6:8: duplicate edge id 'm'"),
+    (MATRIX + "  dangling x(a.1)\n  dangling x(a.2)\n}\n", "5:12: duplicate edge id 'x'"),
+    (MATRIX + "  edge l(a.1, a.1)\n}\n", "4:8: port ('a', 0) already in use"),
+    (MATRIX + "  dangling x(a.1)\n  dangling y(a.2)\n  interface(x, x)\n}\n",
+     "6:3: ['x', 'x'] is not a permutation of the dangling edges"),
+    (MATRIX + "  dangling x(a.1)\n  dangling y(a.2)\n  interface(y)\n}\n",
+     "6:3: ['y'] is not a permutation of the dangling edges"),
+]
+
+
+@pytest.mark.parametrize("source, expected", OWNED_RULES,
+                         ids=["eps0", "delta0", "e4of3", "eps11", "vertex", "edge", "dangling",
+                              "same port", "interface repeat", "interface subset"])
+def test_owned_rules_are_positioned_at_the_item(source, expected, tmp_path, capsys):
+    with pytest.raises(dsl.DslError) as exc:
+        dsl.parse(source)
+    assert str(exc.value) == expected
+    path = tmp_path / "doc.nfg"
+    path.write_text(source)
+    assert main(["contract", str(path), "g"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: {expected}\n")
+
+
+@pytest.mark.parametrize("item, expected", [
+    ("  vertex a: B\n", "4:13: undefined tensor 'B'"),
+    ("  edge m(a.1, a.2)\n  edge m(a.1, b.2)\n", "5:15: undefined vertex 'b'"),
+    ("  dangling x(a.1)\n  dangling x(a.9)\n", "5:16: slot out of range"),
+], ids=["vertex", "edge", "dangling"])
+def test_a_duplicate_id_is_reported_after_the_rest_of_its_item(item, expected):
+    """The graph owns the duplicate-id rule, so the parser reads the whole
+    item, and reports what it finds wrong there, before the graph is asked."""
+    with pytest.raises(dsl.DslError) as exc:
+        dsl.parse(MATRIX + item + "}\n")
+    assert str(exc.value) == expected
 
 
 def test_parsed_graphs_evaluate():

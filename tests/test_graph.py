@@ -75,6 +75,16 @@ def test_port_reuse_rejected():
         g.add_dangling(("a", 0))
 
 
+def test_connect_refuses_the_same_port_twice():
+    """The second claim of the port refuses it as in use and frees the first."""
+    g = Nfg()
+    g.add_vertex(Tensor.from_values((2, 2), [1, 0, 0, 1]), "a")
+    with pytest.raises(NfgError, match=re.escape("port ('a', 0) already in use")):
+        g.connect(("a", 0), ("a", 0), name="l")
+    assert g.vertices["a"].ciliation == [None, None] and not g.edges
+    g.connect(("a", 0), ("a", 1), name="l")
+
+
 def test_alphabet_mismatch_rejected():
     g = Nfg()
     g.add_vertex(Tensor.from_values((2,), [1, 0]), "a")

@@ -105,6 +105,12 @@ def test_trace_axes_keeps_storage_kind(sparse):
     assert tr.values() == [rat(7), rat(11), rat(15)]
 
 
+def test_trace_axes_of_different_sizes_is_refused_by_pair_contract():
+    t = Tensor.from_values((2, 3), list(range(6)))
+    with pytest.raises(TensorError, match="paired axes disagree on alphabet size: 3 vs 2"):
+        t.trace_axes(0, 1)
+
+
 def test_pair_contract_matmul():
     a = mat([1, 2, 3, 4], 2, 2)
     b = mat([5, 6, 7, 8], 2, 2)
