@@ -450,8 +450,9 @@ def pfaffian_factor(n: int) -> int:
 def check_prop1(a: Tensor, engine: str = "planned") -> IdentityCheckReport:
     """The Pfaffian diagram's exterior equals n! 2^n Pf(a)."""
     dim = _check_skew(a)
+    lhs = eval_compound(pfaffian_diagram(a), engine)  # refuses an unknown engine first
     rhs = scalar_tensor(pfaffian_oracle(a), a.backend).scale(pfaffian_factor(dim // 2))
-    return _report(f"prop1-pfaffian-2n={dim}", eval_compound(pfaffian_diagram(a), engine), rhs)
+    return _report(f"prop1-pfaffian-2n={dim}", lhs, rhs)
 
 
 # -- edge utilities used by the delta-insertion property ----------------------

@@ -466,7 +466,7 @@ class Tensor:
         """
         if ax1 == ax2:
             raise TensorError("trace needs two distinct axes")
-        n = self.shape[ax1]
+        n = self.shape[ax1] if 0 <= ax1 < self.rank else 1  # pair_contract refuses ax1
         delta = Tensor((n, n), self.backend,
                        sparse=dict.fromkeys(zip(range(n), range(n)), ONE_ENTRY[self.backend]))
         out = pair_contract(self, [ax1, ax2], delta, [0, 1])

@@ -11,6 +11,7 @@ from nfg.cli import EXIT_OK, EXIT_UNEQUAL, EXIT_USAGE, EXIT_VALIDATION, build_pa
 from nfg.diagrams import pfaffian_factor
 from nfg.scalars import rat
 from nfg.suites import rand_skew
+from nfg.tensor import Tensor
 
 from test_acceptance import pfaffian_expansion
 
@@ -150,6 +151,17 @@ def test_parse_error_is_usage(doc, capsys):
 def test_unknown_graph_is_validation(doc, capsys):
     assert main(["contract", doc(TRACE_DOC), "nope"]) == EXIT_VALIDATION
     capsys.readouterr()
+
+
+def test_contract_maps_a_refused_trace_to_validation(doc, capsys, monkeypatch):
+    """A trace that pair_contract refuses, reached from the self-loop of
+    `nfg contract`, is a validation error (exit 3) whichever axis is bad."""
+    original = Tensor.trace_axes
+    for shift in (lambda a, b: (a + 5, b), lambda a, b: (a, b + 4)):
+        monkeypatch.setattr(Tensor, "trace_axes",
+                            lambda self, a, b, shift=shift: original(self, *shift(a, b)))
+        assert main(["contract", doc(TRACE_DOC), "tr", "--engine", "planned"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: axis 5 out of range for rank 2\n"
 
 
 def test_no_arguments_is_usage(capsys):

@@ -241,9 +241,18 @@ def test_prop1_diagram_value():
     assert check_prop1(s, engine="planned").equal
 
 
-def test_prop1_refuses_an_unknown_engine():
-    with pytest.raises(ValueError, match="unknown engine 'brutee'"):
+def test_prop1_refuses_an_unknown_engine(monkeypatch):
+    """eval_compound refuses the engine name before the oracle runs."""
+    calls = []
+
+    def _must_not_run(*args):
+        calls.append(args)
+        raise AssertionError("the oracle ran before the engine name was checked")
+
+    monkeypatch.setattr("nfg.diagrams.pfaffian_oracle", _must_not_run)
+    with pytest.raises(ValueError, match="^unknown engine 'brutee'$"):
         check_prop1(rand_skew(random.Random(12), 4), engine="brutee")
+    assert calls == []
 
 
 @pytest.mark.parametrize("backend", [EXACT, F64])

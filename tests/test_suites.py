@@ -1,0 +1,120 @@
+"""The lemma2 suite: its slice check of the cyclic-shift law against the
+literal per-tuple law, its detection of a corrupted epsilon, and its
+mechanism (epsilon written out once per n, no per-tuple ``get``)."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nfg import suites
+from nfg.builtins import levi_civita
+from nfg.cli import EXIT_UNEQUAL, main
+from nfg.scalars import EXACT
+from nfg.suites import _shift_law_holds, run_suite
+from nfg.tensor import Tensor
+
+
+def flat(x, n):
+    """Row-major offset of the tuple x in range(n)**len(x)."""
+    out = 0
+    for v in x:
+        out = out * n + v
+    return out
+
+
+def literal_law(d, n, k, sign):
+    return all(d[flat(x, n)] == sign * d[flat(x[k:] + x[:k], n)]
+               for x in itertools.product(range(n), repeat=n))
+
+
+def lawful(d, n, k, sign):
+    """d changed to satisfy the law: along each orbit of the k-fold shift the
+    entries alternate by sign, and an orbit that cannot close is zero."""
+    out = [None] * len(d)
+    for x in itertools.product(range(n), repeat=n):
+        if out[flat(x, n)] is not None:
+            continue
+        orbit = [x]
+        while (y := orbit[-1][k:] + orbit[-1][:k]) != x:
+            orbit.append(y)
+        v = d[flat(x, n)] if sign ** len(orbit) == 1 else 0
+        for j, y in enumerate(orbit):
+            out[flat(y, n)] = sign ** j * v
+    return out
+
+
+@pytest.mark.parametrize("n,k,sign", [(n, k, sign) for n in range(1, 6) for k in range(n)
+                                      for sign in (1, -1)])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), make_lawful=st.booleans(),
+       bumps=st.lists(st.integers(0, 5 ** 5 - 1), max_size=2))
+def test_slice_check_is_the_literal_law(n, k, sign, seed, make_lawful, bumps):
+    rng = random.Random(seed)
+    d = [rng.randint(-2, 2) for _ in range(n ** n)]
+    if make_lawful:
+        d = lawful(d, n, k, sign)
+        assert literal_law(d, n, k, sign)
+    for i in bumps:
+        d[i % len(d)] += 1
+    assert _shift_law_holds(d, n, k, sign) == literal_law(d, n, k, sign)
+
+
+def _identity_cell(n):
+    return flat(tuple(range(n)), n)
+
+
+def _flip_sign(d, n):
+    d[_identity_cell(n)] = -d[_identity_cell(n)]
+
+
+def _zero_to_one(d, n):
+    assert d[1] == 0  # (0, ..., 0, 1) repeats a value
+    d[1] = 1
+
+
+def corrupt_eps(monkeypatch, n, corrupt):
+    """suites.levi_civita returns, at n only, a dense eps(n) with one cell
+    changed by corrupt(d, n); the changed entries are returned."""
+    d = list(levi_civita(n).to_dense().dense)
+    corrupt(d, n)
+    monkeypatch.setattr(suites, "levi_civita", lambda m: Tensor(
+        (m,) * m, EXACT, dense=d) if m == n else levi_civita(m))
+    return d
+
+
+@pytest.mark.parametrize("corrupt", [_flip_sign, _zero_to_one])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_corrupted_cell_fails_its_row_only(monkeypatch, capsys, n, corrupt):
+    corrupt_eps(monkeypatch, n, corrupt)
+    assert main(["verify", "lemma2"]) == EXIT_UNEQUAL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"lemma2-n={m} {'FAIL' if m == n else 'PASS'} {m ** m} tuples"
+                     for m in range(1, 7)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_each_k_fold_shift_check_catches_a_corrupted_cell(monkeypatch, capsys, n):
+    """For odd n the suite also checks every k-fold shift (sign +1).  The
+    one-step law implies each of them, so no cell breaks a k-fold shift
+    alone; instead each k-fold slice check must catch the cell by itself."""
+    d = corrupt_eps(monkeypatch, n, _zero_to_one)
+    assert not any(_shift_law_holds(d, n, k, 1) for k in range(1, n))
+    assert not any(literal_law(d, n, k, 1) for k in range(1, n))
+    assert main(["verify", "lemma2"]) == EXIT_UNEQUAL
+    assert f"lemma2-n={n} FAIL {n ** n} tuples" in capsys.readouterr().out.splitlines()
+
+
+def test_lemma2_writes_out_each_eps_once_and_reads_no_entry(monkeypatch):
+    calls = {"get": 0, "to_dense": 0}
+    for name in calls:
+        original = getattr(Tensor, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Tensor, name, counted)
+    assert all(ok for _, ok, _ in run_suite("lemma2"))
+    assert calls == {"get": 0, "to_dense": 6}

@@ -111,6 +111,13 @@ def test_trace_axes_of_different_sizes_is_refused_by_pair_contract():
         t.trace_axes(0, 1)
 
 
+@pytest.mark.parametrize("axes", [(5, 0), (0, 5)])
+def test_trace_axes_out_of_range_is_refused_by_pair_contract(axes):
+    t = Tensor.from_values((2, 2), [1, 2, 3, 4])
+    with pytest.raises(TensorError, match="^axis 5 out of range for rank 2$"):
+        t.trace_axes(*axes)
+
+
 def test_pair_contract_matmul():
     a = mat([1, 2, 3, 4], 2, 2)
     b = mat([5, 6, 7, 8], 2, 2)
