@@ -5,19 +5,22 @@ The brute-force path is the ground truth for everything else.  It is a
 literal sum of products over the assignments to the internal and dangling
 variables, but it enumerates only those on which every vertex is nonzero: a
 backtracking join over each vertex's nonzero entries (the generic-join view
-of a sum-product, Ngo-Re-Rudra 2013), which shares no code with the
-contraction kernels or the planner.  The planned path replays pairwise
-groupings (each one a two-tensor contraction) and exploits sparse operands,
-which is what makes the large Levi-Civita diagrams tractable.  One step
-function, ``_group``, does every grouping, on a map vertex id -> Vertex;
+of a sum-product, Ngo-Re-Rudra 2013), walked in blocks of partial
+assignments in the order a stack of single ones visits them, sharing no code
+with the contraction kernels or the planner.  The planned path replays
+pairwise groupings (each one a two-tensor contraction) and exploits sparse
+operands, which is what makes the large Levi-Civita diagrams tractable.  One
+step function, ``_group``, does every grouping, on a map vertex id -> Vertex;
 self-loops are summed out before the first grouping, so no step carries one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import prod
+from operator import add
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Nfg, NfgError, Vertex
@@ -48,20 +51,28 @@ class ContractionPlan:
         return ContractionPlan(steps)
 
 
+# Partial assignments the join extends together; a larger block is split, bounding memory.
+_BLOCK = 1024
+
+
 def exterior_brute(g: Nfg) -> Tensor:
     """Z_G as a literal sum of products, over the nonzero entries only.
 
     A backtracking join: the vertices are visited one at a time, each time
     the one with the smallest estimated fan-out (its nonzero count over the
     alphabet sizes of its edges already bound; ties on the count, then on
-    insertion order), and each visit extends the partial assignment by every
-    nonzero entry of the vertex that agrees with it on the bound edges,
+    insertion order), and each visit extends the partial assignments by every
+    nonzero entry of the vertex that agrees with them on the bound edges,
     found in an index of the entries by those edges.  A self-loop is an
     equality of two slots, so entries whose looped slots differ are dropped.
-    Every complete assignment adds its product of stored entries (int
-    numerators on the exact backend) to the cell of its dangling values; the
-    product of the vertex denominators divides each output cell once, as the
-    result's denominator.
+    The walk is depth first over blocks of partial assignments, each block
+    extended a level at a time and split past ``_BLOCK``.  Interior index
+    buckets are stored reversed, so assignments complete in the order a
+    stack of single ones, each pushing its bucket in order, completes them:
+    each output cell sums the same products in the same order, so f64
+    results cannot move by a bit.  A product of stored entries (int
+    numerators on the exact backend) goes to the cell of its dangling
+    values; the vertex denominators' product is the result's denominator.
     """
     g.check_valid()
     backend = g.backend()
@@ -70,74 +81,81 @@ def exterior_brute(g: Nfg) -> Tensor:
     if not g.vertices:
         return Tensor((), backend, dense=[one])
 
-    # each vertex as (distinct edge ids in slot order, nonzero (values, entry) pairs)
+    # each vertex as (nonzero count, distinct edge ids, nonzero (values, entry) pairs)
     factors = []
+    touching: Dict[str, List[int]] = {}  # edge id -> the vertices it touches
     denom = 1
     for vtx in g.vertices.values():
-        tensor = vtx.tensor
+        tensor, cil = vtx.tensor, vtx.ciliation
         denom *= tensor.denom
-        items = tensor.nonzeros()
-        first: Dict[str, int] = {}
-        for slot, eid in enumerate(vtx.ciliation):
-            first.setdefault(eid, slot)
-        loops = [(first[eid], slot) for slot, eid in enumerate(vtx.ciliation)
-                 if first[eid] != slot]
-        if loops:
-            distinct = _getter(list(first.values()))
-            entries = [(distinct(key), v) for key, v in items
-                       if all(key[a] == key[b] for a, b in loops)]
+        edges = cil
+        if len(set(cil)) == len(cil):
+            entries = list(tensor.nonzeros())
         else:
-            entries = list(items)
+            edges = list(dict.fromkeys(cil))
+            loops = [(cil.index(eid), slot) for slot, eid in enumerate(cil)
+                     if cil.index(eid) != slot]
+            distinct = _getter([cil.index(eid) for eid in edges])
+            entries = [(distinct(key), v) for key, v in tensor.nonzeros()
+                       if all(key[a] == key[b] for a, b in loops)]
         if not entries:
             return Tensor(shape, backend, dense=[zero] * prod(shape), denom=denom)
-        factors.append((list(first), entries))
+        for eid in edges:
+            touching.setdefault(eid, []).append(len(factors))
+        factors.append((len(entries), edges, entries))
 
     # visiting order, and per visit an index of the entries by the bound edges
-    alphabet = {eid: edge.alphabet for eid, edge in g.edges.items()}
     bound: Dict[str, int] = {}  # edge id -> position in the partial assignment
+    width = [1] * len(factors)  # per vertex, the product of its bound edges' alphabets
     steps = []
-
-    def fan_out(i):
-        edges, entries = factors[i]
-        width = 1
-        for eid in edges:
-            if eid in bound:
-                width *= alphabet[eid]
-        return (len(entries) / width, len(entries), i)
-
     todo = list(range(len(factors)))
     while todo:
-        i = min(todo, key=fan_out)
+        i = min([(factors[i][0] / width[i], factors[i][0], i) for i in todo])[2]
         todo.remove(i)
-        edges, entries = factors[i]
+        _, edges, entries = factors[i]
         old = [k for k, eid in enumerate(edges) if eid in bound]
-        new = [k for k, eid in enumerate(edges) if eid not in bound]
-        get_old, get_new = _getter(old), _getter(new)
-        index: Dict[tuple, list] = {}
-        for key, v in entries:
-            index.setdefault(get_old(key), []).append((get_new(key), v))
-        steps.append((_getter([bound[edges[k]] for k in old]), index))
-        for k in new:
-            bound[edges[k]] = len(bound)
+        if old:
+            get_old = _getter(old)
+            get_new = _getter([k for k, eid in enumerate(edges) if eid not in bound])
+            index: Dict[tuple, list] = {}
+            for key, v in reversed(entries) if todo else entries:
+                index.setdefault(get_old(key), []).append((get_new(key), v))
+        else:
+            index = {(): entries[::-1] if todo else entries}
+        steps.append((_getter([bound[edges[k]] for k in old]), index.get))
+        for eid in edges:
+            if eid not in bound:
+                bound[eid] = len(bound)
+                for j in touching[eid]:
+                    width[j] *= g.edges[eid].alphabet
 
+    *inner, (look, get) = steps
     out: Dict[tuple, object] = {}
     oget = out.get
     dangling_values = _getter([bound[eid] for eid in g.dangling])
-    last = len(steps) - 1
-    stack = [(0, (), one)]
-    while stack:
-        depth, assign, term = stack.pop()
-        look, index = steps[depth]
-        matches = index.get(look(assign))
-        if not matches:
-            continue
-        if depth == last:
-            for values, v in matches:
-                key = dangling_values(assign + values)
-                out[key] = oget(key, zero) + term * v
+    total = zero
+    blocks = [(0, [((), one)])]
+    while blocks:
+        depth, block = blocks.pop()
+        if len(block) > _BLOCK:
+            blocks += [(depth, block[s:s + _BLOCK])
+                       for s in reversed(range(0, len(block), _BLOCK))]
+        elif depth < len(inner):
+            look_d, get_d = inner[depth]
+            block = [(assign + values, term * v) for assign, term in block
+                     for values, v in get_d(look_d(assign), ())]
+            if block:
+                blocks.append((depth + 1, block))
+        elif shape:
+            for key, t in [(dangling_values(assign + values), term * v)
+                           for assign, term in block for values, v in get(look(assign), ())]:
+                out[key] = oget(key, zero) + t
         else:
-            stack.extend((depth + 1, assign + values, term * v) for values, v in matches)
+            total = reduce(add, [term * v for assign, term in block
+                                 for _, v in get(look(assign), ())], total)
 
+    if not shape:
+        return Tensor((), backend, dense=[total], denom=denom)
     return Tensor(shape, backend, sparse=out, denom=denom).to_dense()
 
 

@@ -27,10 +27,10 @@ from nfg.diagrams import (
     transpose,
 )
 from nfg.graph import Nfg
-from nfg.suites import rand_mat, rand_rat, rand_skew, run_suite
+from nfg.suites import rand_mat, rand_skew, run_suite
 from nfg.tensor import Tensor, pair_contract
 
-from test_contraction import brute_cost
+from test_contraction import brute_cost, rand_rat
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 

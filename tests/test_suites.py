@@ -1,6 +1,7 @@
 """The lemma2 suite: its slice check of the cyclic-shift law against the
 literal per-tuple law, its detection of a corrupted epsilon, and its
-mechanism (epsilon written out once per n, no per-tuple ``get``)."""
+mechanism (epsilon written out once per n, no per-tuple ``get``); and the
+random suite inputs against the Fraction draws they stand for."""
 
 import itertools
 import random
@@ -12,8 +13,10 @@ from nfg import suites
 from nfg.builtins import levi_civita
 from nfg.cli import EXIT_UNEQUAL, main
 from nfg.scalars import EXACT
-from nfg.suites import _shift_law_holds, run_suite
+from nfg.suites import _shift_law_holds, rand_mat, rand_skew, rand_vec, run_suite
 from nfg.tensor import Tensor
+
+from test_contraction import rand_rat
 
 
 def flat(x, n):
@@ -96,9 +99,9 @@ def test_a_corrupted_cell_fails_its_row_only(monkeypatch, capsys, n, corrupt):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_each_k_fold_shift_check_catches_a_corrupted_cell(monkeypatch, capsys, n):
-    """For odd n the suite also checks every k-fold shift (sign +1).  The
-    one-step law implies each of them, so no cell breaks a k-fold shift
-    alone; instead each k-fold slice check must catch the cell by itself."""
+    """For odd n every k-fold shift has sign +1.  The suite checks only the
+    one-step law, which implies each of them, so no cell breaks a k-fold
+    shift alone; instead each k-fold slice check must catch the cell by itself."""
     d = corrupt_eps(monkeypatch, n, _zero_to_one)
     assert not any(_shift_law_holds(d, n, k, 1) for k in range(1, n))
     assert not any(literal_law(d, n, k, 1) for k in range(1, n))
@@ -118,3 +121,33 @@ def test_lemma2_writes_out_each_eps_once_and_reads_no_entry(monkeypatch):
         monkeypatch.setattr(Tensor, name, counted)
     assert all(ok for _, ok, _ in run_suite("lemma2"))
     assert calls == {"get": 0, "to_dense": 6}
+
+
+# -- random inputs --------------------------------------------------------------
+
+
+def fraction_skew(rng, dim):
+    """A skew matrix of rand_rat draws, row by row above the diagonal."""
+    data = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = rand_rat(rng)
+            data[i][j], data[j][i] = v, -v
+    return Tensor.from_values((dim, dim), [x for row in data for x in row])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 26, 3001])
+def test_suite_inputs_are_the_fraction_draws(seed):
+    """rand_vec, rand_mat and rand_skew draw the ints rand_rat draws, in the
+    same order, and store what Tensor.from_values stores for the Fractions."""
+    cases = [(rand_vec, (n,), lambda rng, n: Tensor.from_values(
+                 (n,), [rand_rat(rng) for _ in range(n)])) for n in (1, 3, 5)]
+    cases += [(rand_mat, (r, c), lambda rng, r, c: Tensor.from_values(
+                  (r, c), [rand_rat(rng) for _ in range(r * c)])) for r, c in ((1, 1), (3, 4), (6, 6))]
+    cases += [(rand_skew, (dim,), fraction_skew) for dim in (2, 4, 8, 10)]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for make, args, reference in cases * 3:
+        got, want = make(ours, *args), reference(theirs, *args)
+        assert (got.shape, got.dense, got.denom) == (want.shape, want.dense, want.denom)
+        assert [type(x) for x in got.dense] == [type(x) for x in want.dense]
+        assert ours.getstate() == theirs.getstate()
