@@ -5,7 +5,6 @@ engine; no attempt is made to merge terms into a single graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import scalars
@@ -14,22 +13,20 @@ from .graph import Edge, Nfg, NfgError, Vertex
 from .tensor import Tensor
 
 
-@dataclass
 class CompoundNfg:
     """Nonempty (coefficient, graph) terms sharing one ordered interface."""
 
-    terms: List[Tuple[object, Nfg]]
-    interface: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: List[Tuple[object, Nfg]], interface: Tuple[int, ...]):
+        if not terms:
             raise NfgError("a compound NFG needs at least one term")
-        for _, g in self.terms:
-            if g.dangling_shape() != self.interface:
+        for _, g in terms:
+            if g.dangling_shape() != interface:
                 raise NfgError(
                     f"term interface {g.dangling_shape()} != compound "
-                    f"interface {self.interface}"
+                    f"interface {interface}"
                 )
+        self.terms = terms
+        self.interface = interface
 
 
 def as_compound(g: Union[Nfg, CompoundNfg]) -> CompoundNfg:

@@ -7,7 +7,6 @@ and reads as sparse with its n! nonzeros out of n**n cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from . import scalars
@@ -17,28 +16,24 @@ from .tensor import ONE_ENTRY, Tensor, inversion_sign
 EPS_DEFAULT_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {1..n}; images[j-1] is the image of j."""
+class Permutation(tuple):
+    """A bijection on {1..n}, as the tuple of its images: p(j) = p[j-1]."""
 
-    images: Tuple[int, ...]
+    images = property(tuple)  # the images as a plain tuple
+    n = property(len)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{list(self.images)} is not a permutation of 1..{n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
+    def __new__(cls, images: Tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"{list(images)} is not a permutation of 1..{len(images)}")
+        return super().__new__(cls, images)
 
     def __call__(self, j: int) -> int:
-        return self.images[j - 1]
+        return self[j - 1]
 
 
 def perm_sign(p: Permutation) -> int:
     """Parity by inversion counting: (-1)**inversions."""
-    return inversion_sign(p.images)
+    return inversion_sign(p)
 
 
 def tau(n: int) -> Permutation:

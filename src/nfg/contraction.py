@@ -16,19 +16,17 @@ self-loops are summed out before the first grouping, so no step carries one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import prod
 from operator import add
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Nfg, NfgError, Vertex
 from .tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, pair_contract
 
 
-@dataclass
-class ContractionPlan:
+class ContractionPlan(NamedTuple):
     """Ordered pairwise groupings plus an estimated multiply-add count."""
 
     steps: List[Tuple[str, str]]

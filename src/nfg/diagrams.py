@@ -14,9 +14,8 @@ rational backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from . import scalars
 from .algebra import eval_compound, stack, sub_nfgs
@@ -27,8 +26,7 @@ from .scalars import EXACT
 from .tensor import Tensor
 
 
-@dataclass
-class IdentityCheckReport:
+class IdentityCheckReport(NamedTuple):
     name: str
     lhs: Tensor
     rhs: Tensor

@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -85,8 +84,7 @@ _BUILTIN_ARITY = {"eps": 1, "delta": 1, "e": 2}
 # -- document model -----------------------------------------------------------
 
 
-@dataclass
-class TensorDecl:
+class TensorDecl(NamedTuple):
     """A value list is kept as an exact tensor stores it, on either backend:
     int numerators over one denominator, in lowest terms as a whole
     (``tensor.lowest_terms``).  ``values`` forms the rationals on demand."""
@@ -103,46 +101,39 @@ class TensorDecl:
         return [Fraction(n, self.denom) for n in self.numerators]
 
 
-@dataclass
-class PortAst:
+class PortAst(NamedTuple):
     vertex: str
     slot: int  # 1-based as written
 
 
-@dataclass
-class VertexDecl:
+class VertexDecl(NamedTuple):
     name: str
     tensor: str
 
 
-@dataclass
-class EdgeDecl:
+class EdgeDecl(NamedTuple):
     name: str
     ports: Tuple[PortAst, PortAst]
 
 
-@dataclass
-class DanglingDecl:
+class DanglingDecl(NamedTuple):
     name: str
     port: PortAst
 
 
-@dataclass
-class GraphDecl:
+class GraphDecl(NamedTuple):
     name: str
     vertices: List[VertexDecl]
     links: List[Union[EdgeDecl, DanglingDecl]]
     interface: Optional[List[str]]
 
 
-@dataclass
-class ExprTerm:
+class ExprTerm(NamedTuple):
     coef: Fraction
     graph: str
 
 
-@dataclass
-class ExprDecl:
+class ExprDecl(NamedTuple):
     name: str
     terms: List[ExprTerm]
 
@@ -150,13 +141,15 @@ class ExprDecl:
 Statement = Union[TensorDecl, GraphDecl, ExprDecl]
 
 
-@dataclass
 class DslDocument:
-    statements: List[Statement]
-    tensors: Dict[str, Tensor] = field(default_factory=dict, compare=False)
-    graphs: Dict[str, Nfg] = field(default_factory=dict, compare=False)
-    compounds: Dict[str, CompoundNfg] = field(default_factory=dict, compare=False)
-    backend: str = field(default=EXACT, compare=False)
+    """The statements in source order, and by name what they define."""
+
+    def __init__(self, backend: str = EXACT):
+        self.statements: List[Statement] = []
+        self.tensors: Dict[str, Tensor] = {}
+        self.graphs: Dict[str, Nfg] = {}
+        self.compounds: Dict[str, CompoundNfg] = {}
+        self.backend = backend
 
 
 # -- parser -------------------------------------------------------------------
@@ -169,7 +162,7 @@ class _Parser:
         self.tok: Optional[Token] = None  # the scanned token not yet consumed
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
         self.backend = backend
-        self.doc = DslDocument([], backend=backend)
+        self.doc = DslDocument(backend)
 
     # token utilities ----------------------------------------------------
 
@@ -253,16 +246,20 @@ class _Parser:
         """A tensor's value list as signed int numerators and positive int
         denominators, in the terms written (2/4 stays 2 over 4), with no
         rational built per value.  _VALUE reads an entry at a time; an entry
-        it cannot read, or whose number int() refuses as too long, goes to
-        the token methods, which raise the error."""
+        it cannot read, whose number int() refuses as too long, or, on f64,
+        whose value is beyond the largest float, goes to the token methods,
+        which raise the error."""
         nums: List[int] = []
         dens: List[int] = []
+        f64 = self.backend != EXACT
         while True:
             m = _VALUE.match(self.source, self.pos)
             try:
                 den = m and int(m[3] or 1)
                 num = den and int(m[2])
-            except ValueError:
+                if f64 and den:
+                    num / den  # int / int raises OverflowError past the largest float
+            except (ValueError, OverflowError):
                 den = 0
             if den:
                 nums.append(-num if m[1] else num)
@@ -319,7 +316,6 @@ class _Parser:
                     break
             self.expect_sym("]")
             eq_tok = self.expect_sym("=")
-            start = self.pos
             nums, dens = self.parse_values()
             tok = self.peek()
             if tok.kind not in ("NAME", "EOF"):
@@ -337,15 +333,7 @@ class _Parser:
             if self.backend == EXACT:
                 tensor = Tensor(tuple(dims), EXACT, dense=entries, denom=denom)
             else:  # int / int is correctly rounded: float(Fraction) bit for bit
-                try:
-                    floats = [n / denom for n in entries]
-                except OverflowError:
-                    # the token methods read the list again and raise at the value
-                    self.pos, self.tok = start, None
-                    while True:
-                        self.parse_rational()
-                        self.next()  # ','
-                tensor = Tensor(tuple(dims), F64, dense=floats)
+                tensor = Tensor(tuple(dims), F64, dense=[n / denom for n in entries])
         else:
             self.expect_sym("=")
             fn_tok = self.expect_name("a builtin name")

@@ -11,23 +11,21 @@ slots of one vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import EXACT
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     alphabet: int
 
 
-@dataclass
 class Vertex:
-    tensor: Tensor
-    ciliation: List[Optional[str]]  # edge id occupying each slot, None while building
+    def __init__(self, tensor: Tensor, ciliation: List[Optional[str]]):
+        self.tensor = tensor
+        self.ciliation = ciliation  # edge id occupying each slot, None while building
 
 
 class NfgError(ValueError):

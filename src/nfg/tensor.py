@@ -227,14 +227,6 @@ def lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
     return entries, denom
 
 
-def _over_common_denominator(backend: str, values: Iterable) -> Tuple[list, int]:
-    """Admit values to a backend; return their stored entries and denominator."""
-    vals = [scalars.coerce(backend, v) for v in values]
-    if backend != EXACT:
-        return vals, 1
-    return lowest_terms([int(v.numerator) for v in vals], [int(v.denominator) for v in vals])
-
-
 class Tensor:
     """Immutable multi-dimensional array over one scalar backend.
 
@@ -294,17 +286,12 @@ class Tensor:
             raise TensorError(
                 f"expected {prod(shape)} values for shape {list(shape)}, got {len(values)}"
             )
-        data, denom = _over_common_denominator(backend, values)
+        vals = [scalars.coerce(backend, v) for v in values]
+        if backend != EXACT:
+            return Tensor(shape, backend, dense=vals)
+        data, denom = lowest_terms([int(v.numerator) for v in vals],
+                                   [int(v.denominator) for v in vals])
         return Tensor(shape, backend, dense=data, denom=denom)
-
-    @staticmethod
-    def from_sparse(shape: Sequence[int], entries: Dict[Index, object], backend: str = EXACT) -> "Tensor":
-        shape = tuple(shape)
-        keys = [tuple(key) for key in entries]
-        for key in keys:
-            _check_index(shape, key)
-        nums, denom = _over_common_denominator(backend, entries.values())
-        return Tensor(shape, backend, sparse={k: v for k, v in zip(keys, nums) if v}, denom=denom)
 
     # -- basic access ------------------------------------------------------
 
@@ -349,16 +336,14 @@ class Tensor:
             index = tuple(map(operator.index, index))
         except TypeError:
             raise TensorError(f"index {index!r} has a component that is not an int") from None
+        _check_index(self.shape, index)
+        if self.dense is not None:
+            return self._value(self.dense[sum(map(mul, index, _strides(self.shape)))])
         if self.alt is None:
-            _check_index(self.shape, index)
-            if self.dense is not None:
-                return self._value(self.dense[sum(map(mul, index, _strides(self.shape)))])
             return self._value(self._sparse.get(index, ZERO_ENTRY[self.backend]))
-        shape, r = self.shape, len(index)
-        if r != len(shape) or index and not (0 <= min(index) and max(index) < shape[0]):
-            _check_index(shape, index)  # raises the rank or bounds error
+        r = len(index)
         if len(set(index)) < r or not (
-                entry := self.alt[_ranks(r and shape[0], r)[tuple(sorted(index))]]):
+                entry := self.alt[_ranks(r and self.shape[0], r)[tuple(sorted(index))]]):
             return self._value(ZERO_ENTRY[self.backend])
         return self._value(entry if inversion_sign(index) > 0 else -entry)
 
@@ -377,12 +362,6 @@ class Tensor:
         for key, v in self.nonzeros():
             data[sum(i * s for i, s in zip(key, st))] = v
         return Tensor(self.shape, self.backend, dense=data, denom=self.denom)
-
-    def to_sparse(self) -> "Tensor":
-        if self.is_sparse:
-            return self
-        store = {key: v for key, v in zip(self.indices(), self.dense) if v}
-        return Tensor(self.shape, self.backend, sparse=store, denom=self.denom)
 
     # -- arithmetic --------------------------------------------------------
 

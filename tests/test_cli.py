@@ -76,6 +76,26 @@ def test_equal_exit_codes(doc, capsys):
     assert "unequal" in capsys.readouterr().out
 
 
+def test_equal_over_unequal_interface_shapes(doc, capsys):
+    path = doc("tensor u [2] = 1, 2\ntensor v [3] = 1, 2, 3\n"
+               "graph g { vertex a: u  dangling x(a.1) }\n"
+               "graph h { vertex b: v  dangling y(b.1) }\n")
+    assert main(["equal", path, "g", "h"]) == EXIT_UNEQUAL
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("unequal: interface shapes [2] vs [3]\n", "")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["contract", TRACE_DOC, "nope"], "no graph named 'nope' in the document"),
+    (["pfaffian", SKEW_DOC, "T"], "no tensor named 'T' in the document"),
+], ids=["contract", "pfaffian"])
+def test_a_name_missing_from_the_document_is_validation(argv, expected, doc, capsys):
+    command, text, name = argv
+    assert main([command, doc(text), name]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"validation error: {expected}\n")
+
+
 def test_pfaffian(doc, capsys):
     assert main(["pfaffian", doc(SKEW_DOC), "S"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -33,6 +33,8 @@ from nfg.scalars import EXACT, F64
 from nfg.suites import rand_mat, rand_skew
 from nfg.tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, pair_contract
 
+from test_tensor import to_sparse
+
 
 def rand_rat(rng: random.Random):
     """A Fraction with numerator rng.randint(-9, 9), then denominator
@@ -433,7 +435,7 @@ def with_storage(g, backend, rng=None, zero_rate=0.0):
             values = [0 if rng.random() < zero_rate else v for v in values]
         t = on_backend(vtx.tensor.shape, values, backend)
         if rng is not None and rng.random() < 0.5:
-            t = t.to_sparse()
+            t = to_sparse(t)
         h.vertices[vid] = Vertex(t, list(vtx.ciliation))
     return h
 

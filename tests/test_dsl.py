@@ -122,6 +122,40 @@ def test_owned_rules_are_positioned_at_the_item(source, expected, tmp_path, caps
     assert (captured.out, captured.err) == ("", f"parse error: {expected}\n")
 
 
+# Rules the parser owns, reported at the token that breaks them: a number, a
+# name, the keyword of a graph item out of order, or the graph's name.
+PARSER_RULES = [
+    ("tensor u [0] = 1\n", "1:11: alphabet sizes must be positive"),
+    ("tensor E = foo(3)\n", "1:12: unknown builtin 'foo'"),
+    ("42\n", "1:1: expected a statement, found '42'"),
+    ("tensor A [2] = 1, 2\ngraph g {\n  42\n}\n", "3:3: expected a graph item, found '42'"),
+    (MATRIX + "  dangling x(a.1)\n  vertex b: A\n}\n",
+     "5:3: vertex declarations must precede edges"),
+    (MATRIX + "  dangling x(a.1)\n  dangling y(a.2)\n  interface(x, y)\n  dangling z(a.1)\n}\n",
+     "7:3: dangling edges must precede the interface"),
+    (MATRIX + "  dangling x(a.1)\n  interface(x)\n  edge m(a.2, a.2)\n}\n",
+     "6:3: edges must precede the interface"),
+    (MATRIX + "  dangling x(a.1)\n  dangling y(a.2)\n  interface(x, y)\n  interface(y, x)\n}\n",
+     "7:3: duplicate interface"),
+    (MATRIX + "}\n", "2:7: invalid graph 'g': uncovered port ('a', 0)"),
+]
+
+
+@pytest.mark.parametrize("source, expected", PARSER_RULES,
+                         ids=["alphabet", "builtin", "statement", "graph item",
+                              "vertex after edge", "dangling after interface",
+                              "edge after interface", "interface twice", "unwired"])
+def test_parser_rules_are_positioned_errors(source, expected, tmp_path, capsys):
+    with pytest.raises(dsl.DslError) as exc:
+        dsl.parse(source)
+    assert str(exc.value) == expected
+    path = tmp_path / "doc.nfg"
+    path.write_text(source)
+    assert main(["contract", str(path), "g"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: {expected}\n")
+
+
 @pytest.mark.parametrize("item, expected", [
     ("  vertex a: B\n", "4:13: undefined tensor 'B'"),
     ("  edge m(a.1, a.2)\n  edge m(a.1, b.2)\n", "5:15: undefined vertex 'b'"),

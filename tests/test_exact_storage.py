@@ -17,6 +17,8 @@ from nfg.graph import Nfg
 from nfg.scalars import EXACT, F64, BackendMismatch, coerce, rat
 from nfg.tensor import Tensor, TensorError, pair_contract
 
+from test_tensor import to_sparse
+
 
 def rand_tensor(rng, shape, dens, sparse=False, density=0.6):
     """Random rational tensor whose entries draw their denominators from dens."""
@@ -26,7 +28,7 @@ def rand_tensor(rng, shape, dens, sparse=False, density=0.6):
     values = [rat(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < density else rat(0)
               for _ in range(size)]
     t = Tensor.from_values(shape, values)
-    return t.to_sparse() if sparse else t
+    return to_sparse(t) if sparse else t
 
 
 def naive_contract(f, f_axes, g, g_axes):
@@ -115,7 +117,7 @@ def test_same_storage_pairs_agree_with_brute(case, sparse):
 
 
 def test_sparse_dense_result_drops_cancelled_entries():
-    sp = Tensor.from_sparse((2, 2), {(0, 0): rat(1, 2), (0, 1): rat(1, 3)})
+    sp = to_sparse(Tensor.from_values((2, 2), [rat(1, 2), rat(1, 3), 0, 0]))
     dn = Tensor.from_values((2,), [rat(2, 3), -1])
     out = pair_contract(sp, [1], dn, [0])
     assert out.is_sparse and out.sparse == {}
@@ -142,7 +144,7 @@ def test_trace_axes_agrees_with_brute(sparse):
 def test_f64_contraction_agrees_with_brute():
     rng = random.Random(8)
     f = Tensor.from_values((3, 2), [rng.uniform(-1, 1) for _ in range(6)], F64)
-    g = Tensor.from_values((2, 3), [rng.uniform(-1, 1) for _ in range(6)], F64).to_sparse()
+    g = to_sparse(Tensor.from_values((2, 3), [rng.uniform(-1, 1) for _ in range(6)], F64))
     got = pair_contract(f, [1], g, [0])
     ref = brute_contract(f, [1], g, [0])
     assert got.equal(ref, tol=1e-12)
@@ -169,7 +171,7 @@ def test_get_and_to_obj_read_lowest_terms_after_add():
     s = a.add(b)
     assert s.to_obj()["values"] == ["1", "1/2"]
     assert s.get((0,)) == 1 and str(s.get((1,))) == "1/2"
-    sp = a.to_sparse().add(b.to_sparse().scale(-1))
+    sp = to_sparse(a).add(to_sparse(b).scale(-1))
     assert sp.to_obj()["values"] == ["0", "-1/6"]
     assert sp.sparse.keys() == {(1,)}
 
@@ -192,10 +194,10 @@ def test_equal_across_stored_denominators():
     b = Tensor.from_values((3,), [rat(1, 2), 1, 0])
     assert (a.denom, b.denom) == (4, 2)
     assert a.equal(b) and b.equal(a)
-    assert a.to_sparse().equal(b) and a.equal(b.to_sparse())
-    assert a.to_sparse().equal(b.to_sparse())
+    assert to_sparse(a).equal(b) and a.equal(to_sparse(b))
+    assert to_sparse(a).equal(to_sparse(b))
     c = Tensor((3,), EXACT, dense=[2, 4, 1], denom=4)
-    assert not c.equal(b) and not b.to_sparse().equal(c.to_sparse())
+    assert not c.equal(b) and not to_sparse(b).equal(to_sparse(c))
 
 
 def test_equal_after_contraction_with_unreduced_denominator():
@@ -245,7 +247,7 @@ def test_exact_backend_rejects_bool():
     with pytest.raises(BackendMismatch):
         Tensor.from_values((2,), [1, False])
     with pytest.raises(BackendMismatch):
-        Tensor.from_sparse((2,), {(0,): True})
+        Tensor((2,), EXACT, sparse={(0,): True})
     with pytest.raises(BackendMismatch):
         Tensor.from_values((1,), [1]).scale(True)
 

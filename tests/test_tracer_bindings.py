@@ -8,7 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from nfg import Nfg, Tensor, levi_civita
+from nfg import EXACT, Nfg, Tensor, levi_civita
 from nfg.contraction import plan_greedy
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -38,7 +38,7 @@ def test_every_traced_binding_resolves():
 
 def test_every_info_function_reads_a_real_call():
     a = Tensor.from_values((2, 2), [1, 2, 3, 4])
-    b = Tensor.from_sparse((2, 2), {(0, 1): 5, (1, 0): 6})
+    b = Tensor((2, 2), EXACT, sparse={(0, 1): 5, (1, 0): 6})
     g = Nfg()
     g.add_vertex(a, "a")
     g.add_vertex(b, "b")
