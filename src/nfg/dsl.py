@@ -27,6 +27,11 @@ numerators over one denominator, as an exact tensor stores them; no rational
 is built per value.  Every error, lexical, syntactic, or semantic, carries
 the 1-based line and column of the offending token, and on f64 so does a
 value beyond the largest float.
+
+``DslDocument.statements`` holds the statements in source order: a value
+list as a ``TensorDecl`` (its values stay lazy), and every other statement,
+a builtin tensor, a whole graph block or a let line, as its canonical text,
+built as it is parsed.  ``serialize`` writes str() of each on its own line.
 """
 
 from __future__ import annotations
@@ -87,69 +92,33 @@ _BUILTIN_ARITY = {"eps": 1, "delta": 1, "e": 2}
 class TensorDecl(NamedTuple):
     """A value list is kept as an exact tensor stores it, on either backend:
     int numerators over one denominator, in lowest terms as a whole
-    (``tensor.lowest_terms``).  ``values`` forms the rationals on demand."""
+    (``tensor.lowest_terms``).  ``values`` forms the rationals on demand, and
+    str() gives the statement's canonical line."""
     name: str
-    dims: Optional[List[int]]        # None for the builtin form
-    numerators: Optional[List[int]]  # None for the builtin form
-    denom: int = 1
-    builtin: Optional[Tuple] = None  # ("eps", n) | ("delta", n) | ("e", i, n)
+    dims: List[int]
+    numerators: List[int]
+    denom: int
 
     @property
-    def values(self) -> Optional[List[Fraction]]:
-        if self.numerators is None:
-            return None
+    def values(self) -> List[Fraction]:
         return [Fraction(n, self.denom) for n in self.numerators]
 
-
-class PortAst(NamedTuple):
-    vertex: str
-    slot: int  # 1-based as written
-
-
-class VertexDecl(NamedTuple):
-    name: str
-    tensor: str
+    def __str__(self) -> str:
+        dims = ",".join(map(str, self.dims))
+        return f"tensor {self.name} [{dims}] = {', '.join(map(str, self.values))}"
 
 
-class EdgeDecl(NamedTuple):
-    name: str
-    ports: Tuple[PortAst, PortAst]
-
-
-class DanglingDecl(NamedTuple):
-    name: str
-    port: PortAst
-
-
-class GraphDecl(NamedTuple):
-    name: str
-    vertices: List[VertexDecl]
-    links: List[Union[EdgeDecl, DanglingDecl]]
-    interface: Optional[List[str]]
-
-
-class ExprTerm(NamedTuple):
-    coef: Fraction
-    graph: str
-
-
-class ExprDecl(NamedTuple):
-    name: str
-    terms: List[ExprTerm]
-
-
-Statement = Union[TensorDecl, GraphDecl, ExprDecl]
+Statement = Union[TensorDecl, str]  # str: any other statement's canonical text
 
 
 class DslDocument:
     """The statements in source order, and by name what they define."""
 
-    def __init__(self, backend: str = EXACT):
+    def __init__(self):
         self.statements: List[Statement] = []
         self.tensors: Dict[str, Tensor] = {}
         self.graphs: Dict[str, Nfg] = {}
         self.compounds: Dict[str, CompoundNfg] = {}
-        self.backend = backend
 
 
 # -- parser -------------------------------------------------------------------
@@ -162,7 +131,7 @@ class _Parser:
         self.tok: Optional[Token] = None  # the scanned token not yet consumed
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
         self.backend = backend
-        self.doc = DslDocument(backend)
+        self.doc = DslDocument()
 
     # token utilities ----------------------------------------------------
 
@@ -346,7 +315,6 @@ class _Parser:
                 if k:
                     self.expect_sym(",")
                 args.append(self.expect_int()[0])
-            builtin = (fn, *args)
             if fn == "eps":
                 tensor = self.owned(arg_tok, levi_civita, *args, self.backend)
             elif fn == "delta":
@@ -354,11 +322,12 @@ class _Parser:
             else:  # e(i, n) is delta_point(n, i)
                 tensor = self.owned(arg_tok, delta_point, *args[::-1], self.backend)
             self.expect_sym(")")
-            decl = TensorDecl(name, None, None, builtin=builtin)
+            decl = f"tensor {name} = {fn}({','.join(map(str, args))})"
         self.doc.statements.append(decl)
         self.doc.tensors[name] = tensor
 
-    def parse_port(self, graph: Nfg) -> Tuple[PortAst, Tuple[str, int]]:
+    def parse_port(self, graph: Nfg) -> Tuple[str, Tuple[str, int]]:
+        """The port's canonical text, "v.2", and its (vertex, 0-based slot)."""
         vtok = self.expect_name("a vertex name")
         if vtok.text not in graph.vertices:
             self.error(f"undefined vertex {vtok.text!r}", vtok)
@@ -366,7 +335,7 @@ class _Parser:
         slot, stok = self.expect_int()
         if not (1 <= slot <= graph.vertices[vtok.text].tensor.rank):
             self.error("slot out of range", stok)
-        return PortAst(vtok.text, slot), (vtok.text, slot - 1)
+        return f"{vtok.text}.{slot}", (vtok.text, slot - 1)
 
     def parse_graph_decl(self) -> None:
         self.next()  # 'graph'
@@ -374,15 +343,14 @@ class _Parser:
         name = self._declare(name_tok)
         self.expect_sym("{")
         graph = Nfg(self.backend)
-        vertices: List[VertexDecl] = []
-        links: List[Union[EdgeDecl, DanglingDecl]] = []
-        interface: Optional[List[str]] = None
+        lines = [f"graph {name} {{"]  # the canonical block, an item a line
+        linked = interfaced = False  # an edge or dangling edge, or the interface, was read
         while not self.at_sym("}"):
             tok = self.peek()
             if tok.kind != "NAME":
                 self.error(f"expected a graph item, found {tok.text or 'end of input'!r}")
             if tok.text == "vertex":
-                if links or interface is not None:
+                if linked:  # an interface names a dangling edge, so it is linked too
                     self.error("vertex declarations must precede edges", tok)
                 self.next()
                 vtok = self.expect_name("a vertex name")
@@ -391,31 +359,33 @@ class _Parser:
                 if ttok.text not in self.doc.tensors:
                     self.error(f"undefined tensor {ttok.text!r}", ttok)
                 self.owned(vtok, graph.add_vertex, self.doc.tensors[ttok.text], name=vtok.text)
-                vertices.append(VertexDecl(vtok.text, ttok.text))
+                lines.append(f"  vertex {vtok.text}: {ttok.text}")
             elif tok.text == "edge":
-                if interface is not None:
+                if interfaced:
                     self.error("edges must precede the interface", tok)
                 self.next()
                 etok = self.expect_name("an edge name")
                 self.expect_sym("(")
-                ast_a, port_a = self.parse_port(graph)
+                text_a, port_a = self.parse_port(graph)
                 self.expect_sym(",")
-                ast_b, port_b = self.parse_port(graph)
+                text_b, port_b = self.parse_port(graph)
                 self.expect_sym(")")
                 self.owned(etok, graph.connect, port_a, port_b, name=etok.text)
-                links.append(EdgeDecl(etok.text, (ast_a, ast_b)))
+                lines.append(f"  edge {etok.text}({text_a}, {text_b})")
+                linked = True
             elif tok.text == "dangling":
-                if interface is not None:
+                if interfaced:
                     self.error("dangling edges must precede the interface", tok)
                 self.next()
                 etok = self.expect_name("an edge name")
                 self.expect_sym("(")
-                ast_p, port = self.parse_port(graph)
+                text, port = self.parse_port(graph)
                 self.expect_sym(")")
                 self.owned(etok, graph.add_dangling, port, name=etok.text)
-                links.append(DanglingDecl(etok.text, ast_p))
+                lines.append(f"  dangling {etok.text}({text})")
+                linked = True
             elif tok.text == "interface":
-                if interface is not None:
+                if interfaced:
                     self.error("duplicate interface", tok)
                 self.next()
                 self.expect_sym("(")
@@ -431,7 +401,8 @@ class _Parser:
                     break
                 self.expect_sym(")")
                 self.owned(tok, graph.set_interface, order)
-                interface = order
+                lines.append(f"  interface({', '.join(order)})")
+                interfaced = True
             else:
                 self.error(
                     f"expected 'vertex', 'edge', 'dangling' or 'interface', found {tok.text!r}",
@@ -441,7 +412,7 @@ class _Parser:
         violations = graph.validate()
         if violations:
             self.error(f"invalid graph {name!r}: {violations[0]}", name_tok)
-        self.doc.statements.append(GraphDecl(name, vertices, links, interface))
+        self.doc.statements.append("\n".join(lines + ["}"]))
         self.doc.graphs[name] = graph.freeze()
 
     def _resolve_graph(self, tok: Token) -> CompoundNfg:
@@ -456,34 +427,34 @@ class _Parser:
         name_tok = self.expect_name("an expression name")
         name = self._declare(name_tok)
         self.expect_sym("=")
-        terms: List[ExprTerm] = []
-        parts: List[CompoundNfg] = []  # each term's graph or compound, resolved once
-
-        def parse_term(sign: int) -> None:
-            coef = Fraction(1)
+        text, sign = f"let {name} = ", 1
+        terms: List[Tuple[Fraction, CompoundNfg]] = []  # coefficient, resolved graph
+        while True:
+            coef = Fraction(sign)
             tok = self.peek()
             if tok.kind == "NUMBER" or (tok.kind == "SYM" and tok.text == "-"):
-                coef = self.parse_rational()
+                coef *= self.parse_rational()
                 self.expect_sym("*")
             gtok = self.expect_name("a graph name")
             part = self._resolve_graph(gtok)
-            if parts and parts[0].interface != part.interface:
+            if terms and terms[0][1].interface != part.interface:
                 self.error(f"interface mismatch: {gtok.text!r} has {part.interface}", gtok)
-            terms.append(ExprTerm(coef * sign, gtok.text))
-            parts.append(part)
-
-        parse_term(1)
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.next().text
-            parse_term(1 if op == "+" else -1)
+            # canonical text: the first coefficient as is, a later one as its
+            # sign and magnitude; a shown coefficient of 1 is left out
+            op, shown = ("", coef) if not terms else (" - ", -coef) if coef < 0 else (" + ", coef)
+            text += op + (gtok.text if shown == 1 else f"{shown}*{gtok.text}")
+            terms.append((coef, part))
+            if not (self.at_sym("+") or self.at_sym("-")):
+                break
+            sign = 1 if self.next().text == "+" else -1
 
         # scaled once the statement has parsed, so a syntax error in a later
         # term is still reported before a scaling error in an earlier one
         compound = None
-        for term, part in zip(terms, parts):
-            part = scale_nfg(part, term.coef if self.backend == EXACT else float(term.coef))
+        for coef, part in terms:
+            part = scale_nfg(part, coef if self.backend == EXACT else float(coef))
             compound = part if compound is None else add_nfgs(compound, part)
-        self.doc.statements.append(ExprDecl(name, terms))
+        self.doc.statements.append(text)
         self.doc.compounds[name] = compound
 
 
@@ -495,56 +466,11 @@ def parse(source: str, backend: str = EXACT) -> DslDocument:
 # -- serialization ------------------------------------------------------------
 
 
-def _fmt_term(term: ExprTerm, first: bool) -> str:
-    coef = term.coef
-    if first:
-        if coef == 1:
-            return term.graph
-        return f"{coef}*{term.graph}"
-    if coef < 0:
-        mag = -coef
-        body = term.graph if mag == 1 else f"{mag}*{term.graph}"
-        return f" - {body}"
-    body = term.graph if coef == 1 else f"{coef}*{term.graph}"
-    return f" + {body}"
-
-
 def serialize(doc: DslDocument) -> str:
-    """Canonical text: first-definition order, normalized whitespace.
+    """Canonical text: each statement on its line or lines, in source order,
+    with normalized whitespace and value lists in lowest terms.
 
-    parse(serialize(d)) is structurally identical to d, and serialization is
+    parse(serialize(d)) has the same statements as d, and serialization is
     idempotent.
     """
-    lines: List[str] = []
-    for stmt in doc.statements:
-        if isinstance(stmt, TensorDecl):
-            if stmt.builtin is not None:
-                fn = stmt.builtin[0]
-                args = ",".join(str(a) for a in stmt.builtin[1:])
-                lines.append(f"tensor {stmt.name} = {fn}({args})")
-            else:
-                dims = ",".join(str(d) for d in stmt.dims)
-                vals = ", ".join(map(str, stmt.values))
-                lines.append(f"tensor {stmt.name} [{dims}] = {vals}")
-        elif isinstance(stmt, GraphDecl):
-            lines.append(f"graph {stmt.name} {{")
-            for v in stmt.vertices:
-                lines.append(f"  vertex {v.name}: {v.tensor}")
-            for link in stmt.links:
-                if isinstance(link, EdgeDecl):
-                    a, b = link.ports
-                    lines.append(
-                        f"  edge {link.name}({a.vertex}.{a.slot}, {b.vertex}.{b.slot})"
-                    )
-                else:
-                    p = link.port
-                    lines.append(f"  dangling {link.name}({p.vertex}.{p.slot})")
-            if stmt.interface is not None:
-                lines.append("  interface(" + ", ".join(stmt.interface) + ")")
-            lines.append("}")
-        elif isinstance(stmt, ExprDecl):
-            body = "".join(
-                _fmt_term(term, i == 0) for i, term in enumerate(stmt.terms)
-            )
-            lines.append(f"let {stmt.name} = {body}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{s}\n" for s in doc.statements)

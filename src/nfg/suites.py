@@ -205,5 +205,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int = None) -> List[R
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     kwargs = {"seed": seed}
     if trials is not None:
+        if trials < 1:  # zero trials would report a pass that checked nothing
+            raise ValueError(f"trials must be positive, got {trials}")
         kwargs["trials"] = trials
     return SUITES[name](**kwargs)

@@ -240,16 +240,65 @@ def test_serializer_folds_negative_coefficients():
     assert "let s = 2*gu + gv - 1/3*gv" in text
 
 
+# One document in every statement form, and its canonical text byte for byte:
+# a round trip or a fixed point would not notice the form drifting (say "g"
+# becoming "1*g") as long as the parser still read it.
+EVERY_FORM = """\
+tensor A [2,2] = 2/4, -3, 0 , 6/4   # an unreduced value and a negative one
+tensor s[]=5
+tensor E = eps( 3 )
+tensor I = delta(3)
+tensor p = e(2, 3)
+graph cx { vertex e: E  vertex u: p edge x(e.2, u.1)
+  dangling out(e.1) dangling rest(e.3) interface(rest, out) }
+graph z {}
+graph sv { vertex c: s }
+let a = 1*cx - 1*cx + 2/6*cx
+let b = -1*cx + -1*cx - 3/2*cx
+let c = -4/6*a - -1*b + 1 * b
+"""
+EVERY_FORM_CANONICAL = """\
+tensor A [2,2] = 1/2, -3, 0, 3/2
+tensor s [] = 5
+tensor E = eps(3)
+tensor I = delta(3)
+tensor p = e(2,3)
+graph cx {
+  vertex e: E
+  vertex u: p
+  edge x(e.2, u.1)
+  dangling out(e.1)
+  dangling rest(e.3)
+  interface(rest, out)
+}
+graph z {
+}
+graph sv {
+  vertex c: s
+}
+let a = cx - cx + 1/3*cx
+let b = -1*cx - cx - 3/2*cx
+let c = -2/3*a + b + b
+"""
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_canonical_text_of_every_statement_form(backend):
+    assert dsl.serialize(dsl.parse(EVERY_FORM, backend)) == EVERY_FORM_CANONICAL
+    assert dsl.serialize(dsl.parse("", backend)) == ""
+
+
 def test_values_and_coefficients_are_parsed_rationals():
     doc = dsl.parse(
         "tensor u [2] = 2/4, -3\n"
         "graph g { vertex a: u dangling x(a.1) }\n"
         "let s = -6/4*g + g\n"
     )
-    decl, _, expr = doc.statements
+    decl = doc.statements[0]
+    coefs = [coef for coef, _ in doc.compounds["s"].terms]
     assert decl.values == [rat(1, 2), rat(-3)]
-    assert [t.coef for t in expr.terms] == [rat(-3, 2), rat(1)]
-    assert all(isinstance(v, Fraction) for v in decl.values + [t.coef for t in expr.terms])
+    assert coefs == [rat(-3, 2), rat(1)]
+    assert all(isinstance(v, Fraction) for v in decl.values + coefs)
     assert dsl.serialize(doc).splitlines()[0] == "tensor u [2] = 1/2, -3"
     assert dsl.serialize(doc).splitlines()[-1] == "let s = -3/2*g + g"
 

@@ -2,7 +2,8 @@
 calls never need: every import statement of every module under ``src/nfg``
 names a standard-library module or ``nfg`` itself, so the package runs on a
 bare Python with no third-party install, and none names ``dataclasses``,
-whose import alone loads a dozen modules (``inspect``, ``ast``, ``dis``, ...)."""
+whose import alone loads a dozen modules (``inspect``, ``ast``, ``dis``, ...).
+The package also stays within its budget of physical lines."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nfg"
+LINE_BUDGET = 3000  # physical lines over all of src/nfg/*.py
 
 
 def imported_roots():
@@ -47,3 +49,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= LINE_BUDGET, f"src/nfg is {lines} lines, over its budget of {LINE_BUDGET}"

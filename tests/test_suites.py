@@ -1,7 +1,8 @@
 """The lemma2 suite: its slice check of the cyclic-shift law against the
 literal per-tuple law, its detection of a corrupted epsilon, and its
-mechanism (epsilon written out once per n, no per-tuple ``get``); and the
-random suite inputs against the Fraction draws they stand for."""
+mechanism (epsilon written out once per n, no per-tuple ``get``); the
+random suite inputs against the Fraction draws they stand for; and
+``run_suite``'s refusal of a trial count below 1."""
 
 import itertools
 import random
@@ -151,3 +152,17 @@ def test_suite_inputs_are_the_fraction_draws(seed):
         assert (got.shape, got.dense, got.denom) == (want.shape, want.dense, want.denom)
         assert [type(x) for x in got.dense] == [type(x) for x in want.dense]
         assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suite_refuses_a_trial_count_below_one_before_any_suite_runs(monkeypatch, trials):
+    """Zero or negative trials would check nothing and report a pass."""
+    ran = []
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.SUITES, name, lambda **kwargs: ran.append(kwargs))
+    for name in suites.SUITES:
+        with pytest.raises(ValueError, match=f"^trials must be positive, got {trials}$"):
+            run_suite(name, trials=trials)
+    assert ran == []
+    run_suite("fig9", trials=1)
+    assert ran == [{"seed": suites.DEFAULT_SEED, "trials": 1}]
