@@ -33,17 +33,18 @@ Floats keep the plain sums, whose rounding follows the summation order.  An
 alternating operand against an operand it fully contracts is an
 exterior-algebra update whose result is alternating.  Only the other
 operand's alternating part reaches it, so that operand is first folded onto
-the sorted sets of its matched values (an alternating one from its packed
-list, never written out).  Each output entry, one per sorted set of the
+the sorted sets of its matched values: an alternating one from its packed
+list, never written out, a dense one in m! C-level gathers, one per ordering
+of its m matched axes.  Each output entry, one per sorted set of the
 remaining values, is then one sum of equally many signed products of a
-packed entry and a folded one; which ones, and their signs, depend on the
-shape alone, so the tables listing them are built once per (n, r, m) and
-kept.  Every other contraction with a sparse operand is one hash join: each
-nonzero of the sparse operand meets the other operand's entries that agree
-with it on the matched axes, found in an index by matched positions if the
-other is sparse, or at offsets computed from the key if it is dense.  A
-trace (a self-loop) is a contraction with the equality indicator delta,
-which is zero on an alternating pair of axes.
+packed entry and a folded one.  Which ones, their signs, and the dense
+gathers' offsets depend on the shape alone, so they are listed once per
+shape and kept.  Every other contraction with a sparse operand is one hash
+join: each nonzero of the sparse operand meets the other operand's entries
+that agree with it on the matched axes, found in an index by matched
+positions if the other is sparse, or at offsets computed from the key if it
+is dense.  A trace (a self-loop) is a contraction with the equality
+indicator delta, which is zero on an alternating pair of axes.
 
 Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
@@ -64,7 +65,7 @@ import sys
 from array import array
 from functools import cache
 from math import comb, factorial, gcd, lcm, prod
-from operator import gt, itemgetter, mul
+from operator import add, gt, itemgetter, mul, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import scalars
@@ -152,6 +153,16 @@ def _expand_alt(alt: list, n: int, rank: int) -> dict:
 def _ranks(n: int, k: int) -> dict:
     """Sorted k-subset of range(n) -> its place in packed order."""
     return dict(zip(itertools.combinations(range(n), k), itertools.count()))
+
+
+@cache
+def _fold_offsets(n: int, strides: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Per ordering p of m matched axes, in permutations order, the offset of
+    each sorted m-set K of range(n), in packed order, with K[i] on axis p.index(i)."""
+    m = len(strides)
+    sets = list(itertools.combinations(range(n), m))
+    weights = ([strides[p.index(i)] for i in range(m)] for p in itertools.permutations(range(m)))
+    return tuple(tuple(sum(map(mul, k, w)) for k in sets) for w in weights)
 
 
 # the alternating kernel's tables, by shape (n, r, m), built on first use and only read
@@ -606,13 +617,14 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     first folded onto sorted sets: the folded entry at a sorted m-set K is
     the sum, over each ordering x of K read over the matched axes in their
     paired order, of inversion_sign(x) * entry at x.  A dense operand is
-    folded set by set, its orderings listed lexicographically against one
-    m!-entry sign table; a sparse one nonzero by nonzero.  An alternating
-    operand folds without being written out: m! * sign(ot_axes) * its packed
-    entries.  The fold also carries the sign of the axis order al_axes +
-    al_keep, so what is left is shape-only (``_alt_tables``): each output
-    entry is the sum, over its run of rows, of a packed entry times a folded
-    entry or its negation.
+    folded one ordering at a time, in permutations order: one C-level gather
+    at ``_fold_offsets`` reads it at every K into sums that start at int 0,
+    so each sum runs in the order a per-set sum would; a sparse one nonzero
+    by nonzero.  An alternating operand folds without being written out:
+    m! * sign(ot_axes) * its packed entries.  The fold also carries the sign
+    of the axis order al_axes + al_keep, so what is left is shape-only
+    (``_alt_tables``): each output entry is the sum, over its run of rows, of
+    a packed entry times a folded entry or its negation.
     """
     m = len(ot_axes)
     n, r = _alt_dims(al.shape)
@@ -621,15 +633,11 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
         scale = base * factorial(m) * inversion_sign(ot_axes)
         fold = [scale * v for v in ot.alt]
     elif ot.dense is not None:
-        # the entry at ordering p of K sits at sum(K[i] * weight[i]), where
-        # K[i] goes to matched axis p.index(i)
-        data, st = ot.dense, _strides(ot.shape)
-        strides = [st[a] for a in ot_axes]
-        weights = [[strides[p.index(i)] for i in range(m)]
-                   for p in itertools.permutations(range(m))]
-        signs = [base * s for s in _perm_signs(m)]
-        fold = [sum(map(mul, signs, [data[sum(map(mul, k, w))] for w in weights]))
-                for k in itertools.combinations(range(n), m)]
+        st, fold = _strides(ot.shape), [0] * comb(n, m)
+        orderings = _fold_offsets(n, tuple(st[a] for a in ot_axes))
+        for sign, offsets in zip(_perm_signs(m), orderings):
+            op = add if base * sign > 0 else sub
+            fold = list(map(op, fold, map(ot.dense.__getitem__, offsets)))
     else:
         fold, ranks = [0] * comb(n, m), _ranks(n, m)
         for x, v in zip(map(_getter(ot_axes), ot.sparse), ot.sparse.values()):

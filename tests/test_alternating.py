@@ -253,6 +253,111 @@ def test_dense_partner_is_folded_without_a_sign_per_cell(monkeypatch):
         assert agree(written_out(got), pair_contract(m, [1, 0], written_out(a), [4, 2]))
 
 
+def per_set_contract(al, al_axes, ot, ot_axes) -> list:
+    """The alternating kernel's packed output with a dense partner folded set
+    by set: for each sorted m-set K, in packed order, one sum from int 0 of
+    every ordering's signed entry, the orderings in permutations order."""
+    m, n, r = len(ot_axes), al.shape[0] if al.shape else 0, al.rank
+    al_keep = [a for a in range(r) if a not in al_axes]
+    base = sort_sign(al_axes + al_keep)
+    strides = [math.prod(ot.shape[a + 1:]) for a in ot_axes]
+    orderings = [(base * sort_sign(p), [strides[p.index(i)] for i in range(m)])
+                 for p in itertools.permutations(range(m))]
+    fold = [sum(s * ot.dense[sum(x * y for x, y in zip(k, w))] for s, w in orderings)
+            for k in itertools.combinations(range(n), m)]
+    src, fold_at = tensor_module._alt_tables(n, r, m)
+    zero, count = (0 if al.backend == EXACT else 0.0), math.comb(n, r - m)
+    if not src:
+        return [zero] * count
+    fold += [-v for v in fold]
+    prods = [al.alt[i] * fold[j] for i, j in zip(src, fold_at)]
+    run = len(src) // count
+    return [sum(prods[i:i + run], zero) for i in range(0, len(prods), run)]
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_dense_fold_matches_the_per_set_formula(backend):
+    """One gather per ordering folds a dense partner to the per-set sums, bit
+    for bit: every n <= 7 and m <= 4 (m = 0 is a rank-0 partner), every
+    order of the partner's axes, both argument orders, and partners with
+    zeros and, on f64, signed zeros and entries whose sums round."""
+    rng = random.Random(43)
+    pool = ([0, 0, 1, -1, 7, -(10 ** 20)] if backend == EXACT
+            else [0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e16, -1e16, 1 / 3])
+    runs = 0
+    for n in range(1, 8):
+        for m in range(0, 5):
+            r = rng.randint(m, max(m, n))
+            alt = Tensor((n,) * r, backend, alt=[rng.choice(pool) for _ in range(math.comb(n, r))])
+            partner = Tensor((n,) * m, backend, dense=[rng.choice(pool) for _ in range(n ** m)])
+            matched = rng.sample(range(r), m)
+            for p_axes in itertools.permutations(range(m)):
+                want = per_set_contract(alt, matched, partner, list(p_axes))
+                for got in (pair_contract(alt, matched, partner, p_axes),
+                            pair_contract(partner, p_axes, alt, matched)):
+                    assert got.alt is not None and len(got.alt) == len(want)
+                    if backend == EXACT:
+                        assert got.alt == want and all(type(v) is int for v in got.alt)
+                    else:
+                        assert list(map(repr, got.alt)) == list(map(repr, want)), (n, m, p_axes)
+                    runs += 1
+    assert runs > 200
+
+
+class GatherCounter(list):
+    """Dense storage that counts its gathers: a gather looks up the bound
+    ``__getitem__`` once and hands it to ``map``, which reads a whole list of
+    offsets at C level; a read of one cell by subscript is not counted."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.gathers = 0
+
+    def __getattribute__(self, name):
+        if name == "__getitem__":
+            self.gathers += 1
+        return super().__getattribute__(name)
+
+
+def count_folds(monkeypatch) -> list:
+    """(partner kind, m, gathers) of every alternating-kernel call from now on."""
+    folds = []
+    original = tensor_module._contract_alt
+
+    def counted(al, al_axes, al_keep, ot, ot_axes):
+        if ot.dense is None:
+            folds.append(("alt" if ot.alt is not None else "sparse", len(ot_axes), 0))
+            return original(al, al_axes, al_keep, ot, ot_axes)
+        data = GatherCounter(ot.dense)
+        ot = Tensor(ot.shape, ot.backend, dense=data, denom=ot.denom)
+        out = original(al, al_axes, al_keep, ot, ot_axes)
+        folds.append(("dense", len(ot_axes), data.gathers))
+        return out
+
+    monkeypatch.setattr(tensor_module, "_contract_alt", counted)
+    return folds
+
+
+def test_dense_fold_makes_one_gather_per_ordering_at_every_n(monkeypatch):
+    """A dense fold costs m! C-level gathers whatever the alphabet n, so no
+    Python loop over the C(n, m) sorted sets can come back: eps(n) against a
+    rank-m partner for m <= 4 and n up to 10; the 2n = 10 Pfaffian diagram,
+    two gathers at each of its five steps; and the n = 10 determinant
+    diagram, whose ten steps each fold a sparse column and gather nothing."""
+    folds = count_folds(monkeypatch)
+    rng = random.Random(47)
+    for n in (4, 7, 10):
+        for m in range(0, 5):
+            partner = Tensor((n,) * m, EXACT, dense=[rng.randint(-9, 9) for _ in range(n ** m)])
+            pair_contract(levi_civita(n), list(range(m)), partner, list(range(m))[::-1])
+            assert folds.pop() == ("dense", m, math.factorial(m))
+    z = exterior_planned(pfaffian_diagram(rand_skew(rng, 10)))
+    assert z.get(()) != 0 and folds == [("dense", 2, 2)] * 5
+    folds.clear()
+    z = exterior_planned(det_diagram(rand_mat(rng, 10, 10)))
+    assert z.get(()) != 0 and folds == [("sparse", 1, 0)] * 10
+
+
 def dense_matrix(rng, n, backend, symmetric=False):
     rows = [[entry(rng, backend) for _ in range(n)] for _ in range(n)]
     if symmetric:
