@@ -62,7 +62,10 @@ def coerce(backend: str, value) -> ScalarValue:
         if isinstance(value, bool):
             raise BackendMismatch("bool is not a float64 scalar")
         if isinstance(value, (int, float)):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise BackendMismatch(f"value too large for {F64}") from None
         raise BackendMismatch(f"cannot admit {type(value).__name__} into the float backend")
     raise ValueError(f"unknown backend {backend!r}")
 

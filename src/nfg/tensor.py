@@ -37,14 +37,16 @@ the sorted sets of its matched values: an alternating one from its packed
 list, never written out, a dense one in m! C-level gathers, one per ordering
 of its m matched axes.  Each output entry, one per sorted set of the
 remaining values, is then one sum of equally many signed products of a
-packed entry and a folded one.  Which ones, their signs, and the dense
-gathers' offsets depend on the shape alone, so they are listed once per
-shape and kept.  Every other contraction with a sparse operand is one hash
-join: each nonzero of the sparse operand meets the other operand's entries
-that agree with it on the matched axes, found in an index by matched
-positions if the other is sparse, or at offsets computed from the key if it
-is dense.  A trace (a self-loop) is a contraction with the equality
-indicator delta, which is zero on an alternating pair of axes.
+packed entry and a folded one, both read by C-level gathers over blocks of
+whole output runs, so what a step holds at once is bounded.  Which ones,
+their signs, and the dense gathers' offsets depend on the shape alone, so
+they are listed once per shape and kept.  Every other contraction with a
+sparse operand is one hash join: each nonzero of the sparse operand meets
+the other operand's entries that agree with it on the matched axes, found
+in an index by matched positions if the other is sparse, or at offsets
+computed from the key if it is dense.  A trace (a self-loop) is a
+contraction with the equality indicator delta, which is zero on an
+alternating pair of axes.
 
 Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
@@ -84,6 +86,9 @@ _EXACT_ZERO = ExactValue(0)  # the one exact zero that ``get`` and ``values`` re
 # over at least _PACK_MIN matched cells; smaller pairs gain nothing, as
 # measured (4 x L x 4, 6 x L x 6, and 16 x 1 x 16 with 70-bit entries).
 _PACK_MIN = 4
+# The alternating kernel gathers its operands in blocks of whole output runs
+# of about this many rows, so a step's transient tuples stay bounded.
+_BLOCK_ROWS = 4096
 
 
 class TensorError(ValueError):
@@ -156,13 +161,14 @@ def _ranks(n: int, k: int) -> dict:
 
 
 @cache
-def _fold_offsets(n: int, strides: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """Per ordering p of m matched axes, in permutations order, the offset of
-    each sorted m-set K of range(n), in packed order, with K[i] on axis p.index(i)."""
+def _fold_offsets(n: int, strides: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """Per ordering p of m matched axes, in permutations order, its sign and
+    the offset of each sorted m-set K of range(n), in packed order, with K[i]
+    on axis p.index(i)."""
     m = len(strides)
     sets = list(itertools.combinations(range(n), m))
     weights = ([strides[p.index(i)] for i in range(m)] for p in itertools.permutations(range(m)))
-    return tuple(tuple(sum(map(mul, k, w)) for k in sets) for w in weights)
+    return tuple(zip(_perm_signs(m), (tuple(sum(map(mul, k, w)) for k in sets) for w in weights)))
 
 
 # the alternating kernel's tables, by shape (n, r, m), built on first use and only read
@@ -212,6 +218,14 @@ def _getter(indices: Sequence[int]):
         k = indices[0]
         return lambda key: (key[k],)
     return itemgetter(*indices)
+
+
+def _gather(seq, indices) -> tuple:
+    """seq at each of the indices, as a tuple, in one C-level call (a single
+    index or none is read through ``map``, as itemgetter would not give a tuple)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return tuple(map(seq.__getitem__, indices))
 
 
 def _drop_zeros(store: dict) -> dict:
@@ -300,8 +314,7 @@ class Tensor:
         vals = [scalars.coerce(backend, v) for v in values]
         if backend != EXACT:
             return Tensor(shape, backend, dense=vals)
-        data, denom = lowest_terms([int(v.numerator) for v in vals],
-                                   [int(v.denominator) for v in vals])
+        data, denom = lowest_terms(*zip(*map(ExactValue.as_integer_ratio, vals)))
         return Tensor(shape, backend, dense=data, denom=denom)
 
     # -- basic access ------------------------------------------------------
@@ -617,14 +630,17 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     first folded onto sorted sets: the folded entry at a sorted m-set K is
     the sum, over each ordering x of K read over the matched axes in their
     paired order, of inversion_sign(x) * entry at x.  A dense operand is
-    folded one ordering at a time, in permutations order: one C-level gather
-    at ``_fold_offsets`` reads it at every K into sums that start at int 0,
-    so each sum runs in the order a per-set sum would; a sparse one nonzero
-    by nonzero.  An alternating operand folds without being written out:
+    folded one ordering at a time, in permutations order: one ``_gather`` at
+    ``_fold_offsets`` reads it at every K into sums that start at int 0, so
+    each sum runs in the order a per-set sum would; a sparse one nonzero by
+    nonzero.  An alternating operand folds without being written out:
     m! * sign(ot_axes) * its packed entries.  The fold also carries the sign
     of the axis order al_axes + al_keep, so what is left is shape-only
-    (``_alt_tables``): each output entry is the sum, over its run of rows, of
-    a packed entry times a folded entry or its negation.
+    (``_alt_tables``): each output entry is the sum from zero, over its run
+    of rows, of a packed entry times a folded entry or its negation.  The
+    rows are read in blocks of as many whole runs as fit in _BLOCK_ROWS (at
+    least one), one ``_gather`` per operand per block; a block changes no
+    sum's order, so no bit depends on the block size.
     """
     m = len(ot_axes)
     n, r = _alt_dims(al.shape)
@@ -634,10 +650,8 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
         fold = [scale * v for v in ot.alt]
     elif ot.dense is not None:
         st, fold = _strides(ot.shape), [0] * comb(n, m)
-        orderings = _fold_offsets(n, tuple(st[a] for a in ot_axes))
-        for sign, offsets in zip(_perm_signs(m), orderings):
-            op = add if base * sign > 0 else sub
-            fold = list(map(op, fold, map(ot.dense.__getitem__, offsets)))
+        for sign, offsets in _fold_offsets(n, tuple(map(st.__getitem__, ot_axes))):
+            fold = list(map(add if base * sign > 0 else sub, fold, _gather(ot.dense, offsets)))
     else:
         fold, ranks = [0] * comb(n, m), _ranks(n, m)
         for x, v in zip(map(_getter(ot_axes), ot.sparse), ot.sparse.values()):
@@ -648,8 +662,13 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     if not src:
         return [zero] * count
     fold += [-v for v in fold]
-    prods = map(mul, map(al.alt.__getitem__, src), map(fold.__getitem__, fold_at))
-    return list(map(sum, zip(*[prods] * (len(src) // count)), itertools.repeat(zero)))
+    run = len(src) // count
+    step = (_BLOCK_ROWS // run or 1) * run
+    out = []
+    for s in range(0, len(src), step):
+        prods = map(mul, _gather(al.alt, src[s:s + step]), _gather(fold, fold_at[s:s + step]))
+        out += map(sum, zip(*[prods] * run), itertools.repeat(zero))
+    return out
 
 
 def _contract_sparse(sp, sp_axes, sp_keep, ot, ot_axes, ot_keep, sparse_first: bool) -> dict:

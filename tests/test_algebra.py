@@ -13,7 +13,7 @@ from nfg.algebra import (
 )
 from nfg.contraction import exterior_brute
 from nfg.graph import Nfg, NfgError
-from nfg.scalars import EXACT, F64, rat
+from nfg.scalars import EXACT, F64, BackendMismatch, rat
 from nfg.suites import rand_mat, rand_vec
 from nfg.tensor import Tensor
 
@@ -31,6 +31,15 @@ def test_scale_is_entrywise():
     g = vec_graph(v)
     z = eval_compound(scale_nfg(g, rat(3, 2)))
     assert z.equal(v.scale(rat(3, 2)))
+
+
+def test_scale_refuses_an_int_beyond_the_largest_float_on_f64_only():
+    v = Tensor.from_values((2,), [1, 2])
+    z = eval_compound(scale_nfg(vec_graph(v), 10 ** 400))
+    assert z.values() == [10 ** 400, 2 * 10 ** 400]
+    g = vec_graph(Tensor.from_values((2,), [1.0, 2.0], F64))
+    with pytest.raises(BackendMismatch, match="too large for f64"):
+        scale_nfg(g, 10 ** 400)
 
 
 def test_add_sub_linearity():

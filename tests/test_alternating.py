@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -304,38 +305,28 @@ def test_dense_fold_matches_the_per_set_formula(backend):
     assert runs > 200
 
 
-class GatherCounter(list):
-    """Dense storage that counts its gathers: a gather looks up the bound
-    ``__getitem__`` once and hands it to ``map``, which reads a whole list of
-    offsets at C level; a read of one cell by subscript is not counted."""
-
-    def __init__(self, data):
-        super().__init__(data)
-        self.gathers = 0
-
-    def __getattribute__(self, name):
-        if name == "__getitem__":
-            self.gathers += 1
-        return super().__getattribute__(name)
-
-
-def count_folds(monkeypatch) -> list:
-    """(partner kind, m, gathers) of every alternating-kernel call from now on."""
-    folds = []
-    original = tensor_module._contract_alt
+def count_gathers(monkeypatch) -> list:
+    """(partner kind, m, fold gathers, packed gathers, signed-fold gathers)
+    of every alternating-kernel call from now on.  Every gather goes through
+    ``_gather``, which reads a whole list of positions at C level; a gather
+    is told apart by the list it reads: the dense partner (the fold), the
+    packed operand or the signed fold (the product loop)."""
+    calls, seqs = [], []
+    gather, original = tensor_module._gather, tensor_module._contract_alt
 
     def counted(al, al_axes, al_keep, ot, ot_axes):
-        if ot.dense is None:
-            folds.append(("alt" if ot.alt is not None else "sparse", len(ot_axes), 0))
-            return original(al, al_axes, al_keep, ot, ot_axes)
-        data = GatherCounter(ot.dense)
-        ot = Tensor(ot.shape, ot.backend, dense=data, denom=ot.denom)
+        seqs.clear()
         out = original(al, al_axes, al_keep, ot, ot_axes)
-        folds.append(("dense", len(ot_axes), data.gathers))
+        kind = "dense" if ot.dense is not None else "alt" if ot.alt is not None else "sparse"
+        folds = sum(s is ot.dense for s in seqs)
+        packed = sum(s is al.alt for s in seqs)
+        calls.append((kind, len(ot_axes), folds, packed, len(seqs) - folds - packed))
         return out
 
+    monkeypatch.setattr(tensor_module, "_gather",
+                        lambda seq, indices: seqs.append(seq) or gather(seq, indices))
     monkeypatch.setattr(tensor_module, "_contract_alt", counted)
-    return folds
+    return calls
 
 
 def test_dense_fold_makes_one_gather_per_ordering_at_every_n(monkeypatch):
@@ -343,19 +334,101 @@ def test_dense_fold_makes_one_gather_per_ordering_at_every_n(monkeypatch):
     Python loop over the C(n, m) sorted sets can come back: eps(n) against a
     rank-m partner for m <= 4 and n up to 10; the 2n = 10 Pfaffian diagram,
     two gathers at each of its five steps; and the n = 10 determinant
-    diagram, whose ten steps each fold a sparse column and gather nothing."""
-    folds = count_folds(monkeypatch)
+    diagram, whose ten steps each fold a sparse column and gather nothing.
+    Every one of these steps has at most 4,096 rows, so its product loop
+    gathers each operand once."""
+    calls = count_gathers(monkeypatch)
     rng = random.Random(47)
     for n in (4, 7, 10):
         for m in range(0, 5):
             partner = Tensor((n,) * m, EXACT, dense=[rng.randint(-9, 9) for _ in range(n ** m)])
             pair_contract(levi_civita(n), list(range(m)), partner, list(range(m))[::-1])
-            assert folds.pop() == ("dense", m, math.factorial(m))
+            assert calls.pop() == ("dense", m, math.factorial(m), 1, 1)
     z = exterior_planned(pfaffian_diagram(rand_skew(rng, 10)))
-    assert z.get(()) != 0 and folds == [("dense", 2, 2)] * 5
-    folds.clear()
+    assert z.get(()) != 0 and calls == [("dense", 2, 2, 1, 1)] * 5
+    calls.clear()
     z = exterior_planned(det_diagram(rand_mat(rng, 10, 10)))
-    assert z.get(()) != 0 and folds == [("sparse", 1, 0)] * 10
+    assert z.get(()) != 0 and calls == [("sparse", 1, 0, 1, 1)] * 10
+
+
+def run_of(n, r, m) -> int:
+    """Rows per output entry of the alternating kernel: C(n - r + m, m)."""
+    return math.comb(n - r + m, m)
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_product_blocks_give_the_same_bits(backend, monkeypatch):
+    """The product loop gathers blocks of whole output runs, and each output
+    entry is still one sum from zero over its run, so block sizes of one run,
+    two runs and three runs plus one row (rounded down to whole runs) give
+    the per-set formula's bits: exact results by ==, f64 ones by repr, so
+    signed zeros count; both argument orders, every order of the partner's
+    axes, and steps that end in a partial block."""
+    rng = random.Random(53)
+    pool = ([0, 0, 1, -1, 7, -(10 ** 20)] if backend == EXACT
+            else [0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e16, -1e16, 1 / 3])
+    split = 0
+    for n in range(2, 8):
+        for m in range(0, min(n, 3) + 1):
+            r = rng.randint(m, n)
+            run = run_of(n, r, m)
+            alt = Tensor((n,) * r, backend, alt=[rng.choice(pool) for _ in range(math.comb(n, r))])
+            partner = Tensor((n,) * m, backend, dense=[rng.choice(pool) for _ in range(n ** m)])
+            matched = rng.sample(range(r), m)
+            for p_axes in itertools.permutations(range(m)):
+                want = per_set_contract(alt, matched, partner, list(p_axes))
+                for block in (run, 2 * run, 3 * run + 1):
+                    monkeypatch.setattr(tensor_module, "_BLOCK_ROWS", block)
+                    for got in (pair_contract(alt, matched, partner, p_axes),
+                                pair_contract(partner, p_axes, alt, matched)):
+                        if backend == EXACT:
+                            assert got.alt == want and all(type(v) is int for v in got.alt)
+                        else:
+                            assert list(map(repr, got.alt)) == list(map(repr, want)), (n, m, block)
+                    split += len(want) % (block // run) != 0
+    assert split > 20
+
+
+def test_product_loop_gathers_each_operand_once_per_block(monkeypatch):
+    """The product loop makes ceil(rows / block) gathers of each operand,
+    the block being the largest number of whole runs within _BLOCK_ROWS (at
+    least one run): a rank-8 alternating tensor over n = 14 contracted on
+    two axes with a dense 14 x 14 has 3,003 outputs of 28 rows, 84,084 rows
+    in all."""
+    calls = count_gathers(monkeypatch)
+    rng = random.Random(59)
+    n, r, m = 14, 8, 2
+    rows, run = math.comb(n, r - m) * run_of(n, r, m), run_of(n, r, m)
+    alt = Tensor((n,) * r, EXACT, alt=[rng.randint(-9, 9) for _ in range(math.comb(n, r))])
+    partner = Tensor((n, n), EXACT, dense=[rng.randint(-9, 9) for _ in range(n * n)])
+    assert (rows, run) == (84084, 28)
+    for block in (None, 1, 28, 56, 100, 4096, 10 ** 6):
+        if block is not None:
+            monkeypatch.setattr(tensor_module, "_BLOCK_ROWS", block)
+        step = max(1, tensor_module._BLOCK_ROWS // run) * run
+        pair_contract(alt, [3, 5], partner, [0, 1])
+        assert calls.pop() == ("dense", 2, 2, -(-rows // step), -(-rows // step)), block
+
+
+def test_product_loop_memory_stays_bounded_at_n14():
+    """Blocks bound what a step holds at once: the tracemalloc peak of the
+    84,084-row step above, tables built, is under CPython 3.11 about 0.33 MB
+    with blocks of 4,096 rows and 4.1 MB for one gather of every row, so
+    the bound is 1 MB."""
+    rng = random.Random(61)
+    n, r = 14, 8
+    for backend in (EXACT, F64):
+        alt = Tensor((n,) * r, backend,
+                     alt=[entry(rng, backend) for _ in range(math.comb(n, r))])
+        partner = Tensor((n, n), backend, dense=[entry(rng, backend) for _ in range(n * n)])
+        pair_contract(alt, [0, 1], partner, [0, 1])  # the shape's tables, kept
+        tracemalloc.start()
+        try:
+            out = pair_contract(alt, [0, 1], partner, [0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.alt) == 3003 and peak <= 1e6, (backend, peak)
 
 
 def dense_matrix(rng, n, backend, symmetric=False):

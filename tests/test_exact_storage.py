@@ -7,6 +7,7 @@ reading are checked on their own.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -187,6 +188,46 @@ def test_from_values_stores_numerators_over_the_lcm():
     assert t.denom == 12
     assert t.dense == [3, 10, 84]
     assert all(type(v) is int for v in t.dense)
+
+
+def two_pass(values):
+    """(dense, denom) of exact values read one attribute pass at a time."""
+    vals = [Fraction(v) for v in values]
+    denom = math.lcm(*[v.denominator for v in vals])
+    return [v.numerator * (denom // v.denominator) for v in vals], denom
+
+
+@pytest.mark.parametrize("values", [
+    [rat(1, 4), rat(5, 6), 7],
+    [3, -8, 0, 12],
+    ["1/3", "-2/9", "5"],
+    ["2/4"],
+    ["2/4", "6/8"],
+    [0],
+    [0, 0, 0],
+    [2 ** 63 + 1, -(3 ** 50), rat(2 ** 70, 3)],
+    [rat(1, 2 ** 64), "7/18446744073709551617", -1],
+])
+def test_from_values_matches_the_two_pass_formula(values):
+    t = Tensor.from_values((len(values),), values)
+    assert (t.dense, t.denom) == two_pass(values)
+    assert all(type(v) is int for v in t.dense)
+    assert t.values() == [Fraction(v) for v in values]
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0])
+def test_from_values_rejects_bool_and_float_on_exact(bad):
+    with pytest.raises(BackendMismatch):
+        Tensor.from_values((2,), [1, bad])
+
+
+def test_an_int_beyond_the_largest_float_is_refused_by_f64_only():
+    with pytest.raises(BackendMismatch, match="too large for f64"):
+        Tensor.from_values((1,), [10 ** 400], F64)
+    with pytest.raises(BackendMismatch, match="too large for f64"):
+        Tensor.from_values((1,), [1.0], F64).scale(-(10 ** 400))
+    t = Tensor.from_values((1,), [10 ** 400])
+    assert t.get((0,)) == 10 ** 400 and t.scale(10 ** 400).get((0,)) == 10 ** 800
 
 
 def test_equal_across_stored_denominators():

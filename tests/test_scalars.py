@@ -79,3 +79,11 @@ def test_coerce_exact_keeps_an_exact_fraction():
 
     w = coerce(EXACT, Half(1, 2))
     assert type(w) is Fraction and w == rat(1, 2)
+
+
+def test_coerce_f64_refuses_an_int_beyond_the_largest_float():
+    for big in (10 ** 400, -(10 ** 400), 2 ** 1024):
+        with pytest.raises(BackendMismatch, match="too large for f64"):
+            coerce(F64, big)
+        assert coerce(EXACT, big) == big
+    assert coerce(F64, 2 ** 1023) == 2.0 ** 1023
