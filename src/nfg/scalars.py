@@ -56,7 +56,10 @@ def coerce(backend: str, value) -> ScalarValue:
         if isinstance(value, float):
             raise BackendMismatch("float value rejected by the exact backend")
         if isinstance(value, (int, Fraction, str)):
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"exact scalar {value!r} has a zero denominator") from None
         raise BackendMismatch(f"cannot admit {type(value).__name__} into the exact backend")
     if backend == F64:
         if isinstance(value, bool):

@@ -17,13 +17,13 @@ A tensor has one of three storage kinds:
   networks stay at C(n, k) entries instead of n!/k! (packed antisymmetric
   storage, as in the Cyclops Tensor Framework).  ``get``, ``scale``, ``add``
   and ``equal`` of alternating tensors, ``permute_axes`` and the alternating
-  kernel read the packed list, and ``nonzeros`` generates each nonzero
-  set's signed orderings without keeping them: the hash join reads those
-  when an alternating operand meets one with kept axes, as do ``add`` and
-  ``equal`` of an alternating tensor with a sparse one.  Only ``sparse``
-  writes the tensor out, once, and keeps the result; no code in this
-  package reads it on an alternating tensor, only callers such as the
-  benchmark tracer and the tests.
+  kernel read the packed list (``get`` at a rank computed as a binomial sum,
+  with no table), and ``nonzeros`` generates each nonzero set's signed
+  orderings without keeping them: the hash join reads those when an
+  alternating operand meets one with kept axes, as do ``add`` and ``equal``
+  of an alternating tensor with a sparse one.  Only ``sparse`` writes the
+  tensor out, once, and keeps the result; no code in this package reads
+  it, only callers such as the benchmark tracer and the tests.
 
 Three kernels do all contractions.  Dense x dense forms each output cell as
 one sum of products; on the exact backend, once both sides keep a few cells,
@@ -113,11 +113,6 @@ def _offsets(shape: Shape, axes: Sequence[int]) -> List[int]:
     return offsets
 
 
-def _cells(shape: Shape, axes: Sequence[int]):
-    """(index over `axes`, row-major offset into a tensor of this shape) pairs."""
-    return zip(itertools.product(*(range(shape[a]) for a in axes)), _offsets(shape, axes))
-
-
 def inversion_sign(seq: Sequence[int]) -> int:
     """(-1)**inversions: the sign of the permutation that sorts distinct values."""
     return -1 if sum(itertools.starmap(gt, itertools.combinations(seq, 2))) % 2 else 1
@@ -154,10 +149,15 @@ def _expand_alt(alt: list, n: int, rank: int) -> dict:
     return dict(_signed_orderings(alt, n, rank))
 
 
-@cache
-def _ranks(n: int, k: int) -> dict:
-    """Sorted k-subset of range(n) -> its place in packed order."""
-    return dict(zip(itertools.combinations(range(n), k), itertools.count()))
+def _place(index: Sequence[int], n: int) -> Tuple[int, int]:
+    """(packed rank, sorting sign) of a k-index over alphabet n, or (0, 0) if
+    a value repeats: the rank of sorted values s is C(n, k) - 1 - the sum of
+    C(n-1-s[i], k-i), by the combinatorial number system."""
+    k = len(index)
+    if len(set(index)) < k:
+        return 0, 0
+    below = sum(map(comb, map((n - 1).__sub__, sorted(index)), range(k, 0, -1)))
+    return comb(n, k) - 1 - below, inversion_sign(index)
 
 
 @cache
@@ -171,10 +171,7 @@ def _fold_offsets(n: int, strides: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[in
     return tuple(zip(_perm_signs(m), (tuple(sum(map(mul, k, w)) for k in sets) for w in weights)))
 
 
-# the alternating kernel's tables, by shape (n, r, m), built on first use and only read
-_ALT_TABLES: Dict[Tuple[int, int, int], Tuple[array, array]] = {}
-
-
+@cache
 def _alt_tables(n: int, r: int, m: int) -> Tuple[array, array]:
     """The alternating kernel's rows for a rank-r operand over alphabet n
     with m axes contracted, as (source rank, signed fold rank) arrays.
@@ -188,26 +185,23 @@ def _alt_tables(n: int, r: int, m: int) -> Tuple[array, array]:
     if F holds the j-th values of the complement of D for j in idx, that is
     sum(F) - sum(idx).  One C-level pass per idx lists the rows of every D.
     """
-    tables = _ALT_TABLES.get((n, r, m))
-    if tables is None:
-        src, fold = [], []
-        if r <= n:
-            c = n - r + m
-            # the complements of the (r-m)-sets, in packed order; an r-set's
-            # packed rank, keyed by its complement (complements reverse the order)
-            comps = list(itertools.combinations(range(n), c))[::-1]
-            source = dict(zip(itertools.combinations(range(n), n - r),
-                              itertools.count(comb(n, r) - 1, -1)))
-            sets = list(itertools.combinations(range(n), m))
-            signed = [{f: i + len(sets) * ((sum(f) + p) % 2) for i, f in enumerate(sets)}
-                      for p in (0, 1)]
-            for idx in itertools.combinations(range(c), m):
-                rest = [j for j in range(c) if j not in idx]
-                src.append(map(source.__getitem__, map(_getter(rest), comps)))
-                fold.append(map(signed[sum(idx) % 2].__getitem__, map(_getter(idx), comps)))
-        tables = _ALT_TABLES[n, r, m] = tuple(
-            array("i", list(itertools.chain.from_iterable(zip(*cols)))) for cols in (src, fold))
-    return tables
+    src, fold = [], []
+    if r <= n:
+        c = n - r + m
+        # the complements of the (r-m)-sets, in packed order; an r-set's
+        # packed rank, keyed by its complement (complements reverse the order)
+        comps = list(itertools.combinations(range(n), c))[::-1]
+        source = dict(zip(itertools.combinations(range(n), n - r),
+                          itertools.count(comb(n, r) - 1, -1)))
+        sets = list(itertools.combinations(range(n), m))
+        signed = [{f: i + len(sets) * ((sum(f) + p) % 2) for i, f in enumerate(sets)}
+                  for p in (0, 1)]
+        for idx in itertools.combinations(range(c), m):
+            rest = [j for j in range(c) if j not in idx]
+            src.append(map(source.__getitem__, map(_getter(rest), comps)))
+            fold.append(map(signed[sum(idx) % 2].__getitem__, map(_getter(idx), comps)))
+    return tuple(
+        array("i", list(itertools.chain.from_iterable(zip(*cols)))) for cols in (src, fold))
 
 
 def _getter(indices: Sequence[int]):
@@ -220,12 +214,15 @@ def _getter(indices: Sequence[int]):
     return itemgetter(*indices)
 
 
-def _gather(seq, indices) -> tuple:
-    """seq at each of the indices, as a tuple, in one C-level call (a single
-    index or none is read through ``map``, as itemgetter would not give a tuple)."""
-    if len(indices) > 1:
-        return itemgetter(*indices)(seq)
-    return tuple(map(seq.__getitem__, indices))
+def _keys_fit(shape: Shape, keys) -> bool:
+    """Whether every key is an int tuple of the shape's rank, in range on
+    every axis: C-level passes over the keys' types and lengths, then over
+    each axis's types, min and max."""
+    if set(map(type, keys)) != {tuple} or set(map(len, keys)) != {len(shape)}:
+        return False
+    cols = (list(map(itemgetter(a), keys)) for a in range(len(shape)))
+    return all(set(map(type, c)) == {int} and min(c) >= 0 and max(c) < d
+               for c, d in zip(cols, shape))
 
 
 def _drop_zeros(store: dict) -> dict:
@@ -278,6 +275,9 @@ class Tensor:
             if type(alt) is not list or len(alt) != comb(n, r):
                 raise TensorError(f"alternating storage is a list of C({n}, {r}) = "
                                   f"{comb(n, r)} entries, one per sorted index")
+        if sparse and not _keys_fit(shape, sparse):
+            bad = next(k for k in sparse if not _keys_fit(shape, [k]))
+            raise TensorError(f"sparse key {bad!r} is not an index of shape {list(shape)}")
         if dense is not None and len(dense) != prod(shape):
             raise TensorError(
                 f"dense storage length {len(dense)} != element count {prod(shape)}"
@@ -360,16 +360,17 @@ class Tensor:
             index = tuple(map(operator.index, index))
         except TypeError:
             raise TensorError(f"index {index!r} has a component that is not an int") from None
-        _check_index(self.shape, index)
+        if len(index) != self.rank:
+            raise TensorError(f"index rank {len(index)} != tensor rank {self.rank}")
+        if not all(0 <= i < d for i, d in zip(index, self.shape)):
+            raise TensorError(f"index {list(index)} out of bounds for shape {list(self.shape)}")
         if self.dense is not None:
             return self._value(self.dense[sum(map(mul, index, _strides(self.shape)))])
         if self.alt is None:
             return self._value(self._sparse.get(index, ZERO_ENTRY[self.backend]))
-        r = len(index)
-        if len(set(index)) < r or not (
-                entry := self.alt[_ranks(r and self.shape[0], r)[tuple(sorted(index))]]):
-            return self._value(ZERO_ENTRY[self.backend])
-        return self._value(entry if inversion_sign(index) > 0 else -entry)
+        rank, sign = _place(index, _alt_dims(self.shape)[0])
+        entry = self.alt[rank] if sign else 0
+        return self._value(sign * entry if entry else ZERO_ENTRY[self.backend])
 
     def values(self) -> list:
         """All entries in row-major order, as backend scalars."""
@@ -455,7 +456,7 @@ class Tensor:
         if self.is_sparse:
             getk = _getter(order)
             return Tensor(new_shape, self.backend,
-                          sparse={getk(k): v for k, v in self.sparse.items()}, denom=self.denom)
+                          sparse={getk(k): v for k, v in self.nonzeros()}, denom=self.denom)
         data = self.dense
         new_data = [data[off] for off in _offsets(self.shape, order)]
         return Tensor(new_shape, self.backend, dense=new_data, denom=self.denom)
@@ -498,14 +499,6 @@ def _stored(*ts: Tensor):
     if all(t.is_sparse for t in ts):
         return "sparse", [dict(t.nonzeros()) for t in ts]
     return "dense", [t.to_dense().dense for t in ts]
-
-
-def _check_index(shape: Shape, index: Index) -> None:
-    if len(index) != len(shape):
-        raise TensorError(f"index rank {len(index)} != tensor rank {len(shape)}")
-    for i, d in zip(index, shape):
-        if not (0 <= i < d):
-            raise TensorError(f"index {list(index)} out of bounds for shape {list(shape)}")
 
 
 def pair_contract(f: Tensor, f_axes: Sequence[int], g: Tensor, g_axes: Sequence[int]) -> Tensor:
@@ -630,17 +623,17 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     first folded onto sorted sets: the folded entry at a sorted m-set K is
     the sum, over each ordering x of K read over the matched axes in their
     paired order, of inversion_sign(x) * entry at x.  A dense operand is
-    folded one ordering at a time, in permutations order: one ``_gather`` at
+    folded one ordering at a time, in permutations order: one ``_getter`` at
     ``_fold_offsets`` reads it at every K into sums that start at int 0, so
     each sum runs in the order a per-set sum would; a sparse one nonzero by
-    nonzero.  An alternating operand folds without being written out:
-    m! * sign(ot_axes) * its packed entries.  The fold also carries the sign
-    of the axis order al_axes + al_keep, so what is left is shape-only
-    (``_alt_tables``): each output entry is the sum from zero, over its run
-    of rows, of a packed entry times a folded entry or its negation.  The
-    rows are read in blocks of as many whole runs as fit in _BLOCK_ROWS (at
-    least one), one ``_gather`` per operand per block; a block changes no
-    sum's order, so no bit depends on the block size.
+    nonzero, at the set ``_place`` gives.  An alternating operand folds
+    without being written out: m! * sign(ot_axes) * its packed entries.  The
+    fold also carries the sign of the axis order al_axes + al_keep, so what
+    is left is shape-only (``_alt_tables``): each output entry is the sum
+    from zero, over its run of rows, of a packed entry times a folded entry
+    or its negation.  The rows are read in blocks of as many whole runs as
+    fit in _BLOCK_ROWS (at least one), one ``_getter`` per operand per
+    block; a block changes no sum's order, so no bit depends on the size.
     """
     m = len(ot_axes)
     n, r = _alt_dims(al.shape)
@@ -651,12 +644,13 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     elif ot.dense is not None:
         st, fold = _strides(ot.shape), [0] * comb(n, m)
         for sign, offsets in _fold_offsets(n, tuple(map(st.__getitem__, ot_axes))):
-            fold = list(map(add if base * sign > 0 else sub, fold, _gather(ot.dense, offsets)))
+            fold = list(map(add if base * sign > 0 else sub, fold, _getter(offsets)(ot.dense)))
     else:
-        fold, ranks = [0] * comb(n, m), _ranks(n, m)
-        for x, v in zip(map(_getter(ot_axes), ot.sparse), ot.sparse.values()):
-            if len(set(x)) == m:
-                fold[ranks[tuple(sorted(x))]] += base * inversion_sign(x) * v
+        fold, get_match = [0] * comb(n, m), _getter(ot_axes)
+        for key, v in ot.nonzeros():
+            rank, sign = _place(get_match(key), n)
+            if sign:
+                fold[rank] += base * sign * v
     src, fold_at = _alt_tables(n, r, m)
     zero, count = ZERO_ENTRY[al.backend], comb(n, r - m)
     if not src:
@@ -666,7 +660,7 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     step = (_BLOCK_ROWS // run or 1) * run
     out = []
     for s in range(0, len(src), step):
-        prods = map(mul, _gather(al.alt, src[s:s + step]), _gather(fold, fold_at[s:s + step]))
+        prods = map(mul, _getter(src[s:s + step])(al.alt), _getter(fold_at[s:s + step])(fold))
         out += map(sum, zip(*[prods] * run), itertools.repeat(zero))
     return out
 
@@ -689,7 +683,8 @@ def _contract_sparse(sp, sp_axes, sp_keep, ot, ot_axes, ot_keep, sparse_first: b
     else:
         data, st = ot.dense, _strides(ot.shape)
         match_strides = [st[a] for a in ot_axes]
-        kept = list(_cells(ot.shape, ot_keep))
+        kept = list(zip(itertools.product(*(range(ot.shape[a]) for a in ot_keep)),
+                        _offsets(ot.shape, ot_keep)))
 
         def partners(key):
             base = sum(map(mul, get_match(key), match_strides))

@@ -228,12 +228,38 @@ def test_alternating_storage_holds_one_entry_per_sorted_index():
 
 
 def test_packed_rank_inverts_combinations_order():
+    """``_place`` ranks every k-set of range(n), n <= 10, at its place in
+    ``itertools.combinations`` order, signs each ordering of it by its
+    inversion parity, and gives (0, 0) to an index that repeats a value."""
+    place = tensor_module._place
     for n in range(0, 11):
-        for r in range(0, n + 1):
-            ranks = tensor_module._ranks(n, r)
-            unrank = list(itertools.combinations(range(n), r))
-            assert len(ranks) == len(unrank) == math.comb(n, r)
-            assert all(ranks[unrank[i]] == i for i in range(len(unrank)))
+        for k in range(0, n + 1):
+            for i, key in enumerate(itertools.combinations(range(n), k)):
+                assert place(key, n) == (i, 1)
+                if n <= 6:
+                    assert all(place(p, n) == (i, sort_sign(p))
+                               for p in itertools.permutations(key))
+                if key:
+                    assert place(key + key[:1], n) == (0, 0)
+                    assert place(key[:1] + key, n) == (0, 0)
+
+
+def test_get_keeps_no_rank_table():
+    """One ``get`` on a rank-8 alternating tensor over n = 16 (12,870 packed
+    entries) reads the entry at its sorted index, signed, with a tracemalloc
+    peak under 64 KiB: the rank is computed, and no k-set is listed."""
+    n, r = 16, 8
+    t = Tensor((n,) * r, EXACT, alt=list(range(1, math.comb(n, r) + 1)))
+    index = (3, 0, 1, 2, 4, 5, 6, 15)  # three inversions
+    want = list(itertools.combinations(range(n), r)).index(tuple(sorted(index))) + 1
+    tracemalloc.start()
+    try:
+        got = t.get(index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == sort_sign(index) * want and sort_sign(index) == -1
+    assert peak < 64 * 1024
 
 
 def test_dense_partner_is_folded_without_a_sign_per_cell(monkeypatch):
@@ -307,12 +333,17 @@ def test_dense_fold_matches_the_per_set_formula(backend):
 
 def count_gathers(monkeypatch) -> list:
     """(partner kind, m, fold gathers, packed gathers, signed-fold gathers)
-    of every alternating-kernel call from now on.  Every gather goes through
-    ``_gather``, which reads a whole list of positions at C level; a gather
-    is told apart by the list it reads: the dense partner (the fold), the
-    packed operand or the signed fold (the product loop)."""
+    of every alternating-kernel call from now on.  Every gather is a getter
+    from ``_getter`` applied to a list, reading a whole list of positions at
+    C level (a getter applied to a tuple reads a key); a gather is told apart
+    by the list it reads: the dense partner (the fold), the packed operand
+    or the signed fold (the product loop)."""
     calls, seqs = [], []
-    gather, original = tensor_module._gather, tensor_module._contract_alt
+    getter, original = tensor_module._getter, tensor_module._contract_alt
+
+    def recording(indices):
+        get = getter(indices)
+        return lambda seq: (type(seq) is list and seqs.append(seq)) or get(seq)
 
     def counted(al, al_axes, al_keep, ot, ot_axes):
         seqs.clear()
@@ -323,8 +354,7 @@ def count_gathers(monkeypatch) -> list:
         calls.append((kind, len(ot_axes), folds, packed, len(seqs) - folds - packed))
         return out
 
-    monkeypatch.setattr(tensor_module, "_gather",
-                        lambda seq, indices: seqs.append(seq) or gather(seq, indices))
+    monkeypatch.setattr(tensor_module, "_getter", recording)
     monkeypatch.setattr(tensor_module, "_contract_alt", counted)
     return calls
 
@@ -525,13 +555,16 @@ def test_kernel_tables_hold_only_the_shapes_used(monkeypatch):
     those of the chains the plans contract, rank r against m = 2 (Pfaffian)
     or m = 1 (determinant): at most 3**n rows per alphabet n in all, and
     5,760 for the 2n = 10 Pfaffian."""
-    monkeypatch.setattr(tensor_module, "_ALT_TABLES", {})
+    cached, tables = tensor_module._alt_tables, {}
+    cached.cache_clear()
+    monkeypatch.setattr(tensor_module, "_alt_tables",
+                        lambda *shape: tables.setdefault(shape, cached(*shape)))
     rng = random.Random(41)
     for n in range(1, EPS_DEFAULT_LIMIT + 1):
         if n % 2 == 0:
             exterior_planned(pfaffian_diagram(rand_skew(rng, n)))
         exterior_planned(det_diagram(rand_mat(rng, n, n)))
-    tables = tensor_module._ALT_TABLES
+    assert cached.cache_info().currsize == len(tables)
     pfaffian = {(n, r, 2) for n in range(2, 11, 2) for r in range(2, n + 1, 2)}
     det = {(n, r, 1) for n in range(1, 11) for r in range(1, n + 1)}
     assert pfaffian <= set(tables) <= pfaffian | det

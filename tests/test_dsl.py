@@ -138,13 +138,17 @@ PARSER_RULES = [
     (MATRIX + "  dangling x(a.1)\n  dangling y(a.2)\n  interface(x, y)\n  interface(y, x)\n}\n",
      "7:3: duplicate interface"),
     (MATRIX + "}\n", "2:7: invalid graph 'g': uncovered port ('a', 0)"),
+    ("tensor 7 [2] = 1, 2\n", "1:8: expected a tensor name, found '7'"),
+    (MATRIX + "  wire m(a.1, a.2)\n}\n",
+     "4:3: expected 'vertex', 'edge', 'dangling' or 'interface', found 'wire'"),
 ]
 
 
 @pytest.mark.parametrize("source, expected", PARSER_RULES,
                          ids=["alphabet", "builtin", "statement", "graph item",
                               "vertex after edge", "dangling after interface",
-                              "edge after interface", "interface twice", "unwired"])
+                              "edge after interface", "interface twice", "unwired",
+                              "name", "graph keyword"])
 def test_parser_rules_are_positioned_errors(source, expected, tmp_path, capsys):
     with pytest.raises(dsl.DslError) as exc:
         dsl.parse(source)

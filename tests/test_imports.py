@@ -3,9 +3,12 @@ calls never need: every import statement of every module under ``src/nfg``
 names a standard-library module or ``nfg`` itself, so the package runs on a
 bare Python with no third-party install, and none names ``dataclasses``,
 whose import alone loads a dozen modules (``inspect``, ``ast``, ``dis``, ...).
-The package also stays within its budget of physical lines."""
+The package also stays within its budget of physical lines, reads the
+written-out ``Tensor.sparse`` nowhere but in that property, and keeps its
+shape caches as the ``functools.cache`` functions the README lists."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -54,3 +57,57 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_package_stays_within_its_line_budget():
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
     assert lines <= LINE_BUDGET, f"src/nfg is {lines} lines, over its budget of {LINE_BUDGET}"
+
+
+def parsed(name: str) -> ast.Module:
+    path = SRC / name
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_only_the_sparse_property_reads_dot_sparse():
+    """No code in src/nfg outside ``Tensor.sparse`` itself reads ``.sparse``,
+    the property that writes an alternating tensor out: the package reads
+    ``nonzeros()`` or the storage it checks for, never the written-out map."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parsed(path.name)
+        owner = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 and node.name == "Tensor"]
+        allowed = {id(node) for cls in owner for item in cls.body
+                   if isinstance(item, ast.FunctionDef) and item.name == "sparse"
+                   for node in ast.walk(item)}
+        readers += [(path.name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "sparse"
+                    and id(node) not in allowed]
+    assert readers == []
+
+
+def readme_cache_rows() -> set:
+    """The names in the first column of README's table of tensor.py caches."""
+    lines = (SRC.parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| Cache |"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    return {row.split("|")[1].strip().strip("`") for row in rows}
+
+
+def test_tensor_caches_are_the_cache_functions_the_readme_lists():
+    """tensor.py's shape caches are exactly its ``functools.cache`` functions,
+    each one a row of README's cache table; no module-level name is bound to
+    an empty container, which is how a hand-rolled cache would start."""
+    tree = parsed("tensor.py")
+    cached = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              for dec in node.decorator_list if ast.unparse(dec) in ("cache", "functools.cache")}
+    assert cached and cached == readme_cache_rows()
+    decorated = {ast.unparse(dec) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for dec in node.decorator_list}
+    assert not {d for d in decorated if "cache" in d} - {"cache"}
+    empty = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if (isinstance(value, (ast.Dict, ast.List, ast.Set)) and not ast.unparse(value)[1:-1]
+                    or isinstance(value, ast.Call) and not value.args and not value.keywords
+                    and ast.unparse(value.func) in ("dict", "list", "set", "OrderedDict")):
+                empty.append((node.lineno, ast.unparse(node)))
+    assert empty == []

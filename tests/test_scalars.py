@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from nfg.scalars import (
     rat,
     scalar_eq,
 )
+from nfg.tensor import Tensor
 
 
 def test_rat_lowest_terms():
@@ -27,6 +29,18 @@ def test_rat_from_string():
 def test_coerce_exact_accepts_ints_and_strings():
     assert coerce(EXACT, 5) == rat(5)
     assert coerce(EXACT, "1/3") == rat(1, 3)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", " 7/0 "])
+def test_coerce_exact_refuses_a_zero_denominator_as_a_value_error(text):
+    message = f"exact scalar {text!r} has a zero denominator"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        coerce(EXACT, text)
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Tensor.from_values((1,), [text])
+    with pytest.raises(ValueError, match="Invalid literal"):  # malformed, as before
+        coerce(EXACT, "abc")
 
 
 def test_coerce_exact_rejects_float():

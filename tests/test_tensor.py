@@ -201,3 +201,36 @@ def test_get_takes_only_int_index_components(backend, bad):
             with pytest.raises(TensorError, match=f"^{re.escape(message)}$"):
                 t.get(index)
             assert t.get((0, 1, 2)) == 1, kind
+
+
+@pytest.mark.parametrize("shape, key", [
+    ((3,), (-1,)),          # below range: values() and get() used to disagree
+    ((3,), (3,)),           # just past the last cell
+    ((3,), (5,)),           # values() used to raise IndexError
+    ((3,), (1, 1)),         # rank 2 on a rank-1 tensor: used to read as cell 1
+    ((3,), "ab"),           # not a tuple: values() used to raise TypeError
+    ((3,), (1.0,)),         # a float component
+    ((3,), (True,)),        # a bool is not an int component
+    ((2, 3), (1,)),         # too short
+    ((2, 3), (1, 3)),       # out of range on the last axis only
+    ((), (0,)),             # a rank-0 tensor's one key is ()
+], ids=["negative", "past end", "far past end", "too long", "str", "float", "bool",
+         "too short", "last axis", "rank 0"])
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_sparse_storage_refuses_a_key_that_is_not_an_index(shape, key, backend):
+    """A sparse key is an in-range int tuple of the tensor's rank; any other
+    is one TensorError naming it, even among valid keys."""
+    one = 1 if backend == EXACT else 1.0
+    good = {(0,) * len(shape): one}
+    message = f"sparse key {key!r} is not an index of shape {list(shape)}"
+    for sparse in ({key: one}, {**good, key: one}):
+        with pytest.raises(TensorError, match=f"^{re.escape(message)}$"):
+            Tensor(shape, backend, sparse=sparse)
+
+
+def test_sparse_storage_takes_every_in_range_key():
+    t = Tensor((2, 3), EXACT, sparse={(0, 0): 1, (1, 2): -4, (0, 1): 5})
+    assert t.values() == [rat(1), rat(5), 0, 0, 0, rat(-4)]
+    assert [t.get((1, 2)), t.get((1, 1))] == [rat(-4), 0]
+    assert Tensor((), EXACT, sparse={(): 7}).get(()) == rat(7)
+    assert Tensor((3,), EXACT, sparse={}).values() == [0, 0, 0]
