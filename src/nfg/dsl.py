@@ -21,12 +21,13 @@ Rationals are written p/q or as integers, in decimal digits only: the Unicode
 decimal digits that int() reads, so "1.5" and "²" are errors.  Whitespace
 (space, tab, CR, LF) and comments, which run from "#" to end of line, may
 stand between any two tokens, inside a value list too.  One compiled pattern
-scans the source a token at a time, as the parser asks for it, and a
-tensor's value list is read in bulk by one value pattern, straight into int
-numerators over one denominator, as an exact tensor stores them; no rational
-is built per value.  Every error, lexical, syntactic, or semantic, carries
-the 1-based line and column of the offending token, and on f64 so does a
-value beyond the largest float.
+scans the source a token at a time, as the parser asks for it.  A tensor's
+value list is read in one pass instead: one pattern scan finds its extent,
+and str.split and int() read it straight into int numerators over one
+denominator, as an exact tensor stores them; no rational is built per value.
+Only a list in error goes to the token methods, which raise the error.  Every
+error, lexical, syntactic, or semantic, carries the 1-based line and column of
+the offending token, and on f64 so does a value beyond the largest float.
 
 ``DslDocument.statements`` holds the statements in source order: a value
 list as a ``TensorDecl`` (its values stay lazy), and every other statement,
@@ -40,13 +41,14 @@ import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from operator import truediv
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import CompoundNfg, add_nfgs, as_compound, scale_nfg
 from .builtins import delta2, delta_point, levi_civita
 from .graph import Nfg
 from .scalars import EXACT, F64
-from .tensor import Tensor, lowest_terms
+from .tensor import Tensor, exact_texts, lowest_terms
 
 
 class DslError(Exception):
@@ -74,14 +76,14 @@ class Token(NamedTuple):
 # and \d is str.isdecimal(), the digits int() reads.  [^\W\d] also admits
 # numerals such as '½', so the scanner checks that a NAME starts on
 # str.isalpha() or "_".
-_SKIP = r"(?:[ \t\r\n]|#[^\n]*\n)*"
-_END = r"(?=(?:#[^\n]*)?\Z)"
-_TOKEN = re.compile(_SKIP + r"(?:(?P<NAME>[^\W\d]\w*)|(?P<NUMBER>\d+)"
-                    rf"|(?P<SYM>[\[\]{{}}(),.:=+*/-])|(?P<EOF>{_END})|(?P<BAD>.))")
-# One value-list entry as the token methods read it (sign, numerator,
-# denominator) and the comma, or the end of the list: a NAME or EOF.
-_VALUE = re.compile(_SKIP + rf"(?:(-){_SKIP})?(\d+)(?:{_SKIP}/{_SKIP}(\d+))?{_SKIP}"
-                    rf"(?:(,)|(?=[^\W\d])|{_END})")
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*\n)*(?:(?P<NAME>[^\W\d]\w*)|(?P<NUMBER>\d+)"
+                    r"|(?P<SYM>[\[\]{}(),.:=+*/-])|(?P<EOF>(?=(?:#[^\n]*)?\Z))|(?P<BAD>.))")
+# A value list's extent: its entries, commas, whitespace and comments (the
+# caller checks what follows it).  Before int() reads the entries, comments
+# and the blanks after a sign are dropped, if the list holds any.
+_LIST = re.compile(r"[\d,/ \t\r\n-]*(?:#[^\n]*[\d,/ \t\r\n-]*)*")
+_DROP = re.compile(r"(-)(?:[ \t\r\n]|#[^\n]*)+|#[^\n]*")
+_SIGN_GAPS = ("- ", "-\t", "-\r", "-\n")
 # How many integer arguments each builtin takes; the builtin checks their values.
 _BUILTIN_ARITY = {"eps": 1, "delta": 1, "e": 2}
 
@@ -105,7 +107,8 @@ class TensorDecl(NamedTuple):
 
     def __str__(self) -> str:
         dims = ",".join(map(str, self.dims))
-        return f"tensor {self.name} [{dims}] = {', '.join(map(str, self.values))}"
+        values = ", ".join(exact_texts(self.numerators, self.denom))
+        return f"tensor {self.name} [{dims}] = {values}"
 
 
 Statement = Union[TensorDecl, str]  # str: any other statement's canonical text
@@ -214,33 +217,34 @@ class _Parser:
     def parse_values(self) -> Tuple[List[int], List[int]]:
         """A tensor's value list as signed int numerators and positive int
         denominators, in the terms written (2/4 stays 2 over 4), with no
-        rational built per value.  _VALUE reads an entry at a time; an entry
-        it cannot read, whose number int() refuses as too long, or, on f64,
-        whose value is beyond the largest float, goes to the token methods,
-        which raise the error."""
+        rational built per value: one _LIST scan, str.split and int().  A
+        list this refuses (an empty or malformed entry, a denominator that is
+        not positive, a number over int()'s digit limit, or on f64 a value
+        beyond the largest float) is in error, so the token methods read it
+        from its start to raise the error at its position."""
+        m = _LIST.match(self.source, self.pos)
+        text = m[0]
+        if "#" in text or any(gap in text for gap in _SIGN_GAPS):
+            text = _DROP.sub(r"\1", text)
         nums: List[int] = []
         dens: List[int] = []
-        f64 = self.backend != EXACT
-        while True:
-            m = _VALUE.match(self.source, self.pos)
-            try:
-                den = m and int(m[3] or 1)
-                num = den and int(m[2])
-                if f64 and den:
-                    num / den  # int / int raises OverflowError past the largest float
-            except (ValueError, OverflowError):
-                den = 0
-            if den:
-                nums.append(-num if m[1] else num)
-                dens.append(den)
-                self.pos, comma = m.end(), m[4]
-            else:
-                value = self.parse_rational()
-                nums.append(value.numerator)
-                dens.append(value.denominator)
-                comma = self.at_sym(",") and self.next()
-            if not comma:
+        try:
+            for entry in text.split(","):
+                num, slash, den = entry.partition("/")
+                nums.append(int(num))
+                dens.append(int(den) if slash else 1)
+            if min(dens) > 0:
+                if self.backend != EXACT:
+                    list(map(truediv, nums, dens))  # OverflowError past the largest float
+                self.pos = m.end()
                 return nums, dens
+        except (ValueError, OverflowError):
+            pass
+        values = [self.parse_rational()]
+        while self.at_sym(","):
+            self.next()
+            values.append(self.parse_rational())
+        return [v.numerator for v in values], [v.denominator for v in values]
 
     # statements ----------------------------------------------------------
 

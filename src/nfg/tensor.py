@@ -52,11 +52,11 @@ Exact tensors are stored fraction-free, after Bareiss (1968): every entry is
 a Python ``int`` numerator over one positive ``int`` denominator ``denom``
 shared by the whole tensor.  The kernels therefore do plain integer
 multiply-adds, and a contraction's denominator is the product of its
-operands'.  Numerators are not kept in lowest terms; the value API (``get``,
-``values``, ``equal``, ``to_obj``) divides at the boundary, where entries are
-``fractions.Fraction`` rationals in lowest terms.  ``f64`` tensors store
-``float`` entries with ``denom`` fixed at 1, so both backends share every
-kernel.
+operands'.  Numerators are not kept in lowest terms; ``get``, ``values`` and
+``equal`` divide at the boundary, into ``fractions.Fraction`` rationals in
+lowest terms, and ``to_obj`` formats each value from its numerator and
+``denom`` with one gcd (``exact_texts``).  ``f64`` tensors store ``float``
+entries with ``denom`` fixed at 1, so both backends share every kernel.
 """
 
 from __future__ import annotations
@@ -247,6 +247,15 @@ def lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
         denom //= g
         entries = [n // g for n in entries]
     return entries, denom
+
+
+def exact_texts(entries: Sequence[int], denom: int) -> List[str]:
+    """str() of each rational entry / denom, "p" or "p/q" in lowest terms,
+    from one gcd per entry, with no rational built."""
+    if denom == 1:
+        return list(map(str, entries))
+    return [f"{n // g}/{denom // g}" if g != denom else str(n // g)
+            for n, g in zip(entries, map(gcd, entries, itertools.repeat(denom)))]
 
 
 class Tensor:
@@ -479,11 +488,11 @@ class Tensor:
     # -- serialization -----------------------------------------------------
 
     def to_obj(self) -> dict:
-        """Row-major {"shape": [...], "values": [...]} with rationals as "p/q"."""
-        return {
-            "shape": list(self.shape),
-            "values": [scalars.format_scalar(self.backend, v) for v in self.values()],
-        }
+        """Row-major {"shape": [...], "values": [...]}: what ``format_scalar``
+        makes of ``values()``, formatted from the stored entries."""
+        cells = self.to_dense().dense
+        texts = exact_texts(cells, self.denom) if self.backend == EXACT else list(map(repr, cells))
+        return {"shape": list(self.shape), "values": texts}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "dense" if not self.is_sparse else "alt" if self.alt is not None else "sparse"

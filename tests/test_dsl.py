@@ -332,6 +332,20 @@ VALUE_LISTS = [
     ("tensor u [2] = 1, 2 }\n", EXACT, "1:21: expected ',' or the next statement, found '}'"),
     ("tensor u [2] =", EXACT, "1:15: expected an integer, found 'end of input'"),
 ]
+# 50,000 values whose last is in error: read in bulk up to it, and refused
+# where the token methods place it, at the error's column past HEAD.
+HEAD = "tensor u [50000] = " + "1, " * 49999
+VALUE_LISTS += [
+    pytest.param(HEAD + last, backend, f"1:{len(HEAD) + col}: {message}",
+                 id=f"50000 values, last {last[:4]}, {backend}")
+    for last, col, message in [
+        ("1/0", 3, "zero denominator"),
+        ("1/-2", 3, "expected an integer, found '-'"),
+        ("1.5", 2, "expected ',' or the next statement, found '.'"),
+        (LONG, 1, "integer of 5000 digits is over the limit of 4300"),
+    ]
+    for backend in (EXACT, F64)
+]
 
 
 @pytest.mark.parametrize("source,backend,expected", VALUE_LISTS, ids=repr)
@@ -360,12 +374,16 @@ def _outcome(source):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(["-", "/", ",", " ", "\n", "# c\n", "0", "1", "12",
-                                 "\u0663", ".", "x", "}", "\u00b2"]), max_size=12).map("".join),
+                                 "\u0663", ".", "x", "}", "\u00b2",
+                                 # what int() reads but the grammar refuses
+                                 "+", "_", "\u00a0", "\x0b", "\x0c",
+                                 "1/-2", "1/2/3", "- 3"]), max_size=12).map("".join),
        st.sampled_from(["", "\ntensor v [1] = 5", " # end", "\n}"]))
 @example("0# c\n/", "")  # a comment before '/' must not end the list as EOF would
+@example("- 3,-\n1/ 2", "")  # blanks after a sign, and no comment
 def test_value_lists_read_in_bulk_as_by_the_token_methods(body, tail):
-    """Every list the token methods accept is read by the value pattern alone,
-    and every other gives the error the token methods give."""
+    """Every list the token methods accept is read in bulk alone, and every
+    other gives the error the token methods give."""
     source = f"tensor u [{body.count(',') + 1}] = {body}{tail}"
     token_reads = []
 
@@ -375,7 +393,7 @@ def test_value_lists_read_in_bulk_as_by_the_token_methods(body, tail):
 
     with mock.patch.object(dsl._Parser, "parse_rational", parse_rational):
         bulk = _outcome(source)
-    with mock.patch.object(dsl, "_VALUE", re.compile("(?!)")):  # never matches
+    with mock.patch.object(dsl, "_LIST", re.compile("")):  # an empty extent reads nothing
         assert bulk == _outcome(source)
     if not isinstance(bulk, str):
         assert token_reads == []

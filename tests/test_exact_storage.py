@@ -12,10 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfg.contraction import exterior_brute
 from nfg.graph import Nfg
-from nfg.scalars import EXACT, F64, BackendMismatch, coerce, rat
+from nfg.scalars import EXACT, F64, BackendMismatch, coerce, format_scalar, rat
 from nfg.tensor import Tensor, TensorError, pair_contract
 
 from test_tensor import to_sparse
@@ -181,6 +182,43 @@ def test_rational_reads_back_in_lowest_terms():
     assert Tensor.from_values((), [rat(1, 2)]).to_obj()["values"] == ["1/2"]
     assert Tensor.from_values((), [rat(2, 2)]).to_obj()["values"] == ["1"]
     assert Tensor.from_values((), ["4/6"]).get(()) == rat(2, 3)
+
+
+@st.composite
+def stored_tensors(draw):
+    """A dense, sparse or alternating tensor on either backend, its entries
+    zeros, negatives, ints beyond 2**63 over an unreduced denominator, or
+    floats with -0.0 among them."""
+    backend = draw(st.sampled_from([EXACT, F64]))
+    kind = draw(st.sampled_from(["dense", "sparse", "alt"]))
+    if backend == EXACT:
+        entry = st.one_of(st.integers(-12, 12), st.integers(2**63 - 2, 2**66),
+                          st.integers(-2**66, -2**63))
+        denom = draw(st.one_of(st.integers(1, 12), st.integers(2**63, 2**65)))
+    else:
+        entry = st.one_of(st.sampled_from([0.0, -0.0, -2.5, 2.0**70]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        denom = 1
+    if kind == "alt":
+        n = draw(st.integers(1, 4))
+        shape = (n,) * draw(st.integers(0, n))
+        size = math.comb(n, len(shape))
+    else:
+        shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+        size = math.prod(shape)
+    if kind == "sparse":
+        cells = st.sampled_from(list(itertools.product(*map(range, shape))))
+        return Tensor(shape, backend, sparse=draw(st.dictionaries(cells, entry)), denom=denom)
+    return Tensor(shape, backend, **{kind: draw(st.lists(entry, min_size=size, max_size=size))},
+                  denom=denom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_tensors())
+def test_to_obj_formats_the_value_api(t):
+    """to_obj, formatted from the stored entries, is format_scalar of values()."""
+    assert t.to_obj() == {"shape": list(t.shape),
+                          "values": [format_scalar(t.backend, v) for v in t.values()]}
 
 
 def test_from_values_stores_numerators_over_the_lcm():
