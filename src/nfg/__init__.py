@@ -9,14 +9,7 @@ determinant and Pfaffian, and a textual DSL with a CLI.
 """
 
 from .algebra import CompoundNfg, add_nfgs, eval_compound, scale_nfg, stack, sub_nfgs
-from .builtins import (
-    Permutation,
-    delta2,
-    delta_point,
-    levi_civita,
-    perm_sign,
-    tau,
-)
+from .builtins import delta2, delta_point, levi_civita, tau
 from .contraction import (
     ContractionPlan,
     exterior_brute,

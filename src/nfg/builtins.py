@@ -1,8 +1,9 @@
-"""Special tensors and permutation machinery.
+"""Special tensors and the interleaving permutation.
 
-Permutations are 1-based at the API boundary (images over {1..n}); the
-Levi-Civita tensor is stored alternating, as the one entry at (0, ..., n-1),
-and reads as sparse with its n! nonzeros out of n**n cells.
+A permutation is the tuple of its 1-based images over {1..n}, whose sign
+``tensor.inversion_sign`` gives.  The Levi-Civita tensor is stored
+alternating, as the one entry at (0, ..., n-1), and reads as sparse with its
+n! nonzeros out of n**n cells.
 """
 
 from __future__ import annotations
@@ -11,40 +12,21 @@ from typing import Tuple
 
 from . import scalars
 from .scalars import EXACT
-from .tensor import ONE_ENTRY, Tensor, inversion_sign
+from .tensor import ONE_ENTRY, Tensor
 
 EPS_DEFAULT_LIMIT = 10
 
 
-class Permutation(tuple):
-    """A bijection on {1..n}, as the tuple of its images: p(j) = p[j-1]."""
-
-    images = property(tuple)  # the images as a plain tuple
-    n = property(len)
-
-    def __new__(cls, images: Tuple[int, ...]):
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"{list(images)} is not a permutation of 1..{len(images)}")
-        return super().__new__(cls, images)
-
-    def __call__(self, j: int) -> int:
-        return self[j - 1]
-
-
-def perm_sign(p: Permutation) -> int:
-    """Parity by inversion counting: (-1)**inversions."""
-    return inversion_sign(p)
-
-
-def tau(n: int) -> Permutation:
-    """The interleaving permutation on 2n elements: 2k-1 -> k, 2k -> 2n-(k-1)."""
+def tau(n: int) -> Tuple[int, ...]:
+    """The images of the interleaving permutation on 2n elements:
+    2k-1 -> k, 2k -> 2n-(k-1)."""
     if n < 1:
         raise ValueError("n must be positive")
     images = [0] * (2 * n)
     for k in range(1, n + 1):
         images[2 * k - 2] = k
         images[2 * k - 1] = 2 * n - (k - 1)
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def tau_swap_count(n: int) -> int:

@@ -147,6 +147,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):  # nan or < 0 refuses equal values; inf accepts any two
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 @functools.cache  # built on the first call; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -161,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, engine=True, tol=True):
         p.add_argument("--backend", choices=[EXACT, F64], default=EXACT)
         if tol:  # only the commands that compare two values
-            p.add_argument("--tol", type=float, default=1e-9,
+            p.add_argument("--tol", type=tolerance, default=1e-9,
                            help="float backend only: values a, b agree when "
                                 "|a - b| <= tol * max(1, |a|, |b|)")
         if engine:

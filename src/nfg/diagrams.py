@@ -40,10 +40,6 @@ def _report(name: str, lhs: Tensor, rhs: Tensor) -> IdentityCheckReport:
 # -- small vector/matrix plumbing -------------------------------------------
 
 
-def transpose(a: Tensor) -> Tensor:
-    return a.permute_axes([1, 0])
-
-
 def matmul_oracle(a: Tensor, b: Tensor) -> Tensor:
     """Schoolbook triple-loop matrix product."""
     n, k = a.shape
@@ -80,10 +76,6 @@ def trace_oracle(a: Tensor):
     for v in a.values()[::n + 1]:
         acc = acc + v
     return acc
-
-
-def scalar_tensor(value, backend: str = EXACT) -> Tensor:
-    return Tensor.from_values((), [value], backend)
 
 
 # -- diagram builder ---------------------------------------------------------
@@ -449,7 +441,7 @@ def check_prop1(a: Tensor, engine: str = "planned") -> IdentityCheckReport:
     """The Pfaffian diagram's exterior equals n! 2^n Pf(a)."""
     dim = _check_skew(a)
     lhs = eval_compound(pfaffian_diagram(a), engine)  # refuses an unknown engine first
-    rhs = scalar_tensor(pfaffian_oracle(a), a.backend).scale(pfaffian_factor(dim // 2))
+    rhs = Tensor.from_values((), [pfaffian_oracle(a) * pfaffian_factor(dim // 2)], a.backend)
     return _report(f"prop1-pfaffian-2n={dim}", lhs, rhs)
 
 

@@ -30,9 +30,9 @@ error, lexical, syntactic, or semantic, carries the 1-based line and column of
 the offending token, and on f64 so does a value beyond the largest float.
 
 ``DslDocument.statements`` holds the statements in source order: a value
-list as a ``TensorDecl`` (its values stay lazy), and every other statement,
-a builtin tensor, a whole graph block or a let line, as its canonical text,
-built as it is parsed.  ``serialize`` writes str() of each on its own line.
+list as a ``TensorDecl``, and every other statement, a builtin tensor, a
+whole graph block or a let line, as its canonical text, built as it is
+parsed.  ``serialize`` writes str() of each on its own line.
 """
 
 from __future__ import annotations
@@ -94,16 +94,11 @@ _BUILTIN_ARITY = {"eps": 1, "delta": 1, "e": 2}
 class TensorDecl(NamedTuple):
     """A value list is kept as an exact tensor stores it, on either backend:
     int numerators over one denominator, in lowest terms as a whole
-    (``tensor.lowest_terms``).  ``values`` forms the rationals on demand, and
-    str() gives the statement's canonical line."""
+    (``tensor.lowest_terms``); str() gives the statement's canonical line."""
     name: str
     dims: List[int]
     numerators: List[int]
     denom: int
-
-    @property
-    def values(self) -> List[Fraction]:
-        return [Fraction(n, self.denom) for n in self.numerators]
 
     def __str__(self) -> str:
         dims = ",".join(map(str, self.dims))
@@ -221,7 +216,8 @@ class _Parser:
         list this refuses (an empty or malformed entry, a denominator that is
         not positive, a number over int()'s digit limit, or on f64 a value
         beyond the largest float) is in error, so the token methods read it
-        from its start to raise the error at its position."""
+        from the refused entry, keeping those before it (from its start after
+        a _DROP or an f64 overflow), to raise the error at its position."""
         m = _LIST.match(self.source, self.pos)
         text = m[0]
         if "#" in text or any(gap in text for gap in _SIGN_GAPS):
@@ -240,11 +236,22 @@ class _Parser:
                 return nums, dens
         except (ValueError, OverflowError):
             pass
+        # the first denominator below 1, or else the entry int() refused
+        kept = next((i for i, den in enumerate(dens) if den <= 0), len(dens))
+        if text != m[0]:
+            kept = 0
+        elif self.backend != EXACT:
+            try:
+                list(map(truediv, nums[:kept], dens[:kept]))
+            except OverflowError:
+                kept = 0
+        self.pos = m.end() - len(m[0].split(",", kept)[-1])
         values = [self.parse_rational()]
         while self.at_sym(","):
             self.next()
             values.append(self.parse_rational())
-        return [v.numerator for v in values], [v.denominator for v in values]
+        return (nums[:kept] + [v.numerator for v in values],
+                dens[:kept] + [v.denominator for v in values])
 
     # statements ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ import random
 from operator import neg
 from typing import Callable, Dict, List, Tuple
 
-from .builtins import levi_civita, perm_sign, tau, tau_swap_count
+from .builtins import levi_civita, tau, tau_swap_count
 from .contraction import exterior_planned
 from .diagrams import (
     check_cross_chain,
@@ -24,11 +24,9 @@ from .diagrams import (
     det_diagram,
     det_oracle,
     matmul_oracle,
-    scalar_tensor,
-    transpose,
 )
 from .scalars import EXACT
-from .tensor import Tensor, lowest_terms
+from .tensor import Tensor, inversion_sign, lowest_terms
 
 Row = Tuple[str, bool, str]
 
@@ -96,7 +94,7 @@ def suite_lemma2(**_) -> List[Row]:
 def suite_lemma3(**_) -> List[Row]:
     rows: List[Row] = []
     for n in range(1, 11):
-        sgn = perm_sign(tau(n))
+        sgn = inversion_sign(tau(n))
         swaps = tau_swap_count(n)
         ok = sgn == 1 and swaps % 2 == 0
         rows.append((f"lemma3-n={n}", ok, f"sgn(tau)={sgn:+d} swaps={swaps}"))
@@ -151,7 +149,7 @@ def suite_det_ids(seed: int = DEFAULT_SEED, trials: int = 5, **_) -> List[Row]:
         for _ in range(trials):
             a = rand_mat(rng, n, n)
             d = det_oracle(a)
-            if not exterior_planned(det_diagram(a)).equal(scalar_tensor(d)):
+            if not exterior_planned(det_diagram(a)).equal(Tensor.from_values((), [d])):
                 ok = False
             if n <= 4 and det_cofactor(a) != d:
                 ok = False
@@ -162,7 +160,7 @@ def suite_det_ids(seed: int = DEFAULT_SEED, trials: int = 5, **_) -> List[Row]:
             a, b = rand_mat(rng, n, n), rand_mat(rng, n, n)
             if det_oracle(matmul_oracle(a, b)) != det_oracle(a) * det_oracle(b):
                 ok = False
-            if det_oracle(transpose(a)) != det_oracle(a):
+            if det_oracle(a.permute_axes([1, 0])) != det_oracle(a):
                 ok = False
         rows.append((f"det-product-transpose-n={n}", ok, f"{trials} trials"))
     return rows

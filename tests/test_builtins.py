@@ -5,37 +5,32 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfg.builtins import (
-    Permutation,
-    delta2,
-    delta_point,
-    levi_civita,
-    perm_sign,
-    tau,
-    tau_swap_count,
-)
+from nfg.builtins import delta2, delta_point, levi_civita, tau, tau_swap_count
 from nfg.contraction import exterior_brute
 from nfg.diagrams import cross_diagram, insert_delta2, trace_diagram
 from nfg.graph import Nfg
 from nfg.scalars import rat
 from nfg.suites import rand_mat, rand_vec
+from nfg.tensor import inversion_sign
+
+# A permutation of 1..n is the tuple of its images, p(j) = p[j-1].
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+def identity(n: int) -> tuple:
+    return tuple(range(1, n + 1))
 
 
-def inverse(p: Permutation) -> Permutation:
-    inv = [0] * p.n
-    for j, i in enumerate(p.images, start=1):
+def inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for j, i in enumerate(p, start=1):
         inv[i - 1] = j
-    return Permutation(tuple(inv))
+    return tuple(inv)
 
 
-def perm_compose(p: Permutation, q: Permutation) -> Permutation:
+def perm_compose(p: tuple, q: tuple) -> tuple:
     """p after q: (p o q)(j) = p(q(j))."""
-    assert p.n == q.n
-    return Permutation(tuple(p.images[q.images[j] - 1] for j in range(p.n)))
+    assert len(p) == len(q)
+    return tuple(p[q[j] - 1] for j in range(len(p)))
 
 
 def eps_get(eps, args):
@@ -43,39 +38,34 @@ def eps_get(eps, args):
     return eps.get(tuple(a - 1 for a in args))
 
 
-def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
-
-
 def test_identity_and_inverse():
-    p = Permutation((3, 1, 2))
+    p = (3, 1, 2)
     assert perm_compose(p, inverse(p)) == identity(3)
     assert perm_compose(inverse(p), p) == identity(3)
 
 
 def test_perm_sign_basics():
-    assert perm_sign(identity(4)) == 1
-    assert perm_sign(Permutation((2, 1, 3))) == -1
-    assert perm_sign(Permutation((2, 3, 1))) == 1
+    assert inversion_sign(identity(4)) == 1
+    assert inversion_sign((2, 1, 3)) == -1
+    assert inversion_sign((2, 3, 1)) == 1
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(list(range(1, 6))), st.permutations(list(range(1, 6))))
 def test_sign_multiplicative(p_img, q_img):
-    p, q = Permutation(tuple(p_img)), Permutation(tuple(q_img))
-    assert perm_sign(perm_compose(p, q)) == perm_sign(p) * perm_sign(q)
+    p, q = tuple(p_img), tuple(q_img)
+    assert inversion_sign(perm_compose(p, q)) == inversion_sign(p) * inversion_sign(q)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_tau_structure(n):
     t = tau(n)
     # tau lives on 2n points: odd inputs go low, even inputs go high
-    assert t.n == 2 * n
+    assert type(t) is tuple and sorted(t) == list(identity(2 * n))
     for k in range(1, n + 1):
-        assert t.images[2 * k - 2] == k
-        assert t.images[2 * k - 1] == 2 * n - (k - 1)
-    assert perm_sign(t) == 1
+        assert t[2 * k - 2] == k
+        assert t[2 * k - 1] == 2 * n - (k - 1)
+    assert inversion_sign(t) == 1
     assert tau_swap_count(n) == n // 2 + n * (n - 1) // 2
     assert tau_swap_count(n) % 2 == 0
 
@@ -86,7 +76,7 @@ def test_levi_civita_values(n):
     for args in itertools.product(range(1, n + 1), repeat=n):
         expected = 0
         if len(set(args)) == n:
-            expected = perm_sign(Permutation(args))
+            expected = inversion_sign(args)
         assert eps_get(eps, args) == rat(expected)
 
 
@@ -113,7 +103,7 @@ def test_levi_civita_signs_match_perm_sign(n):
     eps = levi_civita(n)
     assert len(eps.sparse) == math.factorial(n)
     for key in itertools.permutations(range(1, n + 1)):
-        assert eps_get(eps, key) == perm_sign(Permutation(key))
+        assert eps_get(eps, key) == inversion_sign(key)
 
 
 def test_levi_civita_limit():

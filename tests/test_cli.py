@@ -329,6 +329,30 @@ def test_tol_is_taken_only_by_commands_that_compare(doc, capsys, argv, code):
     assert ("unrecognized arguments: --tol 1" in err) == (code == EXIT_USAGE)
 
 
+TOL_NAMES = {"equal": ["tr", "tr"], "det": ["M"], "pfaffian": ["S"], "trace": ["A"]}
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(TOL_NAMES))
+def test_tol_that_inverts_the_comparison_is_refused_before_any_work(capsys, monkeypatch,
+                                                                    command, tol):
+    """A negative or nan tol refuses equal values, and an infinite one accepts
+    any two: each is a usage error before the file is read."""
+    monkeypatch.setattr("nfg.cli._load", _must_not_run)
+    argv = [command, "doc.nfg", *TOL_NAMES[command], "--backend", "f64", "--tol", tol]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --tol: must be a finite number >= 0, got {tol}\n" in err
+
+
+@pytest.mark.parametrize("command", sorted(TOL_NAMES))
+def test_tol_zero_is_taken(doc, capsys, command):
+    path = doc(TRACE_DOC + SKEW_DOC + MAT_DOC)
+    assert main([command, path, *TOL_NAMES[command], "--backend", "f64", "--tol", "0"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_version(capsys):
     assert main(["--version"]) == EXIT_OK
     assert capsys.readouterr().out == "nfg 0.1.0 (exact scalars: fractions.Fraction)\n"

@@ -22,6 +22,11 @@ ERRORS = sorted(CORPUS.glob("e*.nfg"))
 EXPECT_RE = re.compile(r"# expect(?: on (\w+))?: (\d+):(\d+) (.*)")
 
 
+def values_of(decl):
+    """The rationals of a value list, kept as int numerators over one denominator."""
+    return [Fraction(n, decl.denom) for n in decl.numerators]
+
+
 def _backend(src):
     return EXPECT_RE.match(src).group(1) or EXACT
 
@@ -300,9 +305,9 @@ def test_values_and_coefficients_are_parsed_rationals():
     )
     decl = doc.statements[0]
     coefs = [coef for coef, _ in doc.compounds["s"].terms]
-    assert decl.values == [rat(1, 2), rat(-3)]
+    assert values_of(decl) == [rat(1, 2), rat(-3)]
     assert coefs == [rat(-3, 2), rat(1)]
-    assert all(isinstance(v, Fraction) for v in decl.values + coefs)
+    assert all(isinstance(v, Fraction) for v in values_of(decl) + coefs)
     assert dsl.serialize(doc).splitlines()[0] == "tensor u [2] = 1/2, -3"
     assert dsl.serialize(doc).splitlines()[-1] == "let s = -3/2*g + g"
 
@@ -356,8 +361,8 @@ def test_value_lists(source, backend, expected):
         assert str(exc.value) == expected
         return
     doc = dsl.parse(source, backend)
-    assert doc.statements[0].values == expected
-    assert all(isinstance(v, Fraction) for v in doc.statements[0].values)
+    assert values_of(doc.statements[0]) == expected
+    assert all(isinstance(v, Fraction) for v in values_of(doc.statements[0]))
     cast = float if backend == F64 else rat
     assert doc.tensors["u"].values() == [cast(v) for v in expected]
 
@@ -365,9 +370,9 @@ def test_value_lists(source, backend, expected):
 PARSE_RATIONAL = dsl._Parser.parse_rational
 
 
-def _outcome(source):
+def _outcome(source, backend=EXACT):
     try:
-        return dsl.parse(source).statements[0].values
+        return values_of(dsl.parse(source, backend).statements[0])
     except dsl.DslError as err:
         return str(err)
 
@@ -397,6 +402,43 @@ def test_value_lists_read_in_bulk_as_by_the_token_methods(body, tail):
         assert bulk == _outcome(source)
     if not isinstance(bulk, str):
         assert token_reads == []
+
+
+BIG = "9" * 400  # beyond the largest float
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.parametrize("body", [
+    f"1, {BIG}, 1/0", f"1, {BIG}, x", f"{BIG}, 1/-2", f"1, 2/{LONG}, {BIG}", f"1, {BIG}",
+    f"{BIG}, 1.5", "1, # c\n 2, 1/0", "- 1, 2, 1 2", f"- {BIG}, 1/0", "1/0, x",
+])
+def test_refused_lists_give_the_token_methods_error_on_either_backend(body, backend):
+    """The token methods start at the refused entry only where that gives
+    their error: an f64 overflow before it, or a dropped comment or sign gap,
+    sends them back to the list's start."""
+    source = f"tensor u [{body.count(',') + 1}] = {body}\n"
+    bulk = _outcome(source, backend)
+    with mock.patch.object(dsl, "_LIST", re.compile("")):
+        assert bulk == _outcome(source, backend)
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.parametrize("last", ["1/0", "1/-2", LONG])
+def test_a_refused_list_is_read_by_the_token_methods_from_the_refused_entry(backend, last):
+    """The entries before it are kept from the bulk pass, not read again."""
+    token_reads = []
+
+    def parse_rational(parser):
+        token_reads.append(parser.pos)
+        return PARSE_RATIONAL(parser)
+
+    with mock.patch.object(dsl._Parser, "parse_rational", parse_rational):
+        with pytest.raises(dsl.DslError):
+            dsl.parse(HEAD + last, backend)
+        assert token_reads == [len(HEAD) - 1]  # just after the last comma
+        with pytest.raises(dsl.DslError, match="zero denominator"):
+            dsl.parse("tensor u [3] = 1, # one\n2, 1/0", backend)
+        assert token_reads[1:] == [14, 17, 26]  # from the start: a comment was dropped
 
 
 # -- scanner against the reference lexer ---------------------------------------
@@ -539,7 +581,7 @@ def test_values_read_as_from_values_reads_their_rationals(texts):
     exact = dsl.parse(source, EXACT)
     expected = Tensor.from_values((len(texts),), rationals, EXACT)
     assert (exact.tensors["u"].dense, exact.tensors["u"].denom) == (expected.dense, expected.denom)
-    assert exact.statements[0].values == rationals
+    assert values_of(exact.statements[0]) == rationals
     floats = dsl.parse(source, F64).tensors["u"].dense
     assert [x.hex() for x in floats] == [float(r).hex() for r in rationals]
     assert dsl.parse(dsl.serialize(exact)).statements == exact.statements
@@ -564,5 +606,5 @@ def test_parsing_values_builds_no_fraction_per_value(monkeypatch):
     for backend in (EXACT, F64):
         assert dsl.parse(source, backend).tensors["A"].shape == (8, 16, 16)
         assert made == [], backend
-    # the counter does see Fractions: those that values forms on demand
-    assert len(dsl.parse(source).statements[0].values) == len(made) == 2048
+    # the counter does see Fractions: those that values_of forms
+    assert len(values_of(dsl.parse(source).statements[0])) == len(made) == 2048

@@ -4,8 +4,9 @@ names a standard-library module or ``nfg`` itself, so the package runs on a
 bare Python with no third-party install, and none names ``dataclasses``,
 whose import alone loads a dozen modules (``inspect``, ``ast``, ``dis``, ...).
 The package also stays within its budget of physical lines, reads the
-written-out ``Tensor.sparse`` nowhere but in that property, and keeps its
-shape caches as the ``functools.cache`` functions the README lists."""
+written-out ``Tensor.sparse`` nowhere but in that property, keeps its
+shape caches as the ``functools.cache`` functions the README lists, and has
+no function that only passes its own arguments on to another."""
 
 import ast
 import itertools
@@ -111,3 +112,23 @@ def test_tensor_caches_are_the_cache_functions_the_readme_lists():
                     and ast.unparse(value.func) in ("dict", "list", "set", "OrderedDict")):
                 empty.append((node.lineno, ast.unparse(node)))
     assert empty == []
+
+
+def test_no_function_only_renames_another():
+    """No function in src/nfg is an alias: its whole body, after any
+    docstring, ``return f(p1, ..., pk)`` with exactly its own positional
+    parameters, in order.  Callers call f."""
+    aliases = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parsed(path.name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            params = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+            if (isinstance(call, ast.Call) and not call.keywords
+                    and [getattr(arg, "id", None) for arg in call.args] == params):
+                aliases.append((path.name, node.lineno, node.name))
+    assert aliases == []
