@@ -40,11 +40,11 @@ remaining values, is then one sum of equally many signed products of a
 packed entry and a folded one, both read by C-level gathers over blocks of
 whole output runs, so what a step holds at once is bounded.  Which ones,
 their signs, and the dense gathers' offsets depend on the shape alone, so
-they are listed once per shape and kept.  Every other contraction with a
-sparse operand is one hash join: each nonzero of the sparse operand meets
-the other operand's entries that agree with it on the matched axes, found
-in an index by matched positions if the other is sparse, or at offsets
-computed from the key if it is dense.  A trace (a self-loop) is a
+the getters that gather them are built once per shape and kept.  Every
+other contraction with a sparse operand is one hash join: each nonzero of
+the sparse operand meets the other operand's entries that agree with it on
+the matched axes, found in an index by matched positions if the other is
+sparse, or at offsets computed from the key if it is dense.  A trace (a self-loop) is a
 contraction with the equality indicator delta, which is zero on an
 alternating pair of axes.
 
@@ -161,20 +161,21 @@ def _place(index: Sequence[int], n: int) -> Tuple[int, int]:
 
 
 @cache
-def _fold_offsets(n: int, strides: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+def _fold_getters(n: int, strides: Tuple[int, ...]) -> tuple:
     """Per ordering p of m matched axes, in permutations order, its sign and
-    the offset of each sorted m-set K of range(n), in packed order, with K[i]
-    on axis p.index(i)."""
+    a getter of the offset of each sorted m-set K of range(n), in packed
+    order, with K[i] on axis p.index(i)."""
     m = len(strides)
     sets = list(itertools.combinations(range(n), m))
     weights = ([strides[p.index(i)] for i in range(m)] for p in itertools.permutations(range(m)))
-    return tuple(zip(_perm_signs(m), (tuple(sum(map(mul, k, w)) for k in sets) for w in weights)))
+    offsets = ([sum(map(mul, k, w)) for k in sets] for w in weights)
+    return tuple(zip(_perm_signs(m), map(_getter, offsets)))
 
 
-@cache
-def _alt_tables(n: int, r: int, m: int) -> Tuple[array, array]:
+def _alt_tables(n: int, r: int, m: int) -> Tuple[list, list]:
     """The alternating kernel's rows for a rank-r operand over alphabet n
-    with m axes contracted, as (source rank, signed fold rank) arrays.
+    with m axes contracted, as (source rank, signed fold rank) lists whose
+    equal values are one shared int object.
 
     For each sorted (r-m)-set D of kept values, in packed order, there are
     C(n-r+m, m) rows, one per sorted m-set F of the values not in D.  The
@@ -200,8 +201,22 @@ def _alt_tables(n: int, r: int, m: int) -> Tuple[array, array]:
             rest = [j for j in range(c) if j not in idx]
             src.append(map(source.__getitem__, map(_getter(rest), comps)))
             fold.append(map(signed[sum(idx) % 2].__getitem__, map(_getter(idx), comps)))
-    return tuple(
-        array("i", list(itertools.chain.from_iterable(zip(*cols)))) for cols in (src, fold))
+    return tuple(list(itertools.chain.from_iterable(zip(*cols))) for cols in (src, fold))
+
+
+@cache
+def _alt_blocks(n: int, r: int, m: int, block_rows: int) -> Tuple[int, tuple]:
+    """What the alternating kernel's product loop reads for this shape: the
+    run of rows per output entry and, per block of as many whole runs as fit
+    in block_rows (at least one), the getters of its source ranks and of its
+    signed fold ranks.  No block when there is no row."""
+    src, fold = _alt_tables(n, r, m)
+    if not src:
+        return 0, ()
+    run = len(src) // comb(n, r - m)
+    step = (block_rows // run or 1) * run
+    return run, tuple((_getter(src[s:s + step]), _getter(fold[s:s + step]))
+                      for s in range(0, len(src), step))
 
 
 def _getter(indices: Sequence[int]):
@@ -632,8 +647,8 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     first folded onto sorted sets: the folded entry at a sorted m-set K is
     the sum, over each ordering x of K read over the matched axes in their
     paired order, of inversion_sign(x) * entry at x.  A dense operand is
-    folded one ordering at a time, in permutations order: one ``_getter`` at
-    ``_fold_offsets`` reads it at every K into sums that start at int 0, so
+    folded one ordering at a time, in permutations order: one getter from
+    ``_fold_getters`` reads it at every K into sums that start at int 0, so
     each sum runs in the order a per-set sum would; a sparse one nonzero by
     nonzero, at the set ``_place`` gives.  An alternating operand folds
     without being written out: m! * sign(ot_axes) * its packed entries.  The
@@ -641,8 +656,9 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
     is left is shape-only (``_alt_tables``): each output entry is the sum
     from zero, over its run of rows, of a packed entry times a folded entry
     or its negation.  The rows are read in blocks of as many whole runs as
-    fit in _BLOCK_ROWS (at least one), one ``_getter`` per operand per
-    block; a block changes no sum's order, so no bit depends on the size.
+    fit in _BLOCK_ROWS (at least one), by one getter per operand per block,
+    kept per shape and block size (``_alt_blocks``), so a warm call builds
+    no getter; a block changes no sum's order, so no bit depends on the size.
     """
     m = len(ot_axes)
     n, r = _alt_dims(al.shape)
@@ -652,24 +668,22 @@ def _contract_alt(al, al_axes, al_keep, ot, ot_axes) -> list:
         fold = [scale * v for v in ot.alt]
     elif ot.dense is not None:
         st, fold = _strides(ot.shape), [0] * comb(n, m)
-        for sign, offsets in _fold_offsets(n, tuple(map(st.__getitem__, ot_axes))):
-            fold = list(map(add if base * sign > 0 else sub, fold, _getter(offsets)(ot.dense)))
+        for sign, gather in _fold_getters(n, tuple(map(st.__getitem__, ot_axes))):
+            fold = list(map(add if base * sign > 0 else sub, fold, gather(ot.dense)))
     else:
         fold, get_match = [0] * comb(n, m), _getter(ot_axes)
         for key, v in ot.nonzeros():
             rank, sign = _place(get_match(key), n)
             if sign:
                 fold[rank] += base * sign * v
-    src, fold_at = _alt_tables(n, r, m)
-    zero, count = ZERO_ENTRY[al.backend], comb(n, r - m)
-    if not src:
-        return [zero] * count
+    run, blocks = _alt_blocks(n, r, m, _BLOCK_ROWS)
+    zero = ZERO_ENTRY[al.backend]
+    if not blocks:
+        return [zero] * comb(n, r - m)
     fold += [-v for v in fold]
-    run = len(src) // count
-    step = (_BLOCK_ROWS // run or 1) * run
     out = []
-    for s in range(0, len(src), step):
-        prods = map(mul, _getter(src[s:s + step])(al.alt), _getter(fold_at[s:s + step])(fold))
+    for get_src, get_fold in blocks:
+        prods = map(mul, get_src(al.alt), get_fold(fold))
         out += map(sum, zip(*[prods] * run), itertools.repeat(zero))
     return out
 

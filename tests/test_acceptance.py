@@ -1,6 +1,7 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Every algebraic check here is exact (rational backend, zero tolerance); the
+Every algebraic check here is exact (rational backend, zero tolerance),
+except the f64 half of the storage-kind differential, within 1e-9; the
 random instances are seeded, so the whole module is deterministic.
 """
 
@@ -9,10 +10,13 @@ import random
 import re
 import time
 from collections import defaultdict
+from math import comb, prod
 
 import pytest
 
 from nfg import dsl
+from nfg import tensor as tensor_module
+from nfg.builtins import delta2, delta_point, levi_civita
 from nfg.contraction import (
     exterior_brute,
     exterior_planned,
@@ -26,10 +30,11 @@ from nfg.diagrams import (
     trace_oracle,
 )
 from nfg.graph import Nfg
+from nfg.scalars import EXACT, F64
 from nfg.suites import rand_mat, rand_skew, run_suite
-from nfg.tensor import Tensor, pair_contract
+from nfg.tensor import Tensor, lowest_terms, pair_contract
 
-from test_contraction import brute_cost, rand_rat
+from test_contraction import brute_cost, on_backend, rand_rat
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -91,8 +96,11 @@ def test_criterion_07_determinant():
 
 
 def random_nfg(rng: random.Random, max_vertices: int = 6, max_alphabet: int = 3,
-               max_degree: int = 3, max_ports: int = 10) -> Nfg:
-    """Random valid NFG, sized so the brute-force oracle stays cheap."""
+               max_degree: int = 3, max_ports: int = 10, mixed: bool = False,
+               backend: str = EXACT) -> Nfg:
+    """Random valid NFG, sized so the brute-force oracle stays cheap: dense
+    exact vertices, or with ``mixed`` each of a storage kind drawn at random
+    (``random_vertex``) over the backend."""
     g = Nfg()
     nv = rng.randint(1, max_vertices)
     ports = []
@@ -100,13 +108,16 @@ def random_nfg(rng: random.Random, max_vertices: int = 6, max_alphabet: int = 3,
     for i in range(nv):
         rank = rng.randint(0, min(max_degree, budget))
         budget -= rank
-        shape = tuple(rng.randint(1, max_alphabet) for _ in range(rank))
-        count = 1
-        for d in shape:
-            count *= d
-        values = [rand_rat(rng) for _ in range(count)]
-        vid = g.add_vertex(Tensor.from_values(shape, values), f"v{i}")
-        ports.extend((vid, slot, shape[slot]) for slot in range(rank))
+        if mixed:
+            t = random_vertex(rng, rank, max_alphabet, backend)
+        else:
+            shape = tuple(rng.randint(1, max_alphabet) for _ in range(rank))
+            count = 1
+            for d in shape:
+                count *= d
+            t = Tensor.from_values(shape, [rand_rat(rng) for _ in range(count)])
+        vid = g.add_vertex(t, f"v{i}")
+        ports.extend((vid, slot, t.shape[slot]) for slot in range(rank))
     rng.shuffle(ports)
     by_alphabet = defaultdict(list)
     for p in ports:
@@ -119,6 +130,32 @@ def random_nfg(rng: random.Random, max_vertices: int = 6, max_alphabet: int = 3,
             g.add_dangling((vid, slot))
     g.check_valid()
     return g
+
+
+def random_vertex(rng: random.Random, rank: int, max_alphabet: int, backend: str) -> Tensor:
+    """A rank-`rank` tensor of one storage kind drawn at random: dense,
+    sparse (``delta2``, ``delta_point``), eps(rank), or alternating over one
+    alphabet with random packed entries, zeros included (none if the rank
+    exceeds the alphabet)."""
+    kinds = ["dense", "alt"] + ["eps"] * (1 <= rank <= max_alphabet)
+    kinds += ["delta2"] * (rank == 2) + ["delta_point"] * (rank == 1)
+    kind, size = rng.choice(kinds), rng.randint(1, max_alphabet)
+    if kind == "eps":
+        return levi_civita(rank, backend)
+    if kind == "delta2":
+        return delta2(size, backend)
+    if kind == "delta_point":
+        return delta_point(size, rng.randint(1, size), backend)
+    if kind == "dense":
+        shape = tuple(rng.randint(1, max_alphabet) for _ in range(rank))
+        return on_backend(shape, [rand_rat(rng) for _ in range(prod(shape))], backend)
+    values = [rand_rat(rng) for _ in range(comb(size, rank))]
+    if backend == F64:
+        entries, denom = list(map(float, values)), 1
+    else:
+        entries, denom = lowest_terms([int(v.numerator) for v in values],
+                                      [int(v.denominator) for v in values])
+    return Tensor((size,) * rank, backend, alt=entries, denom=denom)
 
 
 def random_factored_pair(rng: random.Random):
@@ -163,7 +200,29 @@ def test_criterion_08_grouping_invariance_at_scale():
         closed = group_vertices(opened, "h_f", "h_g")
         assert len(closed.vertices) == 1
         assert exterior_brute(closed).equal(z), f"group trial {trial}"
+
     report(8, "grouping/splitting invariance", "200 graphs + 25 round trips")
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_criterion_08_holds_on_every_storage_kind(backend, monkeypatch):
+    """The plan agrees with the brute join on random graphs of dense, sparse
+    and alternating vertices, block sizes from one row up drawn per graph,
+    so the alternating kernel runs inside random plans at many shapes in
+    one process, each shape's blocks kept under its (n, r, m, block) key."""
+    rng = random.Random(20261019)
+    blocks, keys = tensor_module._alt_blocks, set()
+    blocks.cache_clear()
+    monkeypatch.setattr(tensor_module, "_alt_blocks", lambda *key: keys.add(key) or blocks(*key))
+    try:
+        for trial in range(120):
+            monkeypatch.setattr(tensor_module, "_BLOCK_ROWS", rng.choice([1, 2, 3, 4096]))
+            g = random_nfg(rng, max_alphabet=4, max_degree=4, mixed=True, backend=backend)
+            z = exterior_brute(g)
+            assert exterior_planned(g).equal(z, tol=1e-9), f"trial {trial}"
+    finally:
+        blocks.cache_clear()
+    assert len({key[:3] for key in keys}) > 25 and {key[3] for key in keys} == {1, 2, 3, 4096}
 
 
 def test_criterion_09_trace_and_ciliation():

@@ -331,13 +331,27 @@ def test_dense_fold_matches_the_per_set_formula(backend):
     assert runs > 200
 
 
-def count_gathers(monkeypatch) -> list:
+@pytest.fixture
+def fresh_kernel_caches():
+    """The kernel's getter caches, emptied before and after the test, so no
+    getter built in it (wrapped, or for a patched block size) outlives it."""
+    caches = (tensor_module._alt_blocks, tensor_module._fold_getters)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+@pytest.fixture
+def gathers(monkeypatch, fresh_kernel_caches) -> list:
     """(partner kind, m, fold gathers, packed gathers, signed-fold gathers)
-    of every alternating-kernel call from now on.  Every gather is a getter
+    of every alternating-kernel call in the test.  Every gather is a getter
     from ``_getter`` applied to a list, reading a whole list of positions at
     C level (a getter applied to a tuple reads a key); a gather is told apart
     by the list it reads: the dense partner (the fold), the packed operand
-    or the signed fold (the product loop)."""
+    or the signed fold (the product loop).  The kernel's caches start empty,
+    so each getter they keep is built by the recording ``_getter``."""
     calls, seqs = [], []
     getter, original = tensor_module._getter, tensor_module._contract_alt
 
@@ -359,7 +373,7 @@ def count_gathers(monkeypatch) -> list:
     return calls
 
 
-def test_dense_fold_makes_one_gather_per_ordering_at_every_n(monkeypatch):
+def test_dense_fold_makes_one_gather_per_ordering_at_every_n(gathers):
     """A dense fold costs m! C-level gathers whatever the alphabet n, so no
     Python loop over the C(n, m) sorted sets can come back: eps(n) against a
     rank-m partner for m <= 4 and n up to 10; the 2n = 10 Pfaffian diagram,
@@ -367,7 +381,7 @@ def test_dense_fold_makes_one_gather_per_ordering_at_every_n(monkeypatch):
     diagram, whose ten steps each fold a sparse column and gather nothing.
     Every one of these steps has at most 4,096 rows, so its product loop
     gathers each operand once."""
-    calls = count_gathers(monkeypatch)
+    calls = gathers
     rng = random.Random(47)
     for n in (4, 7, 10):
         for m in range(0, 5):
@@ -387,6 +401,7 @@ def run_of(n, r, m) -> int:
 
 
 @pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.usefixtures("fresh_kernel_caches")
 def test_product_blocks_give_the_same_bits(backend, monkeypatch):
     """The product loop gathers blocks of whole output runs, and each output
     entry is still one sum from zero over its run, so block sizes of one run,
@@ -419,13 +434,13 @@ def test_product_blocks_give_the_same_bits(backend, monkeypatch):
     assert split > 20
 
 
-def test_product_loop_gathers_each_operand_once_per_block(monkeypatch):
+def test_product_loop_gathers_each_operand_once_per_block(gathers, monkeypatch):
     """The product loop makes ceil(rows / block) gathers of each operand,
     the block being the largest number of whole runs within _BLOCK_ROWS (at
     least one run): a rank-8 alternating tensor over n = 14 contracted on
     two axes with a dense 14 x 14 has 3,003 outputs of 28 rows, 84,084 rows
     in all."""
-    calls = count_gathers(monkeypatch)
+    calls = gathers
     rng = random.Random(59)
     n, r, m = 14, 8, 2
     rows, run = math.comb(n, r - m) * run_of(n, r, m), run_of(n, r, m)
@@ -442,16 +457,16 @@ def test_product_loop_gathers_each_operand_once_per_block(monkeypatch):
 
 def test_product_loop_memory_stays_bounded_at_n14():
     """Blocks bound what a step holds at once: the tracemalloc peak of the
-    84,084-row step above, tables built, is under CPython 3.11 about 0.33 MB
-    with blocks of 4,096 rows and 4.1 MB for one gather of every row, so
-    the bound is 1 MB."""
+    84,084-row step above, its blocks kept, is under CPython 3.11 about
+    0.18 MB with blocks of 4,096 rows (4.1 MB for one gather of every row
+    before blocks), so the bound is 1 MB."""
     rng = random.Random(61)
     n, r = 14, 8
     for backend in (EXACT, F64):
         alt = Tensor((n,) * r, backend,
                      alt=[entry(rng, backend) for _ in range(math.comb(n, r))])
         partner = Tensor((n, n), backend, dense=[entry(rng, backend) for _ in range(n * n)])
-        pair_contract(alt, [0, 1], partner, [0, 1])  # the shape's tables, kept
+        pair_contract(alt, [0, 1], partner, [0, 1])  # the shape's blocks, kept
         tracemalloc.start()
         try:
             out = pair_contract(alt, [0, 1], partner, [0, 1])
@@ -551,29 +566,85 @@ def test_epsilon_diagrams_brute_planned_and_oracle_agree(monkeypatch):
 
 
 def test_kernel_tables_hold_only_the_shapes_used(monkeypatch):
-    """After every epsilon diagram up to the limit, the kernel's tables are
-    those of the chains the plans contract, rank r against m = 2 (Pfaffian)
-    or m = 1 (determinant): at most 3**n rows per alphabet n in all, and
-    5,760 for the 2n = 10 Pfaffian."""
-    cached, tables = tensor_module._alt_tables, {}
+    """After every epsilon diagram up to the limit, the kernel's kept blocks
+    are those of the chains the plans contract, rank r against m = 2
+    (Pfaffian) or m = 1 (determinant), at the one block size: at most 3**n
+    rows per alphabet n in all, and 5,760 for the 2n = 10 Pfaffian.  Each
+    shape's blocks read its table's rows in order, in whole runs."""
+    cached, kept = tensor_module._alt_blocks, {}
     cached.cache_clear()
-    monkeypatch.setattr(tensor_module, "_alt_tables",
-                        lambda *shape: tables.setdefault(shape, cached(*shape)))
+    monkeypatch.setattr(tensor_module, "_alt_blocks",
+                        lambda *key: kept.setdefault(key, cached(*key)))
     rng = random.Random(41)
     for n in range(1, EPS_DEFAULT_LIMIT + 1):
         if n % 2 == 0:
             exterior_planned(pfaffian_diagram(rand_skew(rng, n)))
         exterior_planned(det_diagram(rand_mat(rng, n, n)))
-    assert cached.cache_info().currsize == len(tables)
-    pfaffian = {(n, r, 2) for n in range(2, 11, 2) for r in range(2, n + 1, 2)}
-    det = {(n, r, 1) for n in range(1, 11) for r in range(1, n + 1)}
-    assert pfaffian <= set(tables) <= pfaffian | det
+    assert cached.cache_info().currsize == len(kept)
+    block = tensor_module._BLOCK_ROWS
+    pfaffian = {(n, r, 2, block) for n in range(2, 11, 2) for r in range(2, n + 1, 2)}
+    det = {(n, r, 1, block) for n in range(1, 11) for r in range(1, n + 1)}
+    assert pfaffian <= set(kept) <= pfaffian | det
     rows = {}
-    for (n, r, m), (src, fold) in tables.items():
-        assert len(src) == len(fold) == math.comb(n, r) * math.comb(r, m)
+    for (n, r, m, _), (run, blocks) in kept.items():
+        src = [i for get, _ in blocks for i in get(range(math.comb(n, r)))]
+        fold = [j for _, get in blocks for j in get(range(2 * math.comb(n, m)))]
+        assert [src, fold] == list(tensor_module._alt_tables(n, r, m))
+        assert len(src) == math.comb(n, r) * math.comb(r, m) == run * math.comb(n, r - m)
+        assert all(len(get(range(len(src)))) % run == 0 for get, _ in blocks)
         rows[n, m] = rows.get((n, m), 0) + len(src)
     assert rows[10, 2] == 5760
     assert all(rows.get((n, 1), 0) + rows.get((n, 2), 0) <= 3 ** n for n in range(1, 11))
+
+
+def test_a_warm_pfaffian_builds_no_getter(monkeypatch, fresh_kernel_caches):
+    """Once a 2n = 10 Pfaffian diagram has run, running it again builds no
+    getter and keeps nothing new: its five steps' blocks and the fold's
+    getters are all kept."""
+    g = pfaffian_diagram(rand_skew(random.Random(67), 10))
+    want = exterior_planned(g).get(())
+    caches = (tensor_module._alt_blocks, tensor_module._fold_getters)
+    warm = [c.cache_info().currsize for c in caches]
+    built, getter = [], tensor_module._getter
+    monkeypatch.setattr(tensor_module, "_getter",
+                        lambda indices: built.append(indices) or getter(indices))
+    assert exterior_planned(g).get(()) == want
+    assert built == [] and [c.cache_info().currsize for c in caches] == warm == [5, 1]
+
+
+def test_a_new_block_size_gets_new_blocks(gathers, monkeypatch):
+    """Blocks are kept per block size, so a _BLOCK_ROWS set between two
+    calls of one shape gives the new block count, not the kept blocks: the
+    2n = 10 Pfaffian's rank-6 step, 210 runs of 15 rows, is one block at
+    4,096 rows, 210 at one run and 35 at 100 rows (six runs), and one again
+    at 4,096."""
+    rng = random.Random(71)
+    alt = Tensor((10,) * 6, EXACT, alt=[rng.randint(-9, 9) for _ in range(math.comb(10, 6))])
+    partner = Tensor((10, 10), EXACT, dense=[rng.randint(-9, 9) for _ in range(100)])
+    want = pair_contract(alt, [0, 1], partner, [0, 1])
+    assert gathers.pop() == ("dense", 2, 2, 1, 1)
+    for block, count in ((15, 210), (100, 35), (4096, 1)):
+        monkeypatch.setattr(tensor_module, "_BLOCK_ROWS", block)
+        assert pair_contract(alt, [0, 1], partner, [0, 1]).alt == want.alt
+        assert gathers.pop() == ("dense", 2, 2, count, count), block
+
+
+def test_kernel_cache_of_the_2n10_pfaffian_stays_under_150kb(fresh_kernel_caches):
+    """The blocks a 2n = 10 Pfaffian keeps hold one shared int object per
+    distinct rank and a pointer per row per operand: about 92 KB for its
+    5,760 rows, bounded at 150 KB by tracemalloc, everything else warm."""
+    g = pfaffian_diagram(rand_skew(random.Random(73), 10))
+    exterior_planned(g)
+    tensor_module._alt_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        exterior_planned(g)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tensor_module._alt_blocks.cache_info().currsize == 5
+    assert 5760 * 2 * 8 <= after - before <= 150_000, after - before
 
 
 @pytest.mark.parametrize("n", [9, 10])
