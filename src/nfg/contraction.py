@@ -51,6 +51,17 @@ class ContractionPlan(NamedTuple):
 
 # Partial assignments the join extends together; a larger block is split, bounding memory.
 _BLOCK = 1024
+# The most cells an exterior function may have: 2**24 is a fully dangling eps(8).
+MAX_OUTPUT_CELLS = 2 ** 24
+
+
+def _output_shape(g: Nfg) -> Tuple[int, ...]:
+    """g's interface shape, refused before any work if it has too many cells."""
+    shape = g.dangling_shape()
+    if prod(shape) > MAX_OUTPUT_CELLS:
+        raise NfgError(f"the exterior function would have {prod(shape)} cells, "
+                       f"over the limit {MAX_OUTPUT_CELLS}")
+    return shape
 
 
 def exterior_brute(g: Nfg) -> Tensor:
@@ -71,11 +82,12 @@ def exterior_brute(g: Nfg) -> Tensor:
     results cannot move by a bit.  A product of stored entries (int
     numerators on the exact backend) goes to the cell of its dangling
     values; the vertex denominators' product is the result's denominator.
+    An output of more than ``MAX_OUTPUT_CELLS`` cells is refused first.
     """
     g.check_valid()
+    shape = _output_shape(g)
     backend = g.backend()
     zero, one = ZERO_ENTRY[backend], ONE_ENTRY[backend]
-    shape = tuple(g.edges[eid].alphabet for eid in g.dangling)
     if not g.vertices:
         return Tensor((), backend, dense=[one])
 
@@ -274,11 +286,12 @@ def _without_self_loops(vtx: Vertex) -> Vertex:
 def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:
     """Replay a grouping plan (greedy by default), then join what is left.
 
-    Every step is checked against the live vertex ids before the first
-    contraction.  The working map vertex id -> Vertex starts with every
-    self-loop summed out: a loop sums one variable of one vertex, so it
-    commutes with every grouping, and no step need carry its two slots
-    (``_group`` makes no loop, as it sums every edge two vertices share).
+    Every step is checked against the live vertex ids, and the output's
+    size against ``MAX_OUTPUT_CELLS``, before the first contraction.  The
+    working map vertex id -> Vertex starts with every self-loop summed out:
+    a loop sums one variable of one vertex, so it commutes with every
+    grouping, and no step need carry its two slots (``_group`` makes no
+    loop, as it sums every edge two vertices share).
     ``_group`` replays the plan on that map, with no copy of g and no change
     to it, then joins the rest in id order (summing the edges an incomplete
     plan left), and the axes are reordered to the declared interface.
@@ -292,6 +305,7 @@ def exterior_planned(g: Nfg, plan: Optional[ContractionPlan] = None) -> Tensor:
         if u == v or u not in live or v not in live:
             raise NfgError(f"plan step ({u!r}, {v!r}) is not replayable")
         live.remove(v)
+    _output_shape(g)
     work = {vid: _without_self_loops(vtx) for vid, vtx in g.vertices.items()}
     for u, v in plan.steps:
         _group(work, u, v)

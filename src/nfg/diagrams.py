@@ -40,24 +40,6 @@ def _report(name: str, lhs: Tensor, rhs: Tensor) -> IdentityCheckReport:
 # -- small vector/matrix plumbing -------------------------------------------
 
 
-def matmul_oracle(a: Tensor, b: Tensor) -> Tensor:
-    """Schoolbook triple-loop matrix product."""
-    n, k = a.shape
-    k2, m = b.shape
-    if k != k2:
-        raise NfgError("inner dimensions disagree")
-    z = scalars.zero(a.backend)
-    av, bv = a.values(), b.values()
-    data = []
-    for i in range(n):
-        for j in range(m):
-            acc = z
-            for t in range(k):
-                acc = acc + av[i * k + t] * bv[t * m + j]
-            data.append(acc)
-    return Tensor.from_values((n, m), data, a.backend)
-
-
 def _square_dim(a: Tensor, what: str) -> int:
     if a.rank != 2 or a.shape[0] != a.shape[1]:
         raise NfgError(f"{what} needs a square matrix")
@@ -180,12 +162,10 @@ def check_eps_contraction(backend: str = EXACT) -> IdentityCheckReport:
         g = Nfg()
         d1 = g.add_vertex(delta2(3, backend), name="d1")
         d2 = g.add_vertex(delta2(3, backend), name="d2")
-        ids = {}
-        ids[pair_a[0]] = g.add_dangling((d1, 0), name=pair_a[0])
-        ids[pair_a[1]] = g.add_dangling((d1, 1), name=pair_a[1])
-        ids[pair_b[0]] = g.add_dangling((d2, 0), name=pair_b[0])
-        ids[pair_b[1]] = g.add_dangling((d2, 1), name=pair_b[1])
-        g.set_interface([ids["x1"], ids["x2"], ids["y1"], ids["y2"]])
+        for vid, pair in ((d1, pair_a), (d2, pair_b)):
+            for slot, name in enumerate(pair):
+                g.add_dangling((vid, slot), name=name)
+        g.set_interface(["x1", "x2", "y1", "y2"])
         return g
 
     rhs = sub_nfgs(delta_pairs(("x1", "y2"), ("x2", "y1")),
@@ -282,37 +262,37 @@ def check_fig11b(a1: Tensor, b: Tensor, c: Tensor) -> IdentityCheckReport:
     bd.dot((rb[0], 1), (rc[0], 1))
     lhs = exterior_brute(bd.g)
 
-    # (BC^T) a1: B.row dangles, B.col--C.col, C.row--a1
-    g1 = Nfg()
-    vb = g1.add_vertex(b, name="b")
-    vc = g1.add_vertex(c, name="c")
-    va = g1.add_vertex(a1, name="a1")
-    g1.connect((vb, 1), (vc, 1), name="i")
-    g1.connect((vc, 0), (va, 0), name="y")
-    g1.add_dangling((vb, 0), name="x")
+    # (BC^T) a1: B.col--C.col, C.row--a1, B.row dangles
+    g1 = DiagramBuilder(a1.backend)
+    rb, rc = g1.vec(b), g1.vec(c)
+    g1.dot((rb[0], 1), (rc[0], 1)).dot(rc, g1.vec(a1)).out(rb)
     # tr(BC^T) a1: the trace cycle stacked beside a lone dangling a1
-    g2a = matrix_cycle_diagram([(b, False), (c, True)])
-    g2b = Nfg()
-    va2 = g2b.add_vertex(a1, name="a1")
-    g2b.add_dangling((va2, 0), name="x")
-    rhs = eval_compound(sub_nfgs(g1, stack(g2a, g2b)))
+    g2 = DiagramBuilder(a1.backend)
+    g2.out(g2.vec(a1))
+    rhs = eval_compound(sub_nfgs(
+        g1.g, stack(matrix_cycle_diagram([(b, False), (c, True)]), g2.g)))
     return _report("fig11b-cross-matrix", lhs, rhs)
 
 
 # -- determinant -------------------------------------------------------------
 
 
-def det_diagram(a: Tensor) -> Nfg:
-    """Epsilon vertex whose argument j reads the j-th column of a, selected by
-    a point-mass vector; the exterior function equals det(a)."""
+def det_diagram(a: Tensor, *more: Tensor) -> Nfg:
+    """Epsilon vertex whose argument j reads the j-th column of the product
+    of the matrices, selected by a point-mass vector: its wire passes through
+    a vertex of each matrix in turn, row slot in and column slot out.  The
+    exterior function is det(a) for one matrix, det(ab) for two."""
     n = _within_eps_limit(_square_dim(a, "determinant"))
     g = Nfg()
     eps_id = g.add_vertex(levi_civita(n, a.backend), name="eps")
     for j in range(1, n + 1):
-        va = g.add_vertex(a, name=f"a{j}")
+        port = (eps_id, j - 1)
+        for k, t in enumerate((a, *more)):  # the k-th matrix's vertex and wire in: k primes
+            vid = g.add_vertex(t, name=f"a{j}" + "'" * k)
+            g.connect(port, (vid, 0), name=f"x{j}" + "'" * k)
+            port = (vid, 1)
         vd = g.add_vertex(delta_point(n, j, a.backend), name=f"d{j}")
-        g.connect((eps_id, j - 1), (va, 0), name=f"x{j}")
-        g.connect((va, 1), (vd, 0), name=f"c{j}")
+        g.connect(port, (vd, 0), name=f"c{j}")
     return g
 
 

@@ -23,7 +23,6 @@ from .diagrams import (
     det_cofactor,
     det_diagram,
     det_oracle,
-    matmul_oracle,
 )
 from .scalars import EXACT
 from .tensor import Tensor, inversion_sign, lowest_terms
@@ -112,26 +111,22 @@ def suite_fig9(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, **_) -> L
                         lambda: check_cross_chain(*(rand_vec(rng) for _ in range(4))))]
 
 
-def _matrix_identity_suite(name: str, runner, seed: int, trials: int) -> List[Row]:
+def _matrix_identity_suite(name: str, check: Callable, pattern: str, seed: int,
+                           trials: int) -> List[Row]:
+    """One row per column counts (m, m'), each trial checking four random
+    3-row matrices whose column counts are m or m' as pattern reads "i" or "j"."""
     rng = random.Random(seed)
-    return [_trials_row(f"{name}-m={m}-m'={mp}", trials, lambda: runner(rng, m, mp))
+    return [_trials_row(f"{name}-m={m}-m'={mp}", trials, lambda: check(
+                *(rand_mat(rng, 3, m if p == "i" else mp) for p in pattern)))
             for m in range(1, 5) for mp in range(1, 5)]
 
 
 def suite_fig10(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:
-    def run(rng, m, mp):
-        return check_fig10(rand_mat(rng, 3, m), rand_mat(rng, 3, mp),
-                           rand_mat(rng, 3, mp), rand_mat(rng, 3, m))
-
-    return _matrix_identity_suite("fig10", run, seed, trials)
+    return _matrix_identity_suite("fig10", check_fig10, "ijji", seed, trials)
 
 
 def suite_fig11a(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:
-    def run(rng, m, mp):
-        return check_fig11a(rand_mat(rng, 3, m), rand_mat(rng, 3, m),
-                            rand_mat(rng, 3, mp), rand_mat(rng, 3, mp))
-
-    return _matrix_identity_suite("fig11a", run, seed, trials)
+    return _matrix_identity_suite("fig11a", check_fig11a, "iijj", seed, trials)
 
 
 def suite_fig11b(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:
@@ -142,28 +137,27 @@ def suite_fig11b(seed: int = DEFAULT_SEED, trials: int = 20, **_) -> List[Row]:
 
 
 def suite_det_ids(seed: int = DEFAULT_SEED, trials: int = 5, **_) -> List[Row]:
+    """det_diagram against the oracles (n <= 6), then det(ab) and det(a^T) rewired (n <= 5)."""
     rng = random.Random(seed)
-    rows: List[Row] = []
-    for n in range(1, 7):
-        ok = True
-        for _ in range(trials):
-            a = rand_mat(rng, n, n)
-            d = det_oracle(a)
-            if not exterior_planned(det_diagram(a)).equal(Tensor.from_values((), [d])):
-                ok = False
-            if n <= 4 and det_cofactor(a) != d:
-                ok = False
-        rows.append((f"det-diagram-n={n}", ok, f"{trials} trials"))
-    for n in range(1, 6):
-        ok = True
-        for _ in range(trials):
-            a, b = rand_mat(rng, n, n), rand_mat(rng, n, n)
-            if det_oracle(matmul_oracle(a, b)) != det_oracle(a) * det_oracle(b):
-                ok = False
-            if det_oracle(a.permute_axes([1, 0])) != det_oracle(a):
-                ok = False
-        rows.append((f"det-product-transpose-n={n}", ok, f"{trials} trials"))
-    return rows
+
+    def det_ok(n: int) -> bool:
+        a = rand_mat(rng, n, n)
+        d = det_oracle(a)
+        return exterior_planned(det_diagram(a)).get(()) == d and (n > 4 or det_cofactor(a) == d)
+
+    def product_transpose_ok(n: int) -> bool:
+        a, b = rand_mat(rng, n, n), rand_mat(rng, n, n)
+        transposed = det_diagram(a)  # eps reads each a vertex's column, its point mass the row
+        for j in range(1, n + 1):
+            transposed.vertices[f"a{j}"].ciliation.reverse()
+        d = det_oracle(a)
+        return (exterior_planned(det_diagram(a, b)).get(()) == d * det_oracle(b)
+                and exterior_planned(transposed).get(()) == d)
+
+    return [(f"{name}-n={n}", all([ok(n) for _ in range(trials)]), f"{trials} trials")
+            for name, ok, sizes in (("det-diagram", det_ok, range(1, 7)),
+                                    ("det-product-transpose", product_transpose_ok, range(1, 6)))
+            for n in sizes]
 
 
 def suite_triple(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, **_) -> List[Row]:

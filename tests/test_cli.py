@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import pathlib
 import random
 import re
 
@@ -237,6 +238,27 @@ def test_det_over_epsilon_limit_is_validation_error(doc, capsys, monkeypatch):
     assert main(["det", doc(big), "A"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "validation error: dimension 11 exceeds the diagram limit 10\n")
+
+
+OVERSIZED = pathlib.Path(__file__).parent / "corpus" / "e17_output_size.nfg"
+
+
+@pytest.mark.parametrize("engine", ["brute", "planned"])
+@pytest.mark.parametrize("backend", ["exact", "f64"])
+def test_oversized_output_is_one_line_and_exit_3_before_any_kernel(engine, backend, capsys,
+                                                                   monkeypatch):
+    """Six dangling copies of a 100-entry vector would have 10**12 cells (a
+    MemoryError traceback with exit 1 before the output limit); the message
+    is the document's expect header."""
+    header = OVERSIZED.read_text(encoding="utf-8").split("\n", 1)[0]
+    assert header == ("# expect exit 3: the exterior function would have 1000000000000 "
+                      "cells, over the limit 16777216")
+    monkeypatch.setattr("nfg.contraction.pair_contract", _must_not_run)
+    monkeypatch.setattr(Tensor, "nonzeros", _must_not_run)
+    argv = ["contract", str(OVERSIZED), "X", "--engine", engine, "--backend", backend]
+    assert main(argv) == EXIT_VALIDATION
+    message = header.removeprefix("# expect exit 3: ")
+    assert capsys.readouterr() == ("", f"validation error: {message}\n")
 
 
 def test_contract_plan_out_refuses_compound(doc, tmp_path, capsys, monkeypatch):

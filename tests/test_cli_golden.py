@@ -50,7 +50,11 @@ exit 1 then, and ``e15_long_number``, recorded when a number longer than
 before).  ``e16_f64_overflow`` fails on ``--backend f64`` only, so it has a
 row on each backend: exact answers, and f64 exits 2.  Both were recorded when
 a value beyond the largest float became a positioned error on f64 (an
-``OverflowError`` traceback with exit 1 before).
+``OverflowError`` traceback with exit 1 before).  ``e17_output_size``
+parses, and its four rows (both engines, both backends) exit 3 with nothing
+on stdout: its 10**12 output cells are over the engines' output limit.  They
+were recorded when that limit was added (a ``MemoryError`` traceback with
+exit 1 before).
 
 The ``plan corpus/vNN.nfg G`` rows print the greedy plan of every graph of
 the corpus (compounds have no plan).  They, and every row of
@@ -105,8 +109,15 @@ def _plan_cases():
 
 def _error_cases():
     for path in sorted((TESTS / "corpus").glob("e*.nfg")):
+        header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        if header.startswith("# expect exit 3: "):  # parses, then is refused everywhere
+            for engine in ("brute", "planned"):
+                for backend in BACKENDS:
+                    yield ["contract", f"corpus/{path.name}", "X",
+                           "--engine", engine, "--backend", backend]
+            continue
         yield ["contract", f"corpus/{path.name}", "X"]
-        if path.read_text(encoding="utf-8").startswith("# expect on f64:"):
+        if header.startswith("# expect on f64:"):
             yield ["contract", f"corpus/{path.name}", "X", "--backend", "f64"]
 
 

@@ -10,6 +10,7 @@ import pytest
 from nfg import diagrams, dsl, scalars
 from nfg.builtins import levi_civita
 from nfg.contraction import (
+    MAX_OUTPUT_CELLS,
     ContractionPlan,
     exterior_brute,
     exterior_planned,
@@ -22,7 +23,6 @@ from nfg.diagrams import (
     check_fig11b,
     det_diagram,
     det_oracle,
-    matmul_oracle,
     pfaffian_diagram,
     pfaffian_factor,
     pfaffian_oracle,
@@ -33,7 +33,7 @@ from nfg.scalars import EXACT, F64
 from nfg.suites import rand_mat, rand_skew
 from nfg.tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, pair_contract
 
-from test_tensor import to_sparse
+from test_tensor import matmul_oracle, to_sparse
 
 
 def rand_rat(rng: random.Random):
@@ -700,6 +700,36 @@ def test_plan_is_checked_before_any_contraction(steps, monkeypatch):
     bad = steps[-1]
     with pytest.raises(NfgError, match=re.escape(f"plan step {bad!r} is not replayable")):
         exterior_planned(g, ContractionPlan(steps))
+
+
+def _dangling_vectors(*sizes):
+    """One dangling vector per size, unconnected: an output of prod(sizes) cells."""
+    g = Nfg()
+    for k, size in enumerate(sizes):
+        g.add_dangling((g.add_vertex(Tensor((size,), EXACT, dense=[1] * size), f"v{k}"), 0))
+    return g
+
+
+@pytest.mark.parametrize("engine", [exterior_brute, exterior_planned])
+def test_an_output_over_the_limit_is_refused_before_any_vertex_is_read(engine, monkeypatch):
+    """2**24 cells, a fully dangling eps(8), is the largest output admitted,
+    far above the 2**14 cells of the largest one tier-1 builds; one more is
+    refused with no vertex read and no contraction run.  An admitted output
+    of 2**24 cells gets as far as its first read or contraction, which the
+    stub stops."""
+    eps8 = Nfg()
+    vid = eps8.add_vertex(levi_civita(8))
+    for slot in range(8):
+        eps8.add_dangling((vid, slot))
+    assert prod(eps8.dangling_shape()) == MAX_OUTPUT_CELLS == 2 ** 24
+    monkeypatch.setattr("nfg.contraction.pair_contract", _must_not_run)
+    monkeypatch.setattr(Tensor, "nonzeros", _must_not_run)
+    with pytest.raises(AssertionError, match="a contraction ran"):
+        engine(_dangling_vectors(2 ** 12, 2 ** 12))
+    for sizes in ((2 ** 12 + 1, 2 ** 12), (100,) * 6):
+        with pytest.raises(NfgError, match=f"^the exterior function would have {prod(sizes)} "
+                                           f"cells, over the limit {2 ** 24}$"):
+            engine(_dangling_vectors(*sizes))
 
 
 def test_empty_plan_on_a_connected_chain_is_the_matrix_product():

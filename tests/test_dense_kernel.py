@@ -173,3 +173,23 @@ def test_f64_keeps_the_plain_loop_bit_for_bit(sum_calls):
     expected = [sum(map(mul, f_data[r * matched:(r + 1) * matched], g_data[c::cols]), 0.0)
                 for r in range(rows) for c in range(cols)]
     assert array("d", out.dense).tobytes() == array("d", expected).tobytes()
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.parametrize("rows, cols", [(100, 4), (4, 100), (20, 16), (16, 20)])
+def test_tall_and_wide_pairs_give_the_plain_loops_bits(backend, rows, cols):
+    """Whichever kept side the exact kernel packs, every output cell is the
+    per-cell sum's value, of its type and repr; f64 always sums per cell."""
+    rng = random.Random(rows * 1000 + cols)
+    matched = 5
+    if backend == EXACT:
+        f_data, g_data = (_fill(rng, n, 2**40, 0.1) for n in (rows * matched, matched * cols))
+    else:
+        f_data, g_data = ([rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+                          for n in (rows * matched, matched * cols))
+    out = pair_contract(Tensor((rows, matched), backend, dense=f_data), [1],
+                        Tensor((matched, cols), backend, dense=g_data), [0])
+    zero = 0 if backend == EXACT else 0.0
+    expected = [sum(map(mul, f_data[r * matched:(r + 1) * matched], g_data[c::cols]), zero)
+                for r in range(rows) for c in range(cols)]
+    assert [(type(x), repr(x)) for x in out.dense] == [(type(x), repr(x)) for x in expected]

@@ -20,7 +20,6 @@ from nfg.diagrams import (
     det_cofactor,
     det_diagram,
     det_oracle,
-    matmul_oracle,
     matrix_cycle_diagram,
     pfaffian_diagram,
     pfaffian_factor,
@@ -33,7 +32,7 @@ from nfg.scalars import EXACT, F64, rat
 from nfg.suites import rand_mat, rand_skew, rand_vec
 from nfg.tensor import Tensor, inversion_sign
 
-from test_tensor import to_sparse
+from test_tensor import matmul_oracle, to_sparse
 
 
 def dot_oracle(u: Tensor, v: Tensor):
@@ -157,6 +156,25 @@ def test_det_multiplicative_and_transpose():
     a, b = rand_mat(rng, 4, 4), rand_mat(rng, 4, 4)
     assert det_oracle(matmul_oracle(a, b)) == det_oracle(a) * det_oracle(b)
     assert det_oracle(a.permute_axes([1, 0])) == det_oracle(a)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_det_product_and_transpose_diagrams(n):
+    """det_diagram(a, b), each column wire through a then b, is det(ab); the
+    det diagram with each a vertex's slots swapped, eps reading a's column,
+    is det(a^T).  Both are exact against the oracles, and brute agrees with
+    planned for n <= 3."""
+    rng = random.Random(90 + n)
+    a, b = rand_mat(rng, n, n), rand_mat(rng, n, n)
+    transposed = det_diagram(a)
+    for j in range(1, n + 1):
+        transposed.vertices[f"a{j}"].ciliation.reverse()
+    for g, want in ((det_diagram(a, b), det_oracle(matmul_oracle(a, b))),
+                    (transposed, det_oracle(a.permute_axes([1, 0])))):
+        assert exterior_planned(g).get(()) == want
+        if n <= 3:
+            assert exterior_brute(g).get(()) == want
+    assert det_oracle(matmul_oracle(a, b)) == det_oracle(a) * det_oracle(b) != 0
 
 
 def test_triple_product():

@@ -16,7 +16,11 @@ from nfg.tensor import Tensor
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 VALID = sorted(CORPUS.glob("v*.nfg"))
-ERRORS = sorted(CORPUS.glob("e*.nfg"))
+# "# expect exit 3: MESSAGE" heads a document that parses but is refused when
+# contracted (tests/test_cli.py); every other error document fails to parse
+REFUSED = [p for p in sorted(CORPUS.glob("e*.nfg"))
+           if p.read_text(encoding="utf-8").startswith("# expect exit 3: ")]
+ERRORS = [p for p in sorted(CORPUS.glob("e*.nfg")) if p not in REFUSED]
 
 # "# expect on f64: ..." names the one backend where a file fails to parse
 EXPECT_RE = re.compile(r"# expect(?: on (\w+))?: (\d+):(\d+) (.*)")
@@ -33,6 +37,12 @@ def _backend(src):
 
 def test_corpus_is_large_enough():
     assert len(VALID) + len(ERRORS) >= 15
+
+
+@pytest.mark.parametrize("path", REFUSED, ids=lambda p: p.name)
+def test_refused_documents_parse_on_both_backends(path):
+    for backend in (EXACT, F64):
+        assert dsl.parse(path.read_text(encoding="utf-8"), backend).graphs
 
 
 @pytest.mark.parametrize("path", VALID, ids=lambda p: p.name)

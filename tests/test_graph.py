@@ -4,11 +4,12 @@ import re
 import pytest
 
 from nfg.contraction import exterior_brute
-from nfg.diagrams import matmul_oracle
 from nfg.graph import Edge, FrozenNfgError, Nfg, NfgError, Vertex
 from nfg.scalars import F64
 from nfg.suites import rand_mat
 from nfg.tensor import Tensor
+
+from test_tensor import matmul_oracle
 
 
 def matmul_graph(a, b, a_row_slot, a_mid_slot, b_mid_slot, b_col_slot):

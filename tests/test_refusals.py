@@ -12,8 +12,8 @@ from nfg.diagrams import (
     check_fig11b,
     check_triple_product,
     cross_diagram,
+    det_diagram,
     insert_delta2,
-    matmul_oracle,
 )
 from nfg.graph import Nfg, NfgError
 from nfg.scalars import EXACT, F64, BackendMismatch, check_backend, coerce
@@ -97,8 +97,8 @@ REFUSALS = [
     ("coerce backend", lambda: coerce("f32", 1), ValueError, "unknown backend 'f32'"),
     ("check backend", lambda: check_backend("f32"), ValueError, "unknown backend 'f32'"),
     # diagrams.py
-    ("matmul", lambda: matmul_oracle(mat(2, 3), mat(2, 3)),
-     NfgError, "inner dimensions disagree"),
+    ("det(ab)", lambda: det_diagram(mat(2, 2), mat(3, 3)),
+     NfgError, "alphabet 2 does not match axis size 3 at (\"a1'\", 0)"),
     ("cross", lambda: cross_diagram(vec(3), vec(2)),
      NfgError, "cross product needs two length-3 vectors"),
     ("three rows", lambda: check_fig10(mat(3, 2), mat(2, 2), mat(3, 2), mat(3, 2)),

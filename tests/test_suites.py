@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from nfg import suites
 from nfg.builtins import levi_civita
 from nfg.cli import EXIT_UNEQUAL, main
-from nfg.diagrams import det_cofactor, det_oracle, matmul_oracle
+from nfg.diagrams import det_cofactor, det_diagram, det_oracle
 from nfg.scalars import EXACT
 from nfg.suites import _shift_law_holds, rand_mat, rand_skew, rand_vec, run_suite
 from nfg.tensor import Tensor
@@ -173,14 +173,21 @@ DET_ROWS = [f"det-diagram-n={n}" for n in range(1, 7)]
 PRODUCT_ROWS = [f"det-product-transpose-n={n}" for n in range(1, 6)]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_det_ids_rows_keep_their_names_and_detail(seed):
+    assert run_suite("det-ids", seed=seed) == [(name, True, "5 trials")
+                                               for name in DET_ROWS + PRODUCT_ROWS]
+
+
 @pytest.mark.parametrize("name, wrong, failing", [
     # the oracle adds its corner entry a[0][n-1], which transposing moves:
     # each check of both rows disagrees
     ("det_oracle", lambda a: det_oracle(a) + a.get((0, a.shape[1] - 1)),
      DET_ROWS + PRODUCT_ROWS),
     ("det_cofactor", lambda a: det_cofactor(a) + 1, DET_ROWS[:4]),  # run for n <= 4
-    ("matmul_oracle", lambda a, b: matmul_oracle(a, b).scale(2), PRODUCT_ROWS),
-], ids=["det_oracle", "det_cofactor", "matmul_oracle"])
+    # every diagram reads a doubled, so its determinant is 2**n times too large
+    ("det_diagram", lambda a, *more: det_diagram(a.scale(2), *more), DET_ROWS + PRODUCT_ROWS),
+], ids=["det_oracle", "det_cofactor", "det_diagram"])
 def test_det_ids_fails_the_rows_a_wrong_route_feeds(monkeypatch, capsys, name, wrong, failing):
     monkeypatch.setattr(suites, name, wrong)
     assert main(["verify", "det-ids"]) == EXIT_UNEQUAL

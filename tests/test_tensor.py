@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from nfg import scalars
 from nfg.builtins import levi_civita
 from nfg.scalars import EXACT, F64, BackendMismatch, rat
 from nfg.tensor import Tensor, TensorError, pair_contract
@@ -14,6 +15,18 @@ def mat(values, rows, cols):
 def to_sparse(t):
     """t with sparse storage: its nonzero cells over the same denominator."""
     return Tensor(t.shape, t.backend, sparse=dict(t.nonzeros()), denom=t.denom)
+
+
+def matmul_oracle(a, b):
+    """Schoolbook triple-loop matrix product, each cell summed from the
+    backend's zero in order: the reference for the tests of diagrams and
+    kernels that multiply matrices."""
+    (n, k), (k2, m) = a.shape, b.shape
+    assert k == k2, "inner dimensions disagree"
+    av, bv = a.values(), b.values()
+    return Tensor.from_values((n, m), [sum((av[i * k + t] * bv[t * m + j] for t in range(k)),
+                                           scalars.zero(a.backend))
+                                       for i in range(n) for j in range(m)], a.backend)
 
 
 def test_from_values_shape_check():
