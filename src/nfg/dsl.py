@@ -21,11 +21,12 @@ Rationals are written p/q or as integers, in decimal digits only: the Unicode
 decimal digits that int() reads, so "1.5" and "²" are errors.  Whitespace
 (space, tab, CR, LF) and comments, which run from "#" to end of line, may
 stand between any two tokens, inside a value list too.  One compiled pattern
-scans the source a token at a time, as the parser asks for it.  A tensor's
-value list is read in one pass instead: one pattern scan finds its extent,
-and str.split and int() read it straight into int numerators over one
-denominator, as an exact tensor stores them; no rational is built per value.
-Only a list in error goes to the token methods, which raise the error.  Every
+per kind reads a value list's head (tensor NAME [dims] =) and each vertex,
+edge and dangling item whole; one scan, str.split and int() read a value list
+into int numerators over one denominator, as an exact tensor stores them, with
+no rational per value.  The token reader, a pattern that scans a token at a
+time, reads the rest and explains refusals: it reads again from its start a
+statement that a check refuses, and a list from its refused entry.  Every
 error, lexical, syntactic, or semantic, carries the 1-based line and column of
 the offending token, and on f64 so does a value beyond the largest float.
 
@@ -41,6 +42,7 @@ import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from math import prod
 from operator import truediv
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -76,8 +78,17 @@ class Token(NamedTuple):
 # and \d is str.isdecimal(), the digits int() reads.  [^\W\d] also admits
 # numerals such as '½', so the scanner checks that a NAME starts on
 # str.isalpha() or "_".
-_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*\n)*(?:(?P<NAME>[^\W\d]\w*)|(?P<NUMBER>\d+)"
+_SKIP = r"(?:[ \t\r\n]|#[^\n]*\n)*"
+_TOKEN = re.compile(_SKIP + r"(?:(?P<NAME>[^\W\d]\w*)|(?P<NUMBER>\d+)"
                     r"|(?P<SYM>[\[\]{}(),.:=+*/-])|(?P<EOF>(?=(?:#[^\n]*)?\Z))|(?P<BAD>.))")
+# Statement patterns: a value list's head after 'tensor', and the graph items.
+# A space stands for the skip, and NAME for a name that starts on an ASCII letter
+# or "_"; one that starts elsewhere is left to the token methods, which check it.
+_HEADER, _VERTEX, _EDGE, _DANGLING = (
+    re.compile(template.replace(" ", _SKIP).replace("NAME", r"([A-Za-z_]\w*)"))
+    for template in (r" NAME \[ ((?:\d+(?: , \d+)*)?) \] =", r" vertex\b NAME : NAME",
+                     r" edge\b NAME \( NAME \. (\d+) , NAME \. (\d+) \)",
+                     r" dangling\b NAME \( NAME \. (\d+) \)"))
 # A value list's extent: its entries, commas, whitespace and comments (the
 # caller checks what follows it).  Before int() reads the entries, comments
 # and the blanks after a sign are dropped, if the list holds any.
@@ -86,6 +97,11 @@ _DROP = re.compile(r"(-)(?:[ \t\r\n]|#[^\n]*)+|#[^\n]*")
 _SIGN_GAPS = ("- ", "-\t", "-\r", "-\n")
 # How many integer arguments each builtin takes; the builtin checks their values.
 _BUILTIN_ARITY = {"eps": 1, "delta": 1, "e": 2}
+# Why a graph item is late: a vertex after an edge, any other after the interface.
+_LATE = {"vertex": "vertex declarations must precede edges",
+         "edge": "edges must precede the interface",
+         "dangling": "dangling edges must precede the interface",
+         "interface": "duplicate interface"}
 
 
 # -- document model -----------------------------------------------------------
@@ -122,6 +138,10 @@ class DslDocument:
 # -- parser -------------------------------------------------------------------
 
 
+class _Reread(Exception):
+    """A check, given no token, refused what a statement pattern read."""
+
+
 class _Parser:
     def __init__(self, source: str, backend: str):
         self.source = source
@@ -130,8 +150,9 @@ class _Parser:
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
         self.backend = backend
         self.doc = DslDocument()
+        self.patterns = True  # False while the token methods read a refused statement
 
-    # token utilities ----------------------------------------------------
+    # token utilities, and the checks that both routes make ----------------
 
     def peek(self) -> Token:
         if self.tok is None:
@@ -149,34 +170,30 @@ class _Parser:
         self.tok = None
         return tok
 
-    def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
+    def error(self, message: str, tok: Optional[Token]):
+        if tok is None:  # a check refused what a statement pattern read
+            raise _Reread
         raise DslError(message, tok.line, tok.col)
 
     def expect_sym(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind != "SYM" or tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}")
+            self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
     def expect_name(self, what: str = "a name") -> Token:
         tok = self.peek()
         if tok.kind != "NAME":
-            self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
+            self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
     def expect_int(self) -> Tuple[int, Token]:
         tok = self.peek()
         if tok.kind != "NUMBER":
-            self.error(f"expected an integer, found {tok.text or 'end of input'!r}")
-        self.next()
-        try:
-            return int(tok.text), tok
-        except ValueError:  # longer than int()'s string limit
-            self.error(f"integer of {len(tok.text)} digits is over the limit of "
-                       f"{sys.get_int_max_str_digits()}", tok)
+            self.error(f"expected an integer, found {tok.text or 'end of input'!r}", tok)
+        return self.to_int(tok.text, tok), self.next()
 
-    def owned(self, tok: Token, build, *args, **kwargs):
+    def owned(self, tok: Optional[Token], build, *args, **kwargs):
         """Call build(*args, **kwargs); the ValueError by which it refuses a
         graph or builtin rule, which the library owns, becomes a DslError at tok."""
         try:
@@ -187,6 +204,44 @@ class _Parser:
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "SYM" and tok.text == text
+
+    def to_int(self, text: str, tok: Optional[Token]) -> int:
+        try:
+            return int(text)
+        except ValueError:  # longer than int()'s string limit
+            self.error(f"integer of {len(text)} digits is over the limit of "
+                       f"{sys.get_int_max_str_digits()}", tok)
+
+    def alphabet(self, size: int, tok: Optional[Token]) -> int:
+        if size <= 0:
+            self.error("alphabet sizes must be positive", tok)
+        return size
+
+    def declare(self, name: str, tok: Optional[Token]) -> str:
+        if name in self.doc.tensors or name in self.doc.graphs or name in self.doc.compounds:
+            self.error(f"name {name!r} already defined", tok)
+        return name
+
+    def in_order(self, graph: Nfg, keyword: str, tok: Optional[Token]) -> None:
+        if self.interfaced or keyword == "vertex" and graph.edges:
+            self.error(_LATE[keyword], tok)
+
+    def add_vertex(self, graph: Nfg, lines: List[str], name: str, tensor: str,
+                   name_tok: Optional[Token], tensor_tok: Optional[Token]) -> None:
+        if tensor not in self.doc.tensors:
+            self.error(f"undefined tensor {tensor!r}", tensor_tok)
+        self.owned(name_tok, graph.add_vertex, self.doc.tensors[tensor], name=name)
+        lines.append(f"  vertex {name}: {tensor}")
+
+    def link(self, graph: Nfg, lines: List[str], name: str, a: Tuple[str, int],
+             b: Optional[Tuple[str, int]], tok: Optional[Token]) -> None:
+        """An edge joining the (vertex, 1-based slot) ports a and b, or dangling from a."""
+        if b is None:
+            self.owned(tok, graph.add_dangling, (a[0], a[1] - 1), name=name)
+            lines.append(f"  dangling {name}({a[0]}.{a[1]})")
+        else:
+            self.owned(tok, graph.connect, (a[0], a[1] - 1), (b[0], b[1] - 1), name=name)
+            lines.append(f"  edge {name}({a[0]}.{a[1]}, {b[0]}.{b[1]})")
 
     def parse_rational(self) -> Fraction:
         first = self.peek()
@@ -211,11 +266,10 @@ class _Parser:
 
     def parse_values(self) -> Tuple[List[int], List[int]]:
         """A tensor's value list as signed int numerators and positive int
-        denominators, in the terms written (2/4 stays 2 over 4), with no
-        rational built per value: one _LIST scan, str.split and int().  A
-        list this refuses (an empty or malformed entry, a denominator that is
-        not positive, a number over int()'s digit limit, or on f64 a value
-        beyond the largest float) is in error, so the token methods read it
+        denominators, in the terms written (2/4 stays 2 over 4), by one _LIST
+        scan, str.split and int().  A list this refuses (an empty or malformed
+        entry, a denominator below 1, a number over int()'s digit limit, or on
+        f64 a value beyond the largest float) is read by the token methods
         from the refused entry, keeping those before it (from its start after
         a _DROP or an f64 overflow), to raise the error at its position."""
         m = _LIST.match(self.source, self.pos)
@@ -257,57 +311,47 @@ class _Parser:
 
     def parse_document(self) -> DslDocument:
         while self.peek().kind != "EOF":
-            tok = self.peek()
+            tok, pos = self.peek(), self.pos
             if tok.kind != "NAME":
-                self.error(f"expected a statement, found {tok.text!r}")
-            if tok.text == "tensor":
-                self.parse_tensor_decl()
-            elif tok.text == "graph":
-                self.parse_graph_decl()
-            elif tok.text == "let":
-                self.parse_expr_decl()
-            else:
+                self.error(f"expected a statement, found {tok.text!r}", tok)
+            read = {"tensor": self.parse_tensor_decl, "graph": self.parse_graph_decl,
+                    "let": self.parse_expr_decl}.get(tok.text)
+            if read is None:
                 self.error(f"expected 'tensor', 'graph' or 'let', found {tok.text!r}", tok)
+            try:
+                read()
+            except _Reread:  # the token methods read the statement again
+                self.pos, self.tok, self.patterns = pos, tok, False
+                read()
+                self.patterns = True
         return self.doc
-
-    def _declare(self, name_tok: Token) -> str:
-        name = name_tok.text
-        doc = self.doc
-        if name in doc.tensors or name in doc.graphs or name in doc.compounds:
-            self.error(f"name {name!r} already defined", name_tok)
-        return name
 
     def parse_tensor_decl(self) -> None:
         self.next()  # 'tensor'
-        name_tok = self.expect_name("a tensor name")
-        name = self._declare(name_tok)
-        if self.at_sym("["):
-            self.next()
-            dims: List[int] = []
-            if not self.at_sym("]"):
-                while True:
-                    d, dtok = self.expect_int()
-                    if d <= 0:
-                        self.error("alphabet sizes must be positive", dtok)
-                    dims.append(d)
-                    if self.at_sym(","):
-                        self.next()
-                        continue
-                    break
-            self.expect_sym("]")
-            eq_tok = self.expect_sym("=")
+        if head := self.patterns and _HEADER.match(self.source, self.pos):
+            name = self.declare(head[1], None)
+            sizes = _DROP.sub("", head[2]).split(",")  # comments dropped
+            dims = [self.alphabet(self.to_int(d, None), None) for d in sizes if d]
+            self.pos, eq_tok = head.end(), None
+        else:
+            name_tok = self.expect_name("a tensor name")
+            name = self.declare(name_tok.text, name_tok)
+        if head or self.at_sym("["):
+            if not head:
+                self.next()
+                dims = [] if self.at_sym("]") else [self.alphabet(*self.expect_int())]
+                while dims and self.at_sym(","):
+                    self.next()
+                    dims.append(self.alphabet(*self.expect_int()))
+                self.expect_sym("]")
+                eq_tok = self.expect_sym("=")
             nums, dens = self.parse_values()
             tok = self.peek()
             if tok.kind not in ("NAME", "EOF"):
-                self.error(f"expected ',' or the next statement, found {tok.text!r}")
-            expected = 1
-            for d in dims:
-                expected *= d
-            if len(nums) != expected:
-                self.error(
-                    f"expected {expected} values for shape {dims}, got {len(nums)}",
-                    eq_tok,
-                )
+                self.error(f"expected ',' or the next statement, found {tok.text!r}", tok)
+            if len(nums) != prod(dims):
+                self.error(f"expected {prod(dims)} values for shape {dims}, got {len(nums)}",
+                           eq_tok)
             entries, denom = lowest_terms(nums, dens)
             decl = TensorDecl(name, dims, entries, denom)
             if self.backend == EXACT:
@@ -337,8 +381,8 @@ class _Parser:
         self.doc.statements.append(decl)
         self.doc.tensors[name] = tensor
 
-    def parse_port(self, graph: Nfg) -> Tuple[str, Tuple[str, int]]:
-        """The port's canonical text, "v.2", and its (vertex, 0-based slot)."""
+    def parse_port(self, graph: Nfg) -> Tuple[str, int]:
+        """(vertex, 1-based slot), checked to place an error (the graph checks it again)."""
         vtok = self.expect_name("a vertex name")
         if vtok.text not in graph.vertices:
             self.error(f"undefined vertex {vtok.text!r}", vtok)
@@ -346,59 +390,53 @@ class _Parser:
         slot, stok = self.expect_int()
         if not (1 <= slot <= graph.vertices[vtok.text].tensor.rank):
             self.error("slot out of range", stok)
-        return f"{vtok.text}.{slot}", (vtok.text, slot - 1)
+        return vtok.text, slot
+
+    def read_item(self, graph: Nfg, lines: List[str]) -> bool:
+        """Whether a pattern read the next graph item whole and made its checks;
+        the graph alone refuses a vertex or slot here, as it does for the token methods."""
+        at = self.source, self.pos
+        if m := _VERTEX.match(*at):
+            self.in_order(graph, "vertex", None)
+            self.add_vertex(graph, lines, m[1], m[2], None, None)
+        elif m := _EDGE.match(*at):
+            self.in_order(graph, "edge", None)
+            a, b = (m[2], self.to_int(m[3], None)), (m[4], self.to_int(m[5], None))
+            self.link(graph, lines, m[1], a, b, None)
+        elif m := _DANGLING.match(*at):
+            self.in_order(graph, "dangling", None)
+            self.link(graph, lines, m[1], (m[2], self.to_int(m[3], None)), None, None)
+        else:
+            return False
+        self.pos = m.end()
+        return True
 
     def parse_graph_decl(self) -> None:
         self.next()  # 'graph'
         name_tok = self.expect_name("a graph name")
-        name = self._declare(name_tok)
+        name = self.declare(name_tok.text, name_tok)
         self.expect_sym("{")
         graph = Nfg(self.backend)
         lines = [f"graph {name} {{"]  # the canonical block, an item a line
-        linked = interfaced = False  # an edge or dangling edge, or the interface, was read
-        while not self.at_sym("}"):
-            tok = self.peek()
+        self.interfaced = False  # the block has its interface
+        while True:
+            if self.patterns and self.read_item(graph, lines):
+                continue
+            tok = self.next()
+            if tok.kind == "SYM" and tok.text == "}":
+                break
             if tok.kind != "NAME":
-                self.error(f"expected a graph item, found {tok.text or 'end of input'!r}")
+                self.error(f"expected a graph item, found {tok.text or 'end of input'!r}", tok)
+            if tok.text not in _LATE:
+                self.error(f"expected 'vertex', 'edge', 'dangling' or 'interface', "
+                           f"found {tok.text!r}", tok)
+            self.in_order(graph, tok.text, tok)
             if tok.text == "vertex":
-                if linked:  # an interface names a dangling edge, so it is linked too
-                    self.error("vertex declarations must precede edges", tok)
-                self.next()
                 vtok = self.expect_name("a vertex name")
                 self.expect_sym(":")
                 ttok = self.expect_name("a tensor name")
-                if ttok.text not in self.doc.tensors:
-                    self.error(f"undefined tensor {ttok.text!r}", ttok)
-                self.owned(vtok, graph.add_vertex, self.doc.tensors[ttok.text], name=vtok.text)
-                lines.append(f"  vertex {vtok.text}: {ttok.text}")
-            elif tok.text == "edge":
-                if interfaced:
-                    self.error("edges must precede the interface", tok)
-                self.next()
-                etok = self.expect_name("an edge name")
-                self.expect_sym("(")
-                text_a, port_a = self.parse_port(graph)
-                self.expect_sym(",")
-                text_b, port_b = self.parse_port(graph)
-                self.expect_sym(")")
-                self.owned(etok, graph.connect, port_a, port_b, name=etok.text)
-                lines.append(f"  edge {etok.text}({text_a}, {text_b})")
-                linked = True
-            elif tok.text == "dangling":
-                if interfaced:
-                    self.error("dangling edges must precede the interface", tok)
-                self.next()
-                etok = self.expect_name("an edge name")
-                self.expect_sym("(")
-                text, port = self.parse_port(graph)
-                self.expect_sym(")")
-                self.owned(etok, graph.add_dangling, port, name=etok.text)
-                lines.append(f"  dangling {etok.text}({text})")
-                linked = True
+                self.add_vertex(graph, lines, vtok.text, ttok.text, vtok, ttok)
             elif tok.text == "interface":
-                if interfaced:
-                    self.error("duplicate interface", tok)
-                self.next()
                 self.expect_sym("(")
                 order = []
                 while True:
@@ -406,20 +444,22 @@ class _Parser:
                     if ntok.text not in graph.dangling:
                         self.error(f"{ntok.text!r} is not a dangling edge", ntok)
                     order.append(ntok.text)
-                    if self.at_sym(","):
-                        self.next()
-                        continue
-                    break
+                    if not self.at_sym(","):
+                        break
+                    self.next()
                 self.expect_sym(")")
                 self.owned(tok, graph.set_interface, order)
                 lines.append(f"  interface({', '.join(order)})")
-                interfaced = True
+                self.interfaced = True
             else:
-                self.error(
-                    f"expected 'vertex', 'edge', 'dangling' or 'interface', found {tok.text!r}",
-                    tok,
-                )
-        self.expect_sym("}")
+                etok = self.expect_name("an edge name")
+                self.expect_sym("(")
+                a, b = self.parse_port(graph), None
+                if tok.text == "edge":
+                    self.expect_sym(",")
+                    b = self.parse_port(graph)
+                self.expect_sym(")")
+                self.link(graph, lines, etok.text, a, b, etok)
         violations = graph.validate()
         if violations:
             self.error(f"invalid graph {name!r}: {violations[0]}", name_tok)
@@ -436,7 +476,7 @@ class _Parser:
     def parse_expr_decl(self) -> None:
         self.next()  # 'let'
         name_tok = self.expect_name("an expression name")
-        name = self._declare(name_tok)
+        name = self.declare(name_tok.text, name_tok)
         self.expect_sym("=")
         text, sign = f"let {name} = ", 1
         terms: List[Tuple[Fraction, CompoundNfg]] = []  # coefficient, resolved graph
