@@ -47,8 +47,8 @@ def _load(path: str, backend: str) -> dsl.DslDocument:
 
 
 def _graph_or_compound(doc: dsl.DslDocument, name: str, graph_for: str = None):
-    """The named graph or compound; when graph_for names an option or command
-    that writes a plan, which holds one graph's steps, a compound is refused."""
+    """The named graph or compound; when graph_for names a command that
+    prints a plan, which holds one graph's steps, a compound is refused."""
     if name in doc.graphs:
         return doc.graphs[name]
     if name in doc.compounds:
@@ -66,10 +66,7 @@ def _tensor(doc: dsl.DslDocument, name: str):
 
 def cmd_contract(args) -> int:
     doc = _load(args.file, args.backend)
-    target = _graph_or_compound(doc, args.graph, "--plan-out" if args.plan_out else None)
-    if args.plan_out:
-        Path(args.plan_out).write_text(plan_greedy(target).to_text(), encoding="utf-8")
-    result = eval_compound(target, engine=args.engine)
+    result = eval_compound(_graph_or_compound(doc, args.graph), engine=args.engine)
     print(json.dumps(result.to_obj()))
     return EXIT_OK
 
@@ -177,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="print a graph's exterior function")
     p.add_argument("file")
     p.add_argument("graph")
-    p.add_argument("--plan-out", default=None, help="write the greedy plan to a file")
     common(p, tol=False)
     p.set_defaults(fn=cmd_contract)
 
@@ -221,7 +217,7 @@ def main(argv=None) -> int:
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UsageError) as exc:  # an input or --plan-out it cannot use
+    except (OSError, UsageError) as exc:  # an input it cannot read or use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NfgError, TensorError, scalars.BackendMismatch) as exc:

@@ -35,19 +35,6 @@ class ContractionPlan(NamedTuple):
     def to_text(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.steps)
 
-    @staticmethod
-    def from_text(text: str) -> "ContractionPlan":
-        steps = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed plan line: {line!r}")
-            steps.append((parts[0], parts[1]))
-        return ContractionPlan(steps)
-
 
 # Partial assignments the join extends together; a larger block is split, bounding memory.
 _BLOCK = 1024

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from nfg import suites
+from nfg import cli, contraction, dsl, suites
 from nfg.cli import EXIT_OK, EXIT_UNEQUAL, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from nfg.diagrams import pfaffian_factor
 from nfg.scalars import rat
@@ -61,12 +61,14 @@ def test_contract_engines_agree(doc, capsys):
     assert capsys.readouterr().out == brute
 
 
-def test_contract_plan_out(doc, tmp_path, capsys):
+def test_contract_takes_no_plan_out(doc, tmp_path, capsys):
+    """Plan files are gone: `nfg plan` prints the plan, and `--plan-out` is
+    an unknown option, refused before anything is written."""
     plan_file = tmp_path / "plan.txt"
-    assert main(["contract", doc(TRACE_DOC), "tr", "--engine", "planned",
-                 "--plan-out", str(plan_file)]) == EXIT_OK
-    assert plan_file.exists()
-    capsys.readouterr()
+    assert main(["contract", doc(TRACE_DOC), "tr", "--plan-out", str(plan_file)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --plan-out" in err
+    assert not plan_file.exists()
 
 
 def test_equal_exit_codes(doc, capsys):
@@ -261,46 +263,26 @@ def test_oversized_output_is_one_line_and_exit_3_before_any_kernel(engine, backe
     assert capsys.readouterr() == ("", f"validation error: {message}\n")
 
 
-def test_contract_plan_out_refuses_compound(doc, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("nfg.cli.plan_greedy", _must_not_run)
-    monkeypatch.setattr("nfg.cli.eval_compound", _must_not_run)
-    plan_file = tmp_path / "plan.txt"
-    assert main(["contract", doc(EQ_DOC), "g3", "--plan-out", str(plan_file)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert "'g3' is a compound" in captured.err
-    assert captured.out == ""
-    assert not plan_file.exists()
-
-
-def test_contract_plan_out_to_a_directory_is_a_usage_error(doc, tmp_path, capsys):
-    # the plan file cannot be written: one error line and exit 2, not a traceback
-    assert main(["contract", doc(TRACE_DOC), "tr", "--plan-out", str(tmp_path)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.out == ""
-
-
 def test_plan_refuses_compound(doc, capsys, monkeypatch):
     monkeypatch.setattr("nfg.cli.plan_greedy", _must_not_run)
     assert main(["plan", doc(EQ_DOC), "g3"]) == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: plan needs a graph; 'g3' is a compound\n")
 
 
-def test_parser_is_built_once_and_keeps_nothing_between_calls(doc, tmp_path, capsys,
-                                                              monkeypatch):
+def test_parser_is_built_once_and_keeps_nothing_between_calls(doc, capsys, monkeypatch):
     """main reuses one parser; flags given to one call are absent from the next."""
     assert build_parser() is build_parser()
     assert main(["--help"]) == EXIT_OK
     help_text = capsys.readouterr().out
-    path, plan_file = doc(TRACE_DOC), tmp_path / "plan.txt"
-    assert main(["contract", path, "tr", "--plan-out", str(plan_file),
-                 "--engine", "brute"]) == EXIT_OK
+    path, engines = doc(TRACE_DOC), []
+    original = cli.eval_compound
+    monkeypatch.setattr("nfg.cli.eval_compound",
+                        lambda c, engine: engines.append(engine) or original(c, engine))
+    assert main(["contract", path, "tr", "--engine", "brute"]) == EXIT_OK
     first = capsys.readouterr().out
-    assert plan_file.exists()
-    plan_file.unlink()
     assert main(["contract", path, "tr"]) == EXIT_OK
     assert capsys.readouterr().out == first
-    assert not plan_file.exists()
+    assert engines == ["brute", "planned"]
 
     runs = []
     monkeypatch.setattr("nfg.suites.run_suite",
@@ -391,3 +373,57 @@ def test_value_beyond_the_largest_float_is_a_parse_error_on_f64(doc, capsys, tex
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"parse error: {position}: value too large for f64\n")
     assert main(["contract", path, "g"]) == EXIT_OK
+
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+CORPUS_GRAPHS = [(path, name) for path in sorted(CORPUS.glob("v*.nfg"))
+                 for name in dsl.parse(path.read_text(encoding="utf-8")).graphs]
+
+
+@pytest.mark.parametrize("backend", ["exact", "f64"])
+@pytest.mark.parametrize("path, graph", CORPUS_GRAPHS,
+                         ids=[f"{path.stem}-{graph}" for path, graph in CORPUS_GRAPHS])
+def test_contract_runs_the_plan_that_plan_prints(path, graph, backend, capsys, monkeypatch):
+    """`nfg contract` plans once and groups the pairs `nfg plan` prints, in
+    order; the pairs after those are the closing join, in id order."""
+    argv = [str(path), graph, "--backend", backend]
+    assert main(["plan", *argv]) == EXIT_OK
+    *lines, cost = capsys.readouterr().out.splitlines()
+    assert cost.startswith("estimated cost: ")
+    steps = [tuple(line.split(" ")) for line in lines]
+    pairs, plans = [], []
+    group, plan_greedy = contraction._group, contraction.plan_greedy
+    monkeypatch.setattr(contraction, "_group",
+                        lambda work, u, v: pairs.append((u, v)) or group(work, u, v))
+    monkeypatch.setattr(contraction, "plan_greedy", lambda g: plans.append(g) or plan_greedy(g))
+    assert main(["contract", *argv]) == EXIT_OK
+    capsys.readouterr()
+    assert len(plans) == 1 and pairs[:len(steps)] == steps
+    vertices = dsl.parse(path.read_text(encoding="utf-8"), backend).graphs[graph].vertices
+    first, *rest = sorted(set(vertices) - {v for _, v in steps}) or [None]
+    assert pairs[len(steps):] == [(first, vid) for vid in rest]
+
+
+def test_every_option_readme_names_is_taken_by_its_command():
+    """Each long option of README's `## CLI` synopsis, on a command's lines
+    (comments aside), is accepted by that command's parser, and the synopsis
+    names exactly the parser's commands."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {}  # command (None for the top level) -> long options on its lines
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("nfg "):
+            command = line.split()[1]
+            command = None if command.startswith("-") else command
+            named.setdefault(command, set())
+        named[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(named) - {None} == set(sub.choices)
+    refused = []
+    for command, options in named.items():
+        p = sub.choices[command] if command else parser
+        taken = {s for action in p._actions for s in action.option_strings}
+        refused += [f"nfg {command or ''} {option}" for option in sorted(options - taken)]
+    assert refused == []

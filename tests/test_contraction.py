@@ -147,18 +147,6 @@ def test_greedy_prefers_cheap_pair():
     assert exterior_planned(g, plan).equal(exterior_brute(g))
 
 
-def test_plan_text_round_trip():
-    plan = ContractionPlan(steps=[("a", "b"), ("a", "c")], estimated_cost=42)
-    text = plan.to_text()
-    back = ContractionPlan.from_text(text)
-    assert back.steps == plan.steps
-
-
-def test_plan_text_ignores_comments_and_blanks():
-    text = "# a plan\n\na b\n  a c  \n"
-    assert ContractionPlan.from_text(text).steps == [("a", "b"), ("a", "c")]
-
-
 def test_planned_matches_brute_on_pfaffian_diagram():
     g = pfaffian_diagram(rand_skew(random.Random(6), 4))
     assert exterior_planned(g).equal(exterior_brute(g))

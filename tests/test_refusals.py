@@ -6,7 +6,7 @@ import pytest
 
 from nfg.algebra import CompoundNfg
 from nfg.builtins import tau
-from nfg.contraction import ContractionPlan, group_vertices, split_vertex
+from nfg.contraction import group_vertices, split_vertex
 from nfg.diagrams import (
     check_fig10,
     check_fig11b,
@@ -63,9 +63,7 @@ REFUSALS = [
      TensorError, "duplicate axis in [0, 0]"),
     ("contract backends", lambda: pair_contract(vec(2), [0], vec(2, F64), [0]),
      BackendMismatch, "backend mismatch: exact vs f64"),
-    # contraction.py: plans and rewrites
-    ("plan line", lambda: ContractionPlan.from_text("a b\na b c\n"),
-     ValueError, "malformed plan line: 'a b c'"),
+    # contraction.py: rewrites
     ("group unknown", lambda: group_vertices(pair_graph(), "a", "z"),
      NfgError, "unknown vertex 'z'"),
     ("split unknown", lambda: split_vertex(pair_graph(), "z", vec(2), [0], vec(2), [1], []),
