@@ -16,7 +16,7 @@ self-loops are summed out before the first grouping, so no step carries one.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import prod
 from operator import add
@@ -51,6 +51,36 @@ def _output_shape(g: Nfg) -> Tuple[int, ...]:
     return shape
 
 
+@cache
+def _wiring(wiring: Tuple[Tuple[int, ...], ...]) -> tuple:
+    """Per vertex of a wiring (its edges numbered by first appearance), its
+    distinct edges and, if it has a self-loop, the slot pairs that must agree
+    and the getter of its distinct slots; per edge, the vertices it touches."""
+    edges, loops, touching = [], [], {}
+    for i, cil in enumerate(wiring):
+        edges.append(tuple(dict.fromkeys(cil)))
+        pairs = [(cil.index(e), slot) for slot, e in enumerate(cil) if cil.index(e) != slot]
+        loops.append(pairs and (pairs, _getter(list(map(cil.index, edges[i])))))
+        for e in edges[i]:
+            touching.setdefault(e, []).append(i)
+    return edges, loops, touching
+
+
+@cache
+def _join_plan(wiring: tuple, dangling: Tuple[int, ...], order: Tuple[int, ...]) -> tuple:
+    """Per visit in this order, the vertex and the getters of its bound slots
+    (None if none is), of its new slots and of the bound positions in the
+    partial assignment; then the getter of the dangling positions."""
+    edges, bound, visits = _wiring(wiring)[0], {}, []
+    for i in order:
+        old = [k for k, e in enumerate(edges[i]) if e in bound]
+        new = [k for k, e in enumerate(edges[i]) if e not in bound]
+        visits.append((i, _getter(old) if old else None, _getter(new),
+                       _getter([bound[edges[i][k]] for k in old])))
+        bound.update({edges[i][k]: len(bound) + j for j, k in enumerate(new)})
+    return visits, _getter([bound[e] for e in dangling])
+
+
 def exterior_brute(g: Nfg) -> Tensor:
     """Z_G as a literal sum of products, over the nonzero entries only.
 
@@ -70,6 +100,9 @@ def exterior_brute(g: Nfg) -> Tensor:
     numerators on the exact backend) goes to the cell of its dangling
     values; the vertex denominators' product is the result's denominator.
     An output of more than ``MAX_OUTPUT_CELLS`` cells is refused first.
+    What depends only on the wiring (names left out) and the visiting order
+    is kept: the loop checks (``_wiring``) and every getter (``_join_plan``).
+    A call reads the entries, picks the order and builds the indexes.
     """
     g.check_valid()
     shape = _output_shape(g)
@@ -78,58 +111,49 @@ def exterior_brute(g: Nfg) -> Tensor:
     if not g.vertices:
         return Tensor((), backend, dense=[one])
 
-    # each vertex as (nonzero count, distinct edge ids, nonzero (values, entry) pairs)
-    factors = []
-    touching: Dict[str, List[int]] = {}  # edge id -> the vertices it touches
-    denom = 1
-    for vtx in g.vertices.values():
-        tensor, cil = vtx.tensor, vtx.ciliation
-        denom *= tensor.denom
-        edges = cil
-        if len(set(cil)) == len(cil):
-            entries = list(tensor.nonzeros())
-        else:
-            edges = list(dict.fromkeys(cil))
-            loops = [(cil.index(eid), slot) for slot, eid in enumerate(cil)
-                     if cil.index(eid) != slot]
-            distinct = _getter([cil.index(eid) for eid in edges])
-            entries = [(distinct(key), v) for key, v in tensor.nonzeros()
-                       if all(key[a] == key[b] for a, b in loops)]
+    number: Dict[str, int] = {}  # edge id -> its number, by first appearance
+    wiring = tuple([tuple([number.setdefault(eid, len(number)) for eid in vtx.ciliation])
+                    for vtx in g.vertices.values()])
+    edges, loops, touching = _wiring(wiring)
+    factors, denom = [], 1  # per vertex, its nonzero (values, entry) pairs
+    for vtx, vertex_loops in zip(g.vertices.values(), loops):
+        denom *= vtx.tensor.denom
+        entries = list(vtx.tensor.nonzeros())
+        if vertex_loops:
+            pairs, distinct = vertex_loops
+            entries = [(distinct(key), v) for key, v in entries
+                       if all(key[a] == key[b] for a, b in pairs)]
         if not entries:
             return Tensor(shape, backend, dense=[zero] * prod(shape), denom=denom)
-        for eid in edges:
-            touching.setdefault(eid, []).append(len(factors))
-        factors.append((len(entries), edges, entries))
+        factors.append(entries)
 
-    # visiting order, and per visit an index of the entries by the bound edges
-    bound: Dict[str, int] = {}  # edge id -> position in the partial assignment
+    # the visiting order, then per visit an index of the entries by the bound edges
+    alphabet = [g.edges[eid].alphabet for eid in number]
     width = [1] * len(factors)  # per vertex, the product of its bound edges' alphabets
-    steps = []
-    todo = list(range(len(factors)))
+    counts, order, seen, todo = list(map(len, factors)), [], set(), list(range(len(factors)))
     while todo:
-        i = min([(factors[i][0] / width[i], factors[i][0], i) for i in todo])[2]
+        i = min([(counts[i] / width[i], counts[i], i) for i in todo])[2]
         todo.remove(i)
-        _, edges, entries = factors[i]
-        old = [k for k, eid in enumerate(edges) if eid in bound]
-        if old:
-            get_old = _getter(old)
-            get_new = _getter([k for k, eid in enumerate(edges) if eid not in bound])
-            index: Dict[tuple, list] = {}
-            for key, v in reversed(entries) if todo else entries:
+        order.append(i)
+        for e in edges[i]:
+            if e not in seen:
+                seen.add(e)
+                for j in touching[e]:
+                    width[j] *= alphabet[e]
+    visits, dangling_values = _join_plan(wiring, tuple(map(number.get, g.dangling)), tuple(order))
+    steps = []
+    for i, get_old, get_new, look in visits:
+        entries = factors[i] if i == order[-1] else factors[i][::-1]
+        index: Dict[tuple, list] = {(): entries}
+        if get_old:
+            index = {}
+            for key, v in entries:
                 index.setdefault(get_old(key), []).append((get_new(key), v))
-        else:
-            index = {(): entries[::-1] if todo else entries}
-        steps.append((_getter([bound[edges[k]] for k in old]), index.get))
-        for eid in edges:
-            if eid not in bound:
-                bound[eid] = len(bound)
-                for j in touching[eid]:
-                    width[j] *= g.edges[eid].alphabet
+        steps.append((look, index.get))
 
     *inner, (look, get) = steps
     out: Dict[tuple, object] = {}
     oget = out.get
-    dangling_values = _getter([bound[eid] for eid in g.dangling])
     total = zero
     blocks = [(0, [((), one)])]
     while blocks:
@@ -215,10 +239,9 @@ def split_vertex(g: Nfg, h: str, f: Tensor, f_slots: Sequence[int],
 
     g = g.copy()
     base = h
-    hf, hg = f"{base}_f", f"{base}_g"
-    while hf in g.vertices or hg in g.vertices:
+    while f"{base}_f" in g.vertices or f"{base}_g" in g.vertices:
         base += "_"
-        hf, hg = f"{base}_f", f"{base}_g"
+    hf, hg = f"{base}_f", f"{base}_g"
     del g.vertices[h]
     new_eids = []
     for k, alphabet in enumerate(shared_alphabets):

@@ -19,11 +19,12 @@ A tensor has one of three storage kinds:
   and ``equal`` of alternating tensors, ``permute_axes`` and the alternating
   kernel read the packed list (``get`` at a rank computed as a binomial sum,
   with no table), and ``nonzeros`` generates each nonzero set's signed
-  orderings without keeping them: the hash join reads those when an
-  alternating operand meets one with kept axes, as do ``add`` and ``equal``
-  of an alternating tensor with a sparse one.  Only ``sparse`` writes the
-  tensor out, once, and keeps the result; no code in this package reads
-  it, only callers such as the benchmark tracer and the tests.
+  orderings (from a table kept per (n, r) when there are at most
+  ``_BLOCK_ROWS``; a dense tensor's indices likewise per shape): the hash
+  join reads those when an alternating operand meets one with kept axes, as
+  do ``add`` and ``equal`` of an alternating tensor with a sparse one.
+  Only ``sparse`` writes the tensor out, once, and keeps the result; no code
+  in this package reads it, only the benchmark tracer and the tests.
 
 Three kernels do all contractions.  Dense x dense forms each output cell as
 one sum of products; on the exact backend, once both sides keep a few cells,
@@ -96,12 +97,7 @@ class TensorError(ValueError):
 
 
 def _strides(shape: Shape) -> Tuple[int, ...]:
-    acc = 1
-    out = []
-    for d in reversed(shape):
-        out.append(acc)
-        acc *= d
-    return tuple(reversed(out))
+    return tuple(prod(shape[a + 1:]) for a in range(len(shape)))
 
 
 def _offsets(shape: Shape, axes: Sequence[int]) -> List[int]:
@@ -121,8 +117,24 @@ def inversion_sign(seq: Sequence[int]) -> int:
 @cache
 def _perm_signs(rank: int) -> Tuple[int, ...]:
     """The sign of each permutation of a sorted rank-tuple, in the order in
-    which ``itertools.permutations`` lists them."""
-    return tuple(map(inversion_sign, itertools.permutations(range(rank))))
+    which ``itertools.permutations`` lists them: block k of m is led by item
+    k, so it repeats the signs for m - 1, negated if k is odd."""
+    signs = (1,)
+    for m in range(2, rank + 1):
+        signs = (signs + tuple(map(operator.neg, signs))) * (m // 2) + signs * (m % 2)
+    return signs
+
+
+@cache
+def _index_table(shape: Shape) -> Tuple[Index, ...]:
+    """Every index of a shape of at most _BLOCK_ROWS cells, in row-major order."""
+    return tuple(itertools.product(*map(range, shape)))
+
+
+@cache
+def _ordering_table(n: int, rank: int) -> tuple:
+    """Each sorted rank-set's orderings, in packed order (at most _BLOCK_ROWS in all)."""
+    return tuple(map(tuple, map(itertools.permutations, itertools.combinations(range(n), rank))))
 
 
 def _alt_dims(shape: Shape) -> Tuple[int, int]:
@@ -134,9 +146,11 @@ def _signed_orderings(alt: list, n: int, rank: int):
     """(index, entry) of every nonzero of packed alternating storage: each
     nonzero set's orderings, in ``itertools.permutations`` order, signed."""
     signs = _perm_signs(rank)
-    for key, v in zip(itertools.combinations(range(n), rank), alt):
+    orderings = (_ordering_table(n, rank) if comb(n, rank) * len(signs) <= _BLOCK_ROWS
+                 else map(itertools.permutations, itertools.combinations(range(n), rank)))
+    for keys, v in zip(orderings, alt):
         if v:
-            yield from zip(itertools.permutations(key), [s * v for s in signs])
+            yield from zip(keys, [s * v for s in signs])
 
 
 def _expand_alt(alt: list, n: int, rank: int) -> dict:
@@ -305,13 +319,9 @@ class Tensor:
             bad = next(k for k in sparse if not _keys_fit(shape, [k]))
             raise TensorError(f"sparse key {bad!r} is not an index of shape {list(shape)}")
         if dense is not None and len(dense) != prod(shape):
-            raise TensorError(
-                f"dense storage length {len(dense)} != element count {prod(shape)}"
-            )
+            raise TensorError(f"dense storage length {len(dense)} != element count {prod(shape)}")
         if type(denom) is not int or denom <= 0 or (backend == F64 and denom != 1):
-            raise TensorError(
-                f"denominator {denom!r} is not a positive int (always 1 for {F64})"
-            )
+            raise TensorError(f"denominator {denom!r} is not a positive int (always 1 for {F64})")
         entry = _ENTRY_TYPE[backend]
         stored = sparse.values() if sparse is not None else dense if alt is None else alt
         stray = set(map(type, stored)) - {entry}
@@ -403,7 +413,8 @@ class Tensor:
         return [self._value(v) for v in self.to_dense().dense]
 
     def indices(self) -> Iterable[Index]:
-        return itertools.product(*(range(d) for d in self.shape))
+        small = prod(self.shape) <= _BLOCK_ROWS  # read from a kept table
+        return _index_table(self.shape) if small else itertools.product(*map(range, self.shape))
 
     def to_dense(self) -> "Tensor":
         if self.dense is not None:

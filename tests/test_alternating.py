@@ -597,19 +597,61 @@ def test_kernel_tables_hold_only_the_shapes_used(monkeypatch):
     assert all(rows.get((n, 1), 0) + rows.get((n, 2), 0) <= 3 ** n for n in range(1, 11))
 
 
-def _recurrence_signs(rank):
-    """Permutation signs in permutations order by the block recurrence: the
-    r-th of m blocks is led by item r, which precedes r smaller items, so it
-    repeats the signs for m - 1, negated when r is odd."""
-    signs = [1]
-    for m in range(2, rank + 1):
-        signs = (signs + [-s for s in signs]) * (m // 2) + signs * (m % 2)
-    return signs
-
-
-def test_perm_signs_match_the_block_recurrence():
+def test_perm_signs_match_inversion_counts():
+    """The block recurrence lists, in permutations order, the sign that
+    counting each permutation's inversions gives."""
     for rank in range(9):
-        assert list(tensor_module._perm_signs(rank)) == _recurrence_signs(rank)
+        assert list(tensor_module._perm_signs(rank)) == list(
+            map(tensor_module.inversion_sign, itertools.permutations(range(rank))))
+
+
+@pytest.fixture
+def fresh_read_tables():
+    """The per-shape read tables of ``nonzeros``, emptied before and after."""
+    caches = (tensor_module._index_table, tensor_module._ordering_table)
+    for c in caches:
+        c.cache_clear()
+    yield caches
+    for c in caches:
+        c.cache_clear()
+
+
+def test_read_tables_list_what_the_generators_list(fresh_read_tables):
+    """Dense and alternating tensors read through the kept tables (and, past
+    _BLOCK_ROWS orderings, through the generators) list the nonzeros that
+    itertools lists, in the same order."""
+    rng = random.Random(35)
+    for shape in [(), (1,), (3,), (2, 3), (3, 1, 2), (4, 4, 4), (16, 16, 16)]:
+        t = Tensor.from_values(shape, [rng.randint(-1, 1) for _ in range(math.prod(shape))])
+        want = [(k, v) for k, v in zip(itertools.product(*map(range, shape)), t.dense) if v]
+        assert list(t.nonzeros()) == want, shape
+    for n in range(8):
+        for r in range(n + 1):
+            t = Tensor((n,) * r, EXACT, alt=[rng.randint(-1, 1) for _ in range(math.comb(n, r))])
+            want = [(p, tensor_module.inversion_sign(p) * v)
+                    for key, v in zip(itertools.combinations(range(n), r), t.alt) if v
+                    for p in itertools.permutations(key)]
+            assert list(t.nonzeros()) == want, (n, r)
+    index_table, ordering_table = fresh_read_tables
+    assert index_table.cache_info().currsize == 7
+    assert ordering_table.cache_info().currsize == len({  # rank 0 is read as (0, 0)
+        (n * (r > 0), r) for n in range(8) for r in range(n + 1)
+        if math.perm(n, r) <= tensor_module._BLOCK_ROWS})
+
+
+def test_large_tensors_keep_no_read_table(fresh_read_tables):
+    """Reading a dense tensor of more than _BLOCK_ROWS cells, or an
+    alternating one of more than _BLOCK_ROWS orderings, leaves the table
+    caches as they were; a dense tensor of exactly _BLOCK_ROWS cells, and an
+    alternating one of fewer orderings (C(8, 4)·4! = 1,680), keep one each."""
+    index_table, ordering_table = fresh_read_tables
+    big = Tensor((65, 64), EXACT, dense=list(range(65 * 64)))
+    assert len(list(big.nonzeros())) == 65 * 64 - 1
+    assert len(list(levi_civita(7).nonzeros())) == math.factorial(7) > tensor_module._BLOCK_ROWS
+    assert index_table.cache_info().currsize == ordering_table.cache_info().currsize == 0
+    assert len(list(Tensor((64, 64), EXACT, dense=[1] * 4096).nonzeros())) == 4096
+    assert len(list(Tensor((8,) * 4, EXACT, alt=[1] * 70).nonzeros())) == 70 * 24
+    assert index_table.cache_info().currsize == ordering_table.cache_info().currsize == 1
 
 
 def test_source_ranks_are_one_int_object_per_value_across_shapes():

@@ -3,11 +3,15 @@ import pathlib
 import random
 import re
 import tracemalloc
+from functools import reduce
 from math import prod
+from operator import add
+from typing import Dict, List
 
 import pytest
 
-from nfg import diagrams, dsl, scalars
+from nfg import contraction, diagrams, dsl, scalars
+from nfg import tensor as tensor_module
 from nfg.builtins import levi_civita
 from nfg.contraction import (
     MAX_OUTPUT_CELLS,
@@ -908,3 +912,186 @@ def test_no_grouping_step_carries_a_self_loop(monkeypatch):
         exterior_planned(g, plan)
         exterior_planned(g, ContractionPlan([]))
     assert looped_steps
+
+
+# -- kept wiring plans: the engine against its former self --------------------
+
+
+def parent_exterior_brute(g):
+    """The brute engine as it was before its wiring plans were kept: every
+    call reads each vertex, picks the order and builds every getter.  Kept
+    verbatim (its docstring aside) as the reference the engine must match
+    byte for byte on exact and bit for bit on f64."""
+    g.check_valid()
+    shape = contraction._output_shape(g)
+    backend = g.backend()
+    zero, one = ZERO_ENTRY[backend], ONE_ENTRY[backend]
+    if not g.vertices:
+        return Tensor((), backend, dense=[one])
+
+    # each vertex as (nonzero count, distinct edge ids, nonzero (values, entry) pairs)
+    factors = []
+    touching: Dict[str, List[int]] = {}  # edge id -> the vertices it touches
+    denom = 1
+    for vtx in g.vertices.values():
+        tensor, cil = vtx.tensor, vtx.ciliation
+        denom *= tensor.denom
+        edges = cil
+        if len(set(cil)) == len(cil):
+            entries = list(tensor.nonzeros())
+        else:
+            edges = list(dict.fromkeys(cil))
+            loops = [(cil.index(eid), slot) for slot, eid in enumerate(cil)
+                     if cil.index(eid) != slot]
+            distinct = _getter([cil.index(eid) for eid in edges])
+            entries = [(distinct(key), v) for key, v in tensor.nonzeros()
+                       if all(key[a] == key[b] for a, b in loops)]
+        if not entries:
+            return Tensor(shape, backend, dense=[zero] * prod(shape), denom=denom)
+        for eid in edges:
+            touching.setdefault(eid, []).append(len(factors))
+        factors.append((len(entries), edges, entries))
+
+    # visiting order, and per visit an index of the entries by the bound edges
+    bound: Dict[str, int] = {}  # edge id -> position in the partial assignment
+    width = [1] * len(factors)  # per vertex, the product of its bound edges' alphabets
+    steps = []
+    todo = list(range(len(factors)))
+    while todo:
+        i = min([(factors[i][0] / width[i], factors[i][0], i) for i in todo])[2]
+        todo.remove(i)
+        _, edges, entries = factors[i]
+        old = [k for k, eid in enumerate(edges) if eid in bound]
+        if old:
+            get_old = _getter(old)
+            get_new = _getter([k for k, eid in enumerate(edges) if eid not in bound])
+            index: Dict[tuple, list] = {}
+            for key, v in reversed(entries) if todo else entries:
+                index.setdefault(get_old(key), []).append((get_new(key), v))
+        else:
+            index = {(): entries[::-1] if todo else entries}
+        steps.append((_getter([bound[edges[k]] for k in old]), index.get))
+        for eid in edges:
+            if eid not in bound:
+                bound[eid] = len(bound)
+                for j in touching[eid]:
+                    width[j] *= g.edges[eid].alphabet
+
+    *inner, (look, get) = steps
+    out: Dict[tuple, object] = {}
+    oget = out.get
+    dangling_values = _getter([bound[eid] for eid in g.dangling])
+    total = zero
+    blocks = [(0, [((), one)])]
+    while blocks:
+        depth, block = blocks.pop()
+        if len(block) > contraction._BLOCK:
+            blocks += [(depth, block[s:s + contraction._BLOCK])
+                       for s in reversed(range(0, len(block), contraction._BLOCK))]
+        elif depth < len(inner):
+            look_d, get_d = inner[depth]
+            block = [(assign + values, term * v) for assign, term in block
+                     for values, v in get_d(look_d(assign), ())]
+            if block:
+                blocks.append((depth + 1, block))
+        elif shape:
+            for key, t in [(dangling_values(assign + values), term * v)
+                           for assign, term in block for values, v in get(look(assign), ())]:
+                out[key] = oget(key, zero) + t
+        else:
+            total = reduce(add, [term * v for assign, term in block
+                                 for _, v in get(look(assign), ())], total)
+
+    if not shape:
+        return Tensor((), backend, dense=[total], denom=denom)
+    return Tensor(shape, backend, sparse=out, denom=denom).to_dense()
+
+
+def _corpus_graphs():
+    for path in sorted(CORPUS.glob("v*.nfg")):
+        for backend in (EXACT, F64):
+            yield from dsl.parse(path.read_text(encoding="utf-8"), backend).graphs.values()
+
+
+def _mixed_graphs(backend):
+    """120 random graphs of mixed storage kinds over a backend; in every
+    tenth, one vertex has no nonzero entry."""
+    from test_acceptance import random_nfg
+
+    rng = random.Random(3500 + (backend == F64))
+    for trial in range(120):
+        g = random_nfg(rng, max_alphabet=4, max_degree=4, mixed=True, backend=backend)
+        if trial % 10 == 0:
+            vid = rng.choice(sorted(g.vertices))
+            g.vertices[vid] = Vertex(g.vertices[vid].tensor.scale(0), g.vertices[vid].ciliation)
+        yield g
+
+
+def test_brute_matches_the_parent_engine_byte_for_byte():
+    """On every corpus graph, 120 mixed random graphs per backend and the
+    looped cases, the result has the parent engine's shape, denominator and
+    stored entries, each of the same type and repr (so f64 bits and the sign
+    of zero agree)."""
+    kinds = set()
+    graphs = itertools.chain(_corpus_graphs(), _mixed_graphs(EXACT), _mixed_graphs(F64),
+                             _looped_cases())
+    for k, g in enumerate(graphs):
+        got = exterior_brute(g)
+        assert same_bits(got, parent_exterior_brute(g)), (k, g.backend(), sorted(g.vertices))
+        kinds.add(g.backend())
+        kinds.add("loop" if any(_loop_counts(g).values()) else "no loop")
+        kinds.add("zero" if not any(got.dense) else "nonzero")
+        kinds.add("empty vertex" if any(not any(True for _ in vtx.tensor.nonzeros())
+                                        for vtx in g.vertices.values()) else "full")
+    assert kinds == {EXACT, F64, "loop", "no loop", "zero", "nonzero", "empty vertex", "full"}
+
+
+def _four_kinds(prefix, rng, backend):
+    """A dense matrix, a scaled eps(3), a sparse matrix and a dense rank-3
+    vertex with a self-loop, two dangling edges, every vertex and edge name
+    starting with prefix; all stored entries nonzero, so the nonzero counts,
+    hence the visiting order, do not depend on rng."""
+    def dense(*shape):
+        return on_backend(shape, [rng.randint(1, 9) for _ in range(prod(shape))], backend)
+
+    g = Nfg(backend)
+    a = g.add_vertex(dense(3, 3), prefix + "a")
+    eps = g.add_vertex(levi_civita(3, backend).scale(rng.randint(1, 9)), prefix + "eps")
+    s = g.add_vertex(to_sparse(on_backend((3, 3), [1, 0, 0, 0, 0, rng.randint(1, 9), 0, 2, 0],
+                                          backend)), prefix + "s")
+    loop = g.add_vertex(dense(3, 3, 3), prefix + "loop")
+    g.add_dangling((a, 0), prefix + "x")
+    g.connect((a, 1), (eps, 0), prefix + "b")
+    g.connect((eps, 1), (s, 0), prefix + "c")
+    g.connect((eps, 2), (loop, 2), prefix + "d")
+    g.connect((loop, 0), (loop, 1), prefix + "l")
+    g.add_dangling((s, 1), prefix + "y")
+    return g
+
+
+def test_a_warm_brute_call_builds_no_getter_and_no_index_tuple(monkeypatch):
+    """Once a wiring has been joined, joining it again under other vertex and
+    edge names and other entries calls ``_getter`` 0 times, lists no index
+    through ``itertools.product`` or ``permutations`` (dense and ``alt``
+    vertices are read through kept tables), and keeps nothing new."""
+    caches = (contraction._wiring, contraction._join_plan,
+              tensor_module._index_table, tensor_module._ordering_table)
+    for backend in (EXACT, F64):
+        rng = random.Random(35)
+        exterior_brute(_four_kinds("", rng, backend))
+        g = _four_kinds("other_", rng, backend)
+        want = parent_exterior_brute(g)
+        warm = [c.cache_info().currsize for c in caches]
+        calls = []
+        with monkeypatch.context() as m:
+            getter = tensor_module._getter
+            for owner in (contraction, tensor_module):
+                m.setattr(owner, "_getter", lambda idx: calls.append("_getter") or getter(idx))
+            for name in ("product", "permutations"):
+                m.setattr(itertools, name,
+                          lambda *a, f=getattr(itertools, name), name=name: calls.append(name) or f(*a))
+            got = exterior_brute(g)
+        assert calls == []
+        assert [c.cache_info().currsize for c in caches] == warm
+        assert same_bits(got, want) and any(got.dense)
+
