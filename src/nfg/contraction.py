@@ -4,14 +4,14 @@ splitting, and a greedy pairwise contraction planner.
 The brute-force path is the ground truth for everything else.  It is a
 literal sum of products over the assignments to the internal and dangling
 variables, but it enumerates only those on which every vertex is nonzero: a
-backtracking join over each vertex's nonzero entries (the generic-join view
-of a sum-product, Ngo-Re-Rudra 2013), walked in blocks of partial
-assignments in the order a stack of single ones visits them, sharing no code
-with the contraction kernels or the planner.  The planned path replays
-pairwise groupings (each one a two-tensor contraction) and exploits sparse
-operands, which is what makes the large Levi-Civita diagrams tractable.  One
-step function, ``_group``, does every grouping, on a map vertex id -> Vertex;
-self-loops are summed out before the first grouping, so no step carries one.
+join over each vertex's nonzero entries (the generic-join view of a
+sum-product, Ngo-Re-Rudra 2013), compiled per visiting order into generator
+expressions, sharing no code with the contraction kernels or the planner.
+The planned path replays pairwise groupings (each one a two-tensor
+contraction) and exploits sparse operands, which is what makes the large
+Levi-Civita diagrams tractable.  One step function, ``_group``, does every
+grouping, on a map vertex id -> Vertex; self-loops are summed out before
+the first grouping, so no step carries one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Nfg, NfgError, Vertex
-from .tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, pair_contract
+from .tensor import ONE_ENTRY, ZERO_ENTRY, Tensor, _getter, _strides, pair_contract
 
 
 class ContractionPlan(NamedTuple):
@@ -36,10 +36,11 @@ class ContractionPlan(NamedTuple):
         return "".join(f"{u} {v}\n" for u, v in self.steps)
 
 
-# Partial assignments the join extends together; a larger block is split, bounding memory.
-_BLOCK = 1024
 # The most cells an exterior function may have: 2**24 is a fully dangling eps(8).
 MAX_OUTPUT_CELLS = 2 ** 24
+# Visits per generator expression of a join: CPython compiles a for clause
+# by recursing, and some 20,000 visits in one expression overflow its stack.
+_STAGE = 256
 
 
 def _output_shape(g: Nfg) -> Tuple[int, ...]:
@@ -67,42 +68,64 @@ def _wiring(wiring: Tuple[Tuple[int, ...], ...]) -> tuple:
 
 
 @cache
-def _join_plan(wiring: tuple, dangling: Tuple[int, ...], order: Tuple[int, ...]) -> tuple:
-    """Per visit in this order, the vertex and the getters of its bound slots
-    (None if none is), of its new slots and of the bound positions in the
-    partial assignment; then the getter of the dangling positions."""
-    edges, bound, visits = _wiring(wiring)[0], {}, []
-    for i in order:
-        old = [k for k, e in enumerate(edges[i]) if e in bound]
-        new = [k for k, e in enumerate(edges[i]) if e not in bound]
-        visits.append((i, _getter(old) if old else None, _getter(new),
-                       _getter([bound[edges[i][k]] for k in old])))
-        bound.update({edges[i][k]: len(bound) + j for j, k in enumerate(new)})
-    return visits, _getter([bound[e] for e in dangling])
+def _join(visits: Tuple[Tuple[int, ...], ...], dangling: Tuple[int, ...]):
+    """The join of one visiting order, compiled: ``visits`` gives each
+    visit's distinct edges and ``dangling`` the interface's (size-1 axes
+    left out), each edge numbered as the order first binds it, so no name
+    reaches the source.  ``join(f0, ..., one, out, st)`` indexes each
+    visit's (key, entry) list by its bound edges, then adds each complete
+    assignment's running product into ``out`` at its row-major offset
+    (strides ``st``), from generator expressions of ``_STAGE`` visits each,
+    chained: their ``for`` clauses, unlike nested statements, nest freely."""
+    def tup(xs, bare=False):  # names as a tuple display or target; one name alone if bare
+        return xs[0] if bare and len(xs) == 1 else f"({', '.join(xs)}{',' * (len(xs) == 1)})"
+
+    body, clauses, bound = [], [], 0
+    for d, edges in enumerate(visits):
+        if d and not d % _STAGE:  # the clauses so far yield, to the next stage, what it reads
+            later = set(dangling).union(*visits[d:])
+            live = tup([f"x{e}" for e in range(bound) if e in later] + [f"t{d - 1}"])
+            body.append(f"    s{d} = ({live} {' '.join(clauses)})")
+            clauses = [f"for {live} in s{d}"]
+        old = [f"x{e}" for e in edges if e < bound]
+        new = [f"x{e}" for e in edges if e >= bound]
+        bound += len(new)
+        item = f"({tup(new, True)}, v{d})" if new else f"v{d}"
+        if old:
+            body += [f"    i{d} = {{}}", f"    for {tup([f'x{e}' for e in edges])}, v{d} in f{d}: "
+                     f"i{d}.setdefault({tup(old, True)}, []).append({item})"]
+            clauses.append(f"for {item} in i{d}.get({tup(old, True)}, ())")
+        else:
+            clauses.append(f"for {tup(new)}, v{d} in f{d}")
+        term = f"{f't{d - 1}' if d else 'one'} * v{d}"
+        clauses.append(f"for t{d} in ({term},)")
+    walk = " ".join(clauses[:-1])  # the last product is summed, not bound
+    if dangling:
+        offset = " + ".join([f"x{e} * st[{j}]" for j, e in enumerate(dangling)])
+        body.append(f"    for k, t in (({offset}, {term}) {walk}): out[k] += t")
+    else:
+        body.append(f"    out[0] = reduce(add, ({term} {walk}), out[0])")
+    params = ", ".join([f"f{d}" for d in range(len(visits))] + ["one", "out", "st"])
+    namespace = {"reduce": reduce, "add": add}
+    exec(f"def join({params}):\n" + "\n".join(body), namespace)
+    return namespace["join"]
 
 
 def exterior_brute(g: Nfg) -> Tensor:
     """Z_G as a literal sum of products, over the nonzero entries only.
 
-    A backtracking join: the vertices are visited one at a time, each time
-    the one with the smallest estimated fan-out (its nonzero count over the
-    alphabet sizes of its edges already bound; ties on the count, then on
-    insertion order), and each visit extends the partial assignments by every
-    nonzero entry of the vertex that agrees with them on the bound edges,
-    found in an index of the entries by those edges.  A self-loop is an
-    equality of two slots, so entries whose looped slots differ are dropped.
-    The walk is depth first over blocks of partial assignments, each block
-    extended a level at a time and split past ``_BLOCK``.  Interior index
-    buckets are stored reversed, so assignments complete in the order a
-    stack of single ones, each pushing its bucket in order, completes them:
-    each output cell sums the same products in the same order, so f64
-    results cannot move by a bit.  A product of stored entries (int
-    numerators on the exact backend) goes to the cell of its dangling
-    values; the vertex denominators' product is the result's denominator.
-    An output of more than ``MAX_OUTPUT_CELLS`` cells is refused first.
-    What depends only on the wiring (names left out) and the visiting order
-    is kept: the loop checks (``_wiring``) and every getter (``_join_plan``).
-    A call reads the entries, picks the order and builds the indexes.
+    A join visits the vertices one at a time, each time the one with the
+    smallest estimated fan-out (its nonzero count over the alphabet sizes of
+    its bound edges; ties on the count, then on insertion order), extending
+    an assignment by every nonzero entry that agrees with it on the bound
+    edges; a self-loop's two slots must agree.  ``_join`` compiles the walk.
+    Interior lists are read reversed, so assignments complete in the order
+    a stack of single ones, each pushing its bucket in order, completes
+    them: each output cell sums the same products (of int numerators on the
+    exact backend) in the same order, so f64 results cannot move by a bit.
+    The vertex denominators' product is the result's denominator; an output
+    over ``MAX_OUTPUT_CELLS`` cells is refused first.  What depends only on
+    the wiring (names left out) and the visiting order is kept.
     """
     g.check_valid()
     shape = _output_shape(g)
@@ -127,57 +150,26 @@ def exterior_brute(g: Nfg) -> Tensor:
             return Tensor(shape, backend, dense=[zero] * prod(shape), denom=denom)
         factors.append(entries)
 
-    # the visiting order, then per visit an index of the entries by the bound edges
+    # the visiting order, each edge numbered as the order first binds it
     alphabet = [g.edges[eid].alphabet for eid in number]
     width = [1] * len(factors)  # per vertex, the product of its bound edges' alphabets
-    counts, order, seen, todo = list(map(len, factors)), [], set(), list(range(len(factors)))
+    counts, order, bound, todo = list(map(len, factors)), [], {}, list(range(len(factors)))
     while todo:
         i = min([(counts[i] / width[i], counts[i], i) for i in todo])[2]
         todo.remove(i)
         order.append(i)
         for e in edges[i]:
-            if e not in seen:
-                seen.add(e)
+            if e not in bound:
+                bound[e] = len(bound)
                 for j in touching[e]:
                     width[j] *= alphabet[e]
-    visits, dangling_values = _join_plan(wiring, tuple(map(number.get, g.dangling)), tuple(order))
-    steps = []
-    for i, get_old, get_new, look in visits:
-        entries = factors[i] if i == order[-1] else factors[i][::-1]
-        index: Dict[tuple, list] = {(): entries}
-        if get_old:
-            index = {}
-            for key, v in entries:
-                index.setdefault(get_old(key), []).append((get_new(key), v))
-        steps.append((look, index.get))
-
-    *inner, (look, get) = steps
-    out: Dict[tuple, object] = {}
-    oget = out.get
-    total = zero
-    blocks = [(0, [((), one)])]
-    while blocks:
-        depth, block = blocks.pop()
-        if len(block) > _BLOCK:
-            blocks += [(depth, block[s:s + _BLOCK])
-                       for s in reversed(range(0, len(block), _BLOCK))]
-        elif depth < len(inner):
-            look_d, get_d = inner[depth]
-            block = [(assign + values, term * v) for assign, term in block
-                     for values, v in get_d(look_d(assign), ())]
-            if block:
-                blocks.append((depth + 1, block))
-        elif shape:
-            for key, t in [(dangling_values(assign + values), term * v)
-                           for assign, term in block for values, v in get(look(assign), ())]:
-                out[key] = oget(key, zero) + t
-        else:
-            total = reduce(add, [term * v for assign, term in block
-                                 for _, v in get(look(assign), ())], total)
-
-    if not shape:
-        return Tensor((), backend, dense=[total], denom=denom)
-    return Tensor(shape, backend, sparse=out, denom=denom).to_dense()
+    st, axes = _strides(shape), [a for a, n in enumerate(shape) if n > 1]  # size 1 adds 0
+    join = _join(tuple([tuple(map(bound.get, edges[i])) for i in order]),
+                 tuple([bound[number[g.dangling[a]]] for a in axes]))
+    out = [zero] * prod(shape)
+    join(*[factors[i][::-1] for i in order[:-1]], factors[order[-1]], one, out,
+         [st[a] for a in axes])
+    return Tensor(shape, backend, dense=out, denom=denom)
 
 
 def _group(work: Dict[str, Vertex], u: str, v: str) -> List[str]:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import pathlib
 import random
@@ -590,7 +591,7 @@ def test_brute_det_n6_diagram_against_oracle():
     assert exterior_brute(det_diagram(a)).get(()) == det_oracle(a)
 
 
-# -- the block walk: the stack join's order, bit for bit, in bounded memory ----
+# -- the compiled join: the stack join's order, bit for bit, in bounded memory -
 
 
 def same_bits(a, b):
@@ -633,27 +634,24 @@ def _join_order_cases(monkeypatch):
                 (3,), [rand_rat(rng) for _ in range(3)], backend), mat(3, m), mat(3, m))
 
 
-@pytest.mark.parametrize("block", [None, 1, 2, 3])
-def test_brute_matches_stack_join_bit_for_bit(block, monkeypatch):
-    """The block walk completes the assignments in the stack join's order, so
-    every output entry is the same float (or int) with the same sign of zero;
-    small blocks split at every level of the join."""
-    import nfg.contraction as contraction
-
-    if block is not None:
-        monkeypatch.setattr(contraction, "_BLOCK", block)
+def test_brute_matches_stack_join_bit_for_bit(monkeypatch):
+    """The compiled join completes the assignments in the stack join's order,
+    so every output entry is the same float (or int) with the same sign of
+    zero."""
     seen = set()
     for g in _join_order_cases(monkeypatch):
         z = exterior_brute(g)
-        assert same_bits(z, stack_join_exterior(g)), (block, g.backend(), sorted(g.vertices))
+        assert same_bits(z, stack_join_exterior(g)), (g.backend(), sorted(g.vertices))
         seen.add((g.backend(), "eps" in g.vertices, bool(z.shape), any(z.values())))
     assert all(len(set(field)) == 2 for field in zip(*seen)), seen  # each kind of case ran
 
 
 def test_brute_memory_stays_bounded_on_pfaffian_2n8():
-    """The walk splits large blocks, so its tracemalloc peak stays near the
-    stack join's: under CPython 3.11 about 12.6 MB for the stack join, 15.8 MB
-    for blocks of 1,024 and 24 MB for a walk that never splits."""
+    """The compiled join keeps no partial assignment but the one its
+    generator is extending, so its tracemalloc peak is near the stack
+    join's 12.6 MB: under CPython 3.11 about 12.5 MB, 13.2 MB with the
+    join's compile, against 15.8 MB for the former walk in blocks of 1,024
+    and 24 MB for a walk that never splits."""
     g = pfaffian_diagram(rand_skew(random.Random(26), 8))
     tracemalloc.start()
     try:
@@ -661,7 +659,7 @@ def test_brute_memory_stays_bounded_on_pfaffian_2n8():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 18e6, peak
+    assert peak <= 14e6, peak
 
 
 # -- the planned replay: checked first, copies nothing, finishes any prefix ----
@@ -985,9 +983,8 @@ def parent_exterior_brute(g):
     blocks = [(0, [((), one)])]
     while blocks:
         depth, block = blocks.pop()
-        if len(block) > contraction._BLOCK:
-            blocks += [(depth, block[s:s + contraction._BLOCK])
-                       for s in reversed(range(0, len(block), contraction._BLOCK))]
+        if len(block) > 1024:
+            blocks += [(depth, block[s:s + 1024]) for s in reversed(range(0, len(block), 1024))]
         elif depth < len(inner):
             look_d, get_d = inner[depth]
             block = [(assign + values, term * v) for assign, term in block
@@ -1074,7 +1071,7 @@ def test_a_warm_brute_call_builds_no_getter_and_no_index_tuple(monkeypatch):
     edge names and other entries calls ``_getter`` 0 times, lists no index
     through ``itertools.product`` or ``permutations`` (dense and ``alt``
     vertices are read through kept tables), and keeps nothing new."""
-    caches = (contraction._wiring, contraction._join_plan,
+    caches = (contraction._wiring, contraction._join,
               tensor_module._index_table, tensor_module._ordering_table)
     for backend in (EXACT, F64):
         rng = random.Random(35)
@@ -1095,3 +1092,79 @@ def test_a_warm_brute_call_builds_no_getter_and_no_index_tuple(monkeypatch):
         assert [c.cache_info().currsize for c in caches] == warm
         assert same_bits(got, want) and any(got.dense)
 
+
+# -- the compiled join: any depth, and no name in its source --------------------
+
+
+def _chain(length, rng, backend, ring=False):
+    """A chain of 2x2 vertices, each with one nonzero per row, dangling at both
+    ends (or closed into a ring, with an even count of anti-diagonal vertices,
+    so a nonzero trace): brute completes at most two assignments."""
+    def entry():
+        return rand_rat(rng) or 1
+
+    swaps = [rng.random() < 0.5 for _ in range(length)]
+    swaps[-1] ^= ring and sum(swaps) % 2 == 1
+    g = Nfg(backend)
+    vids = [g.add_vertex(on_backend((2, 2), [0, entry(), entry(), 0] if swap
+                                    else [entry(), 0, 0, entry()], backend)) for swap in swaps]
+    for u, v in zip(vids, vids[1:]):
+        g.connect((u, 1), (v, 0))
+    if ring:
+        g.connect((vids[-1], 1), (vids[0], 0))
+    else:
+        g.add_dangling((vids[0], 0))
+        g.add_dangling((vids[-1], 1))
+    return g
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_a_deep_join_matches_the_parent_engine(backend):
+    """A join 60 visits deep, far past the 20 nested blocks CPython allows
+    statements, and one 600 deep, chained from three generator expressions,
+    sum the parent engine's products in its order; so does a vertex of 3,000
+    dangling axes of size 1, which add nothing to an output offset."""
+    rng = random.Random(37)
+    for length, ring in itertools.product((60, 600), (False, True)):
+        g = _chain(length, rng, backend, ring)
+        got = exterior_brute(g)
+        assert same_bits(got, parent_exterior_brute(g)) and any(got.dense), (length, ring)
+    g = Nfg(backend)
+    vid = g.add_vertex(on_backend((1,) * 3000, [rand_rat(rng) or 1], backend))
+    for slot in range(3000):
+        g.add_dangling((vid, slot))
+    assert same_bits(exterior_brute(g), parent_exterior_brute(g))
+
+
+HOSTILE = ("v); import os #", "'", '"', "[{", ")]\n", "\\")
+JOIN_NAME = re.compile(r"join|[fivxts]\d+|st|out|one|k|t|reduce|add")
+
+
+def test_no_vertex_or_edge_name_reaches_the_join_source(monkeypatch):
+    """Vertex and edge ids that are Python source change nothing: the result
+    has the parent engine's bits, and every compiled source holds none of the
+    ids, no string, and only the join's own identifiers."""
+    import builtins
+
+    sources = []
+    monkeypatch.setattr(contraction, "exec", lambda src, ns: sources.append(src)
+                        or builtins.exec(src, ns), raising=False)
+    contraction._join.cache_clear()
+    rng = random.Random(37)
+    ids = set()
+    for prefix in HOSTILE:
+        for backend in (EXACT, F64):
+            g = _four_kinds(prefix, rng, backend)
+            assert same_bits(exterior_brute(g), parent_exterior_brute(g)), (prefix, backend)
+            ids |= set(g.vertices) | set(g.edges)
+    contraction._join.cache_clear()
+    assert sources
+    for src in sources:
+        assert not [name for name in ids if name in src], src
+        tree = ast.parse(src)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert all(JOIN_NAME.fullmatch(name) for name in names), names
+        assert all(type(node.value) is int for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)), src

@@ -7,7 +7,8 @@ The package also stays within its budget of physical lines, reads the
 written-out ``Tensor.sparse`` nowhere but in that property, keeps its
 process-wide caches as the ``functools.cache`` functions the README lists,
 none of them holding a tensor entry, and has no function that only passes
-its own arguments on to another."""
+its own arguments on to another; its one ``exec`` is the brute engine's
+compiled join."""
 
 import ast
 import gc
@@ -112,7 +113,7 @@ def test_tensor_caches_are_the_cache_functions_the_readme_lists():
     module-level name is bound to an empty container, which is how a
     hand-rolled cache would start."""
     cached = [name for _, name in cache_functions()]
-    assert "_join_plan" in cached and len(set(cached)) == len(cached)
+    assert "_join" in cached and len(set(cached)) == len(cached)
     assert set(cached) == readme_cache_rows()
     empty = []
     for path in sorted(SRC.glob("*.py")):
@@ -195,6 +196,21 @@ def test_no_cache_holds_a_tensor_entry():
                  if isinstance(obj, Tensor) or id(obj) in stored
                  or type(obj) is int and abs(obj) >= 1 << 62]
     assert kept == []
+
+
+def test_the_compiled_join_is_the_one_exec():
+    """Generated code stays in one reviewed place: over every src/nfg
+    module, exactly one call of ``exec``, ``eval`` or ``compile`` (a method
+    such as ``re.compile`` aside), and it is in ``contraction._join``."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parsed(path.name)
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}  # an inner function's name overwrites its outer's
+        calls += [(path.name, owner.get(id(node)), node.func.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("exec", "eval", "compile")]
+    assert calls == [("contraction.py", "_join", "exec")]
 
 
 def test_no_function_only_renames_another():
