@@ -87,11 +87,8 @@ def scale_via_constant_vertex(g: Nfg, lam) -> Nfg:
 def eval_compound(c: Union[Nfg, CompoundNfg], engine: str = "brute") -> Tensor:
     """Sum of coefficient * exterior(graph) over the terms."""
     c = as_compound(c)
-    if engine == "brute":
-        run = exterior_brute
-    elif engine == "planned":
-        run = exterior_planned
-    else:
+    run = {"brute": exterior_brute, "planned": exterior_planned}.get(engine)
+    if run is None:
         raise ValueError(f"unknown engine {engine!r}")
     acc: Tensor = None
     for coef, g in c.terms:

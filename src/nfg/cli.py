@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, dsl, scalars, suites
-from .algebra import CompoundNfg, eval_compound
+from .algebra import eval_compound
 from .contraction import exterior_brute, exterior_planned, plan_greedy
 from .diagrams import (
     det_diagram,
@@ -58,12 +58,6 @@ def _graph_or_compound(doc: dsl.DslDocument, name: str, graph_for: str = None):
     raise NfgError(f"no graph named {name!r} in the document")
 
 
-def _tensor(doc: dsl.DslDocument, name: str):
-    if name not in doc.tensors:
-        raise NfgError(f"no tensor named {name!r} in the document")
-    return doc.tensors[name]
-
-
 def cmd_contract(args) -> int:
     doc = _load(args.file, args.backend)
     result = eval_compound(_graph_or_compound(doc, args.graph), engine=args.engine)
@@ -103,7 +97,9 @@ def cmd_compare(args) -> int:
     """A matrix function through its diagram and through its oracle; exit 0 iff equal."""
     build, run, oracle, ratio_of = _compare_routes(args.command)
     doc = _load(args.file, args.backend)
-    a = _tensor(doc, args.matrix)
+    if args.matrix not in doc.tensors:
+        raise NfgError(f"no tensor named {args.matrix!r} in the document")
+    a = doc.tensors[args.matrix]
     diagram = build(a)  # runs every check of both routes before any work
     via_diagram = run(diagram).get(())
     ratio = ratio_of(a) if ratio_of else None
@@ -121,18 +117,15 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     rows = suites.run_suite(args.suite, seed=args.seed, trials=args.trials)
-    all_ok = True
     for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        print(f"{name} {status} {detail}")
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else EXIT_UNEQUAL
+        print(f"{name} {'PASS' if ok else 'FAIL'} {detail}")
+    return EXIT_OK if all(ok for _, ok, _ in rows) else EXIT_UNEQUAL
 
 
 def cmd_plan(args) -> int:
     doc = _load(args.file, args.backend)
     plan = plan_greedy(_graph_or_compound(doc, args.graph, "plan"))
-    sys.stdout.write(plan.to_text())
+    sys.stdout.write("".join(f"{u} {v}\n" for u, v in plan.steps))
     print(f"estimated cost: {plan.estimated_cost}")
     return EXIT_OK
 

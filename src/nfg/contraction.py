@@ -17,6 +17,7 @@ the first grouping, so no step carries one.
 from __future__ import annotations
 
 from functools import cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import prod
 from operator import add
@@ -31,9 +32,6 @@ class ContractionPlan(NamedTuple):
 
     steps: List[Tuple[str, str]]
     estimated_cost: int = 0
-
-    def to_text(self) -> str:
-        return "".join(f"{u} {v}\n" for u, v in self.steps)
 
 
 # The most cells an exterior function may have: 2**24 is a fully dangling eps(8).
@@ -54,17 +52,57 @@ def _output_shape(g: Nfg) -> Tuple[int, ...]:
 
 @cache
 def _wiring(wiring: Tuple[Tuple[int, ...], ...]) -> tuple:
-    """Per vertex of a wiring (its edges numbered by first appearance), its
-    distinct edges and, if it has a self-loop, the slot pairs that must agree
-    and the getter of its distinct slots; per edge, the vertices it touches."""
-    edges, loops, touching = [], [], {}
-    for i, cil in enumerate(wiring):
-        edges.append(tuple(dict.fromkeys(cil)))
+    """A wiring (its edges numbered by first appearance) as kept, which its
+    ``_brute_plan`` keys share, and per vertex with a self-loop the slot pairs
+    that must agree and the getter of its distinct slots."""
+    loops = []
+    for cil in wiring:
         pairs = [(cil.index(e), slot) for slot, e in enumerate(cil) if cil.index(e) != slot]
-        loops.append(pairs and (pairs, _getter(list(map(cil.index, edges[i])))))
-        for e in edges[i]:
+        loops.append(pairs and (pairs, _getter(list(map(cil.index, dict.fromkeys(cil))))))
+    return wiring, loops
+
+
+@cache
+def _brute_plan(wiring: Tuple[Tuple[int, ...], ...], *numbers: int) -> tuple:
+    """A join's order, its ``_join`` and its dangling strides (sizes over 1),
+    given a wiring, then flat, so a key is one tuple, each vertex's nonzero
+    count, each edge's alphabet and the interface's edges.  The order is
+    popped from a heap of (count / width, count, vertex): widths only grow,
+    so a stale entry sorts after its vertex's current one, popped first."""
+    edges = [tuple(dict.fromkeys(cil)) for cil in wiring]
+    touching: Dict[int, List[int]] = {}  # edge -> the vertices it touches
+    for i, vertex_edges in enumerate(edges):
+        for e in vertex_edges:
             touching.setdefault(e, []).append(i)
-    return edges, loops, touching
+    nv, ne = len(wiring), len(touching)
+    counts, alphabets, interface = numbers[:nv], numbers[nv:nv + ne], numbers[nv + ne:]
+    width = [1] * nv  # per vertex, the product of its bound edges' alphabets
+    heap = [(count / 1, count, i) for i, count in enumerate(counts)]
+    heapify(heap)
+    order, bound = [], {}  # bound: edge -> its number, as the order first binds it
+    while heap:
+        i = heappop(heap)[2]
+        if width[i]:
+            order.append(i)
+            width[i] = 0  # visited: an unvisited vertex's width is at least 1
+            for e in edges[i]:
+                if e not in bound:
+                    bound[e] = len(bound)
+                    for j in touching[e]:
+                        if width[j]:
+                            width[j] *= alphabets[e]
+                            heappush(heap, (counts[j] / width[j], counts[j], j))
+    shape = [alphabets[e] for e in interface]
+    st, axes = _strides(shape), [a for a, n in enumerate(shape) if n > 1]  # size 1 adds 0
+    join = _join(tuple([tuple(map(bound.get, edges[i])) for i in order]),
+                 tuple([bound[interface[a]] for a in axes]))
+    return _shared((join, tuple(order), tuple([st[a] for a in axes])))
+
+
+@cache
+def _shared(plan: tuple) -> tuple:
+    """The first kept of equal plans, which every ``_brute_plan`` key of them shares."""
+    return plan
 
 
 @cache
@@ -124,8 +162,9 @@ def exterior_brute(g: Nfg) -> Tensor:
     them: each output cell sums the same products (of int numerators on the
     exact backend) in the same order, so f64 results cannot move by a bit.
     The vertex denominators' product is the result's denominator; an output
-    over ``MAX_OUTPUT_CELLS`` cells is refused first.  What depends only on
-    the wiring (names left out) and the visiting order is kept.
+    over ``MAX_OUTPUT_CELLS`` cells is refused first.  The order, its
+    compiled join and the output strides are kept (``_brute_plan``) per
+    wiring (names left out), alphabets, nonzero counts and interface.
     """
     g.check_valid()
     shape = _output_shape(g)
@@ -135,9 +174,9 @@ def exterior_brute(g: Nfg) -> Tensor:
         return Tensor((), backend, dense=[one])
 
     number: Dict[str, int] = {}  # edge id -> its number, by first appearance
-    wiring = tuple([tuple([number.setdefault(eid, len(number)) for eid in vtx.ciliation])
-                    for vtx in g.vertices.values()])
-    edges, loops, touching = _wiring(wiring)
+    wiring, loops = _wiring(tuple([tuple([number.setdefault(eid, len(number))
+                                          for eid in vtx.ciliation])
+                                   for vtx in g.vertices.values()]))
     factors, denom = [], 1  # per vertex, its nonzero (values, entry) pairs
     for vtx, vertex_loops in zip(g.vertices.values(), loops):
         denom *= vtx.tensor.denom
@@ -150,25 +189,11 @@ def exterior_brute(g: Nfg) -> Tensor:
             return Tensor(shape, backend, dense=[zero] * prod(shape), denom=denom)
         factors.append(entries)
 
-    # the visiting order, each edge numbered as the order first binds it
-    alphabet = [g.edges[eid].alphabet for eid in number]
-    width = [1] * len(factors)  # per vertex, the product of its bound edges' alphabets
-    counts, order, bound, todo = list(map(len, factors)), [], {}, list(range(len(factors)))
-    while todo:
-        i = min([(counts[i] / width[i], counts[i], i) for i in todo])[2]
-        todo.remove(i)
-        order.append(i)
-        for e in edges[i]:
-            if e not in bound:
-                bound[e] = len(bound)
-                for j in touching[e]:
-                    width[j] *= alphabet[e]
-    st, axes = _strides(shape), [a for a, n in enumerate(shape) if n > 1]  # size 1 adds 0
-    join = _join(tuple([tuple(map(bound.get, edges[i])) for i in order]),
-                 tuple([bound[number[g.dangling[a]]] for a in axes]))
+    alphabets = [g.edges[eid].alphabet for eid in number]
+    join, order, st = _brute_plan(wiring, *map(len, factors), *alphabets,
+                                  *map(number.get, g.dangling))
     out = [zero] * prod(shape)
-    join(*[factors[i][::-1] for i in order[:-1]], factors[order[-1]], one, out,
-         [st[a] for a in axes])
+    join(*[factors[i][::-1] for i in order[:-1]], factors[order[-1]], one, out, st)
     return Tensor(shape, backend, dense=out, denom=denom)
 
 

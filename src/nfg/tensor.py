@@ -153,11 +153,6 @@ def _signed_orderings(alt: list, n: int, rank: int):
             yield from zip(keys, [s * v for s in signs])
 
 
-def _expand_alt(alt: list, n: int, rank: int) -> dict:
-    """An alternating tensor written out: index tuple -> nonzero entry."""
-    return dict(_signed_orderings(alt, n, rank))
-
-
 def _place(index: Sequence[int], n: int) -> Tuple[int, int]:
     """(packed rank, sorting sign) of a k-index over alphabet n, or (0, 0) if
     a value repeats: the rank of sorted values s is C(n, k) - 1 - the sum of
@@ -369,7 +364,7 @@ class Tensor:
         """Index tuple -> nonzero entry (None if dense); an alternating tensor
         is written out on first read, one sign block per nonzero set, and kept."""
         if self._sparse is None and self.alt is not None:
-            self._sparse = _expand_alt(self.alt, *_alt_dims(self.shape))
+            self._sparse = dict(_signed_orderings(self.alt, *_alt_dims(self.shape)))
         return self._sparse
 
     def nonzeros(self) -> Iterable[Tuple[Index, object]]:

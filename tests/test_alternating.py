@@ -733,15 +733,17 @@ def test_pfaffian_diagram_2n_10(seed):
 
 
 def record_expansions(monkeypatch) -> list:
-    """The rank of every alternating tensor written out from now on."""
+    """The rank of every alternating tensor written out from now on: each
+    first read of ``Tensor.sparse`` on one."""
     expanded = []
-    original = tensor_module._expand_alt
+    original = Tensor.sparse.fget
 
-    def record(alt, n, rank):
-        expanded.append(rank)
-        return original(alt, n, rank)
+    def record(t):
+        if t.alt is not None and t._sparse is None:
+            expanded.append(t.rank)
+        return original(t)
 
-    monkeypatch.setattr(tensor_module, "_expand_alt", record)
+    monkeypatch.setattr(Tensor, "sparse", property(record))
     return expanded
 
 

@@ -1,8 +1,11 @@
 import ast
 import itertools
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from math import prod
@@ -1068,11 +1071,13 @@ def _four_kinds(prefix, rng, backend):
 
 def test_a_warm_brute_call_builds_no_getter_and_no_index_tuple(monkeypatch):
     """Once a wiring has been joined, joining it again under other vertex and
-    edge names and other entries calls ``_getter`` 0 times, lists no index
-    through ``itertools.product`` or ``permutations`` (dense and ``alt``
-    vertices are read through kept tables), and keeps nothing new."""
-    caches = (contraction._wiring, contraction._join,
-              tensor_module._index_table, tensor_module._ordering_table)
+    edge names and other entries (the same nonzero counts, alphabets and
+    interface) calls ``_getter`` 0 times, lists no index through
+    ``itertools.product`` or ``permutations`` (dense and ``alt`` vertices are
+    read through kept tables), picks no visiting order (no heap is built or
+    popped), and keeps nothing new, no ``_brute_plan`` entry included."""
+    caches = (contraction._wiring, contraction._brute_plan, contraction._shared,
+              contraction._join, tensor_module._index_table, tensor_module._ordering_table)
     for backend in (EXACT, F64):
         rng = random.Random(35)
         exterior_brute(_four_kinds("", rng, backend))
@@ -1087,10 +1092,170 @@ def test_a_warm_brute_call_builds_no_getter_and_no_index_tuple(monkeypatch):
             for name in ("product", "permutations"):
                 m.setattr(itertools, name,
                           lambda *a, f=getattr(itertools, name), name=name: calls.append(name) or f(*a))
+            for name in ("heapify", "heappop", "heappush"):
+                m.setattr(contraction, name,
+                          lambda *a, f=getattr(contraction, name), name=name: calls.append(name) or f(*a))
             got = exterior_brute(g)
         assert calls == []
         assert [c.cache_info().currsize for c in caches] == warm
         assert same_bits(got, want) and any(got.dense)
+
+
+# -- kept visiting plans: the heap's order, and a key that tells plans apart ---
+
+
+def min_loop_order(wiring, *numbers):
+    """The visiting order as the engine picked it before its plans were kept,
+    kept as the reference: a min over every unvisited vertex per visit,
+    O(V^2).  ``numbers`` are ``_brute_plan``'s: the nonzero counts, then the
+    alphabets (then the interface, not read here)."""
+    edges = [tuple(dict.fromkeys(cil)) for cil in wiring]
+    touching: Dict[int, List[int]] = {}
+    for i, vertex_edges in enumerate(edges):
+        for e in vertex_edges:
+            touching.setdefault(e, []).append(i)
+    counts, alphabet = numbers[:len(wiring)], numbers[len(wiring):]
+    width = [1] * len(counts)
+    order, bound, todo = [], set(), list(range(len(counts)))
+    while todo:
+        i = min([(counts[i] / width[i], counts[i], i) for i in todo])[2]
+        todo.remove(i)
+        order.append(i)
+        for e in edges[i]:
+            if e not in bound:
+                bound.add(e)
+                for j in touching[e]:
+                    width[j] *= alphabet[e]
+    return tuple(order)
+
+
+def _picked_orders(monkeypatch, run):
+    """(key, order) of every plan the brute engine reads while run() runs,
+    each picked afresh (the kept plans are emptied first)."""
+    seen = []
+    plan = contraction._brute_plan
+    plan.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(contraction, "_brute_plan",
+                  lambda *key: seen.append((key, plan(*key)[1])) or plan(*key))
+        run()
+    return seen
+
+
+def _every_diagram(backend, rng):
+    """Each diagram builder's graphs, and each identity check's, over a backend."""
+    def mat(rows, cols):
+        return on_backend((rows, cols), rand_mat(rng, rows, cols).values(), backend)
+
+    def vec():
+        return on_backend((3,), [rand_rat(rng) for _ in range(3)], backend)
+
+    for dim in (1, 2, 3, 4, 5):
+        exterior_brute(trace_diagram(mat(dim, dim)))
+        exterior_brute(det_diagram(mat(dim, dim)))
+        exterior_brute(det_diagram(mat(dim, dim), mat(dim, dim)))
+    for dim in (2, 4, 6):
+        exterior_brute(pfaffian_diagram(on_backend((dim, dim), rand_skew(rng, dim).values(),
+                                                   backend)))
+    exterior_brute(diagrams.cross_diagram(vec(), vec()))
+    exterior_brute(diagrams.matrix_cycle_diagram([(mat(3, 2), False), (mat(3, 2), True)]))
+    diagrams.check_eps_contraction(backend)
+    diagrams.check_cross_chain(vec(), vec(), vec(), vec())
+    diagrams.check_triple_product(vec(), vec(), vec())
+    for m, mp in ((1, 1), (2, 3), (4, 2)):
+        check_fig10(mat(3, m), mat(3, mp), mat(3, mp), mat(3, m))
+        diagrams.check_fig11a(mat(3, m), mat(3, m), mat(3, mp), mat(3, mp))
+        check_fig11b(vec(), mat(3, m), mat(3, m))
+    for dim in (2, 4):
+        diagrams.check_prop1(on_backend((dim, dim), rand_skew(rng, dim).values(), backend), "brute")
+
+
+def test_the_heap_picks_the_min_loop_order(monkeypatch):
+    """On every corpus graph, every diagram (and each graph an identity check
+    hands the brute engine) and 200 random graphs of mixed storage, the
+    heap's visiting order is the one a min over every unvisited vertex picks."""
+    from test_acceptance import random_nfg
+
+    rng = random.Random(38)
+
+    def run():
+        for g in _corpus_graphs():
+            exterior_brute(g)
+        for backend in (EXACT, F64):
+            _every_diagram(backend, rng)
+        for _ in range(200):
+            exterior_brute(random_nfg(rng, max_vertices=8, max_ports=14, mixed=True,
+                                      backend=rng.choice((EXACT, F64))))
+
+    seen = _picked_orders(monkeypatch, run)
+    assert [order for _, order in seen] == [min_loop_order(*key) for key, _ in seen]
+    assert sum(order != tuple(sorted(order)) for _, order in seen) > 100  # orders that matter
+
+
+def test_a_long_chain_picks_its_order_in_n_log_n():
+    """A chain of 10,000 2x2 vertices is joined in under 3 s, where the parent
+    engine's O(V^2) order selection alone took about 8 s.  It runs in a child
+    process: compiling a join 10,000 visits deep peaks at about 260 MB."""
+    here = pathlib.Path(__file__).resolve().parent
+    code = ("import random, time; from test_contraction import _chain; "
+            "from nfg.contraction import exterior_brute; from nfg.scalars import F64; "
+            "g = _chain(10_000, random.Random(38), F64); start = time.perf_counter(); "
+            "z = exterior_brute(g); print(time.perf_counter() - start, any(z.dense))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    seconds, nonzero = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                      text=True, check=True).stdout.split()
+    assert float(seconds) < 3 and nonzero == "True"
+
+
+def _one_wiring(backend, r_nonzeros=6, y=3, swap=False):
+    """Vertices p (x, e1), q (e1, e2, e3), r (e2, y) and s (e3), every edge of
+    3 values but x's 2, and the interface (x, y): each variant keeps this
+    wiring and changes one part of the plan key.  r_nonzeros of r's cells
+    are nonzero (every other vertex's all are), so y changes the alphabets
+    and strides but no count; swap permutes the interface.  Entries have
+    odd denominators, so a float product rounds by the order of its factors."""
+    rng = random.Random(38)
+
+    def tensor(shape, nonzeros):
+        values = [scalars.rat(rng.randint(1, 99), 2 * rng.randint(50, 99) + 1)
+                  for _ in range(prod(shape))]
+        values[nonzeros:] = [0] * (len(values) - nonzeros)
+        return on_backend(shape, values, backend)
+
+    g = Nfg(backend)
+    p = g.add_vertex(tensor((2, 3), 6), "p")
+    q = g.add_vertex(tensor((3, 3, 3), 27), "q")
+    r = g.add_vertex(tensor((3, y), r_nonzeros), "r")
+    s = g.add_vertex(tensor((3,), 3), "s")
+    g.add_dangling((p, 0), "x")
+    g.connect((p, 1), (q, 0), "e1")
+    g.connect((q, 1), (r, 0), "e2")
+    g.connect((q, 2), (s, 0), "e3")
+    g.add_dangling((r, 1), "y")
+    if swap:
+        g.set_interface(["y", "x"])
+    return g
+
+
+PLAN_VARIANTS = {"dense": {}, "sparse r": {"r_nonzeros": 2},
+                 "interface (y, x)": {"swap": True}, "y of 2": {"y": 2}}
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+def test_a_kept_plan_serves_no_other_variant_of_its_wiring(monkeypatch, backend):
+    """The plan key tells apart nonzero counts that change the visiting
+    order, an interface permuted by set_interface, and other alphabets: with
+    the plans warm from any one variant of a wiring, each other variant
+    has the parent engine's bits."""
+    graphs = {name: _one_wiring(backend, **kw) for name, kw in PLAN_VARIANTS.items()}
+    for warm, name in itertools.permutations(graphs, 2):
+        contraction._brute_plan.cache_clear()
+        exterior_brute(graphs[warm])
+        got = exterior_brute(graphs[name])
+        assert same_bits(got, parent_exterior_brute(graphs[name])), (warm, name)
+    seen = _picked_orders(monkeypatch, lambda: [exterior_brute(g) for g in graphs.values()])
+    assert len({key[0] for key, _ in seen}) == 1 and len(set(seen)) == len(PLAN_VARIANTS)
+    assert seen[0][1] != seen[1][1]  # the sparse r is visited in another order
 
 
 # -- the compiled join: any depth, and no name in its source --------------------
@@ -1149,7 +1314,8 @@ def test_no_vertex_or_edge_name_reaches_the_join_source(monkeypatch):
     sources = []
     monkeypatch.setattr(contraction, "exec", lambda src, ns: sources.append(src)
                         or builtins.exec(src, ns), raising=False)
-    contraction._join.cache_clear()
+    for cached in (contraction._brute_plan, contraction._join):
+        cached.cache_clear()
     rng = random.Random(37)
     ids = set()
     for prefix in HOSTILE:
@@ -1157,7 +1323,8 @@ def test_no_vertex_or_edge_name_reaches_the_join_source(monkeypatch):
             g = _four_kinds(prefix, rng, backend)
             assert same_bits(exterior_brute(g), parent_exterior_brute(g)), (prefix, backend)
             ids |= set(g.vertices) | set(g.edges)
-    contraction._join.cache_clear()
+    for cached in (contraction._brute_plan, contraction._join):
+        cached.cache_clear()
     assert sources
     for src in sources:
         assert not [name for name in ids if name in src], src
