@@ -1135,9 +1135,14 @@ def _picked_orders(monkeypatch, run):
     seen = []
     plan = contraction._brute_plan
     plan.cache_clear()
+
+    def spy(*key):
+        kept = plan(*key)
+        seen.append((key, kept[1]))
+        return kept
+
     with monkeypatch.context() as m:
-        m.setattr(contraction, "_brute_plan",
-                  lambda *key: seen.append((key, plan(*key)[1])) or plan(*key))
+        m.setattr(contraction, "_brute_plan", spy)
         run()
     return seen
 
