@@ -14,17 +14,22 @@ from .tensor import Tensor
 
 
 class CompoundNfg:
-    """Nonempty (coefficient, graph) terms sharing one ordered interface."""
+    """Nonempty (coefficient, graph) terms sharing one ordered interface and backend."""
 
     def __init__(self, terms: List[Tuple[object, Nfg]], interface: Tuple[int, ...]):
         if not terms:
             raise NfgError("a compound NFG needs at least one term")
-        for _, g in terms:
+        backend = terms[0][1].backend()
+        for coef, g in terms:
             if g.dangling_shape() != interface:
                 raise NfgError(
                     f"term interface {g.dangling_shape()} != compound "
                     f"interface {interface}"
                 )
+            if g.backend() != backend:
+                raise scalars.BackendMismatch(
+                    f"term backend {g.backend()} != compound backend {backend}")
+            scalars.coerce(backend, coef)  # refuses a coefficient of the other backend
         self.terms = terms
         self.interface = interface
 

@@ -25,10 +25,10 @@ per kind reads a value list's head (tensor NAME [dims] =) and each vertex,
 edge and dangling item whole; one scan, str.split and int() read a value list
 into int numerators over one denominator, as an exact tensor stores them, with
 no rational per value.  The token reader, a pattern that scans a token at a
-time, reads the rest and explains refusals: it reads again from its start a
-statement that a check refuses, and a list from its refused entry.  Every
-error, lexical, syntactic, or semantic, carries the 1-based line and column of
-the offending token, and on f64 so does a value beyond the largest float.
+time, reads the rest, and a refused list again from its refused entry.  Each
+check takes the source offset of what it checks, a token's or a pattern
+group's start, and an error, lexical, syntactic, or semantic, gives it as a
+1-based line and column; on f64 so does a value beyond the largest float.
 
 ``DslDocument.statements`` holds the statements in source order: a value
 list as a ``TensorDecl``, and every other statement, a builtin tensor, a
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
 from fractions import Fraction
 from math import prod
 from operator import truediv
@@ -69,8 +68,7 @@ class DslError(Exception):
 class Token(NamedTuple):
     kind: str  # NAME, NUMBER, SYM, EOF
     text: str
-    line: int
-    col: int
+    start: int  # offset in the source
 
 
 # The skip takes whitespace, and each comment with its newline; the end of
@@ -81,14 +79,14 @@ class Token(NamedTuple):
 _SKIP = r"(?:[ \t\r\n]|#[^\n]*\n)*"
 _TOKEN = re.compile(_SKIP + r"(?:(?P<NAME>[^\W\d]\w*)|(?P<NUMBER>\d+)"
                     r"|(?P<SYM>[\[\]{}(),.:=+*/-])|(?P<EOF>(?=(?:#[^\n]*)?\Z))|(?P<BAD>.))")
-# Statement patterns: a value list's head after 'tensor', and the graph items.
-# A space stands for the skip, and NAME for a name that starts on an ASCII letter
-# or "_"; one that starts elsewhere is left to the token methods, which check it.
-_HEADER, _VERTEX, _EDGE, _DANGLING = (
+# Statement patterns: a value list's head after 'tensor', the graph items (their
+# keyword captured) and a head's sizes.  A space is the skip, NAME a name that starts
+# on an ASCII letter or "_"; the token methods read and check any other name.
+_HEADER, _VERTEX, _EDGE, _DANGLING, _SIZE = (
     re.compile(template.replace(" ", _SKIP).replace("NAME", r"([A-Za-z_]\w*)"))
-    for template in (r" NAME \[ ((?:\d+(?: , \d+)*)?) \] =", r" vertex\b NAME : NAME",
-                     r" edge\b NAME \( NAME \. (\d+) , NAME \. (\d+) \)",
-                     r" dangling\b NAME \( NAME \. (\d+) \)"))
+    for template in (r" NAME \[ ((?:\d+(?: , \d+)*)?) \] =", r" (vertex)\b NAME : NAME",
+                     r" (edge)\b NAME \( NAME \. (\d+) , NAME \. (\d+) \)",
+                     r" (dangling)\b NAME \( NAME \. (\d+) \)", r" ,? (\d+)"))
 # A value list's extent: its entries, commas, whitespace and comments (the
 # caller checks what follows it).  Before int() reads the entries, comments
 # and the blanks after a sign are dropped, if the list holds any.
@@ -138,31 +136,24 @@ class DslDocument:
 # -- parser -------------------------------------------------------------------
 
 
-class _Reread(Exception):
-    """A check, given no token, refused what a statement pattern read."""
-
-
 class _Parser:
     def __init__(self, source: str, backend: str):
         self.source = source
         self.pos = 0  # offset where the next token's scan starts
         self.tok: Optional[Token] = None  # the scanned token not yet consumed
-        self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
         self.backend = backend
         self.doc = DslDocument()
-        self.patterns = True  # False while the token methods read a refused statement
 
-    # token utilities, and the checks that both routes make ----------------
+    # token utilities, and the checks that both routes make at an offset ------
 
     def peek(self) -> Token:
         if self.tok is None:
             m = _TOKEN.match(self.source, self.pos)
             kind = m.lastgroup
             text, start, self.pos = m[kind], m.start(kind), m.end()
-            line = bisect_right(self.line_starts, start)
-            self.tok = Token(kind, text, line, start - self.line_starts[line - 1] + 1)
+            self.tok = Token(kind, text, start)
             if kind == "BAD" or kind == "NAME" and not (text[0].isalpha() or text[0] == "_"):
-                self.error(f"unexpected character {text[0]!r}", self.tok)
+                self.error(f"unexpected character {text[0]!r}", start)
         return self.tok
 
     def next(self) -> Token:
@@ -170,78 +161,85 @@ class _Parser:
         self.tok = None
         return tok
 
-    def error(self, message: str, tok: Optional[Token]):
-        if tok is None:  # a check refused what a statement pattern read
-            raise _Reread
-        raise DslError(message, tok.line, tok.col)
+    def error(self, message: str, at: int):
+        """Raise a DslError at the 1-based line and column of offset at."""
+        line = self.source.count("\n", 0, at) + 1
+        raise DslError(message, line, at - self.source.rfind("\n", 0, at))
+
+    def expect(self, what: str, kind: str = "NAME", text: str = "") -> Token:
+        tok = self.peek()
+        if tok.kind != kind or text and tok.text != text:
+            self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok.start)
+        return self.next()
 
     def expect_sym(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
+        return self.expect(repr(text), "SYM", text)
 
-    def expect_name(self, what: str = "a name") -> Token:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
+    def expect_int(self) -> Tuple[str, int]:
+        """The next token, an integer, as its text and offset."""
+        return self.expect("an integer", "NUMBER")[1:]
 
-    def expect_int(self) -> Tuple[int, Token]:
-        tok = self.peek()
-        if tok.kind != "NUMBER":
-            self.error(f"expected an integer, found {tok.text or 'end of input'!r}", tok)
-        return self.to_int(tok.text, tok), self.next()
-
-    def owned(self, tok: Optional[Token], build, *args, **kwargs):
+    def owned(self, at: int, build, *args, **kwargs):
         """Call build(*args, **kwargs); the ValueError by which it refuses a
-        graph or builtin rule, which the library owns, becomes a DslError at tok."""
+        graph or builtin rule, which the library owns, becomes a DslError at at."""
         try:
             return build(*args, **kwargs)
         except ValueError as exc:
-            self.error(str(exc), tok)
+            self.error(str(exc), at)
 
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "SYM" and tok.text == text
 
-    def to_int(self, text: str, tok: Optional[Token]) -> int:
+    def to_int(self, text: str, at: int) -> int:
         try:
             return int(text)
         except ValueError:  # longer than int()'s string limit
             self.error(f"integer of {len(text)} digits is over the limit of "
-                       f"{sys.get_int_max_str_digits()}", tok)
+                       f"{sys.get_int_max_str_digits()}", at)
 
-    def alphabet(self, size: int, tok: Optional[Token]) -> int:
+    def alphabet(self, text: str, at: int) -> int:
+        size = self.to_int(text, at)
         if size <= 0:
-            self.error("alphabet sizes must be positive", tok)
+            self.error("alphabet sizes must be positive", at)
         return size
 
-    def declare(self, name: str, tok: Optional[Token]) -> str:
+    def declare(self, name: str, at: int) -> str:
         if name in self.doc.tensors or name in self.doc.graphs or name in self.doc.compounds:
-            self.error(f"name {name!r} already defined", tok)
+            self.error(f"name {name!r} already defined", at)
         return name
 
-    def in_order(self, graph: Nfg, keyword: str, tok: Optional[Token]) -> None:
+    def in_order(self, graph: Nfg, keyword: str, at: int) -> None:
         if self.interfaced or keyword == "vertex" and graph.edges:
-            self.error(_LATE[keyword], tok)
+            self.error(_LATE[keyword], at)
 
     def add_vertex(self, graph: Nfg, lines: List[str], name: str, tensor: str,
-                   name_tok: Optional[Token], tensor_tok: Optional[Token]) -> None:
+                   name_at: int, tensor_at: int) -> None:
         if tensor not in self.doc.tensors:
-            self.error(f"undefined tensor {tensor!r}", tensor_tok)
-        self.owned(name_tok, graph.add_vertex, self.doc.tensors[tensor], name=name)
+            self.error(f"undefined tensor {tensor!r}", tensor_at)
+        self.owned(name_at, graph.add_vertex, self.doc.tensors[tensor], name=name)
         lines.append(f"  vertex {name}: {tensor}")
 
-    def link(self, graph: Nfg, lines: List[str], name: str, a: Tuple[str, int],
-             b: Optional[Tuple[str, int]], tok: Optional[Token]) -> None:
-        """An edge joining the (vertex, 1-based slot) ports a and b, or dangling from a."""
+    def port(self, graph: Nfg, vertex: str, at: int, slot: str = "", slot_at: int = 0) -> None:
+        """Check a port to place an error (the graph checks it again), in the
+        token reader's order: its vertex, then, if given, its 1-based slot."""
+        if vertex not in graph.vertices:
+            self.error(f"undefined vertex {vertex!r}", at)
+        if slot and not 1 <= self.to_int(slot, slot_at) <= graph.vertices[vertex].tensor.rank:
+            self.error("slot out of range", slot_at)
+
+    def link(self, graph: Nfg, lines: List[str], name: str, a: str, i: str,
+             b: Optional[str] = None, j: Optional[str] = None) -> None:
+        """An edge joining ports a.i and b.j, each a vertex and a 1-based slot's
+        text, or dangling from a.i; a ValueError refuses it."""
+        i = int(i)
         if b is None:
-            self.owned(tok, graph.add_dangling, (a[0], a[1] - 1), name=name)
-            lines.append(f"  dangling {name}({a[0]}.{a[1]})")
+            graph.add_dangling((a, i - 1), name=name)
+            lines.append(f"  dangling {name}({a}.{i})")
         else:
-            self.owned(tok, graph.connect, (a[0], a[1] - 1), (b[0], b[1] - 1), name=name)
-            lines.append(f"  edge {name}({a[0]}.{a[1]}, {b[0]}.{b[1]})")
+            j = int(j)
+            graph.connect((a, i - 1), (b, j - 1), name=name)
+            lines.append(f"  edge {name}({a}.{i}, {b}.{j})")
 
     def parse_rational(self) -> Fraction:
         first = self.peek()
@@ -249,19 +247,19 @@ class _Parser:
         if self.at_sym("-"):
             self.next()
             sign = -1
-        num, _ = self.expect_int()
+        num = self.to_int(*self.expect_int())
         den = 1
         if self.at_sym("/"):
             self.next()
-            den, dtok = self.expect_int()
-            if den == 0:
-                self.error("zero denominator", dtok)
+            text, at = self.expect_int()
+            if (den := self.to_int(text, at)) == 0:
+                self.error("zero denominator", at)
         value = Fraction(sign * num, den)
         if self.backend != EXACT:
             try:
                 float(value)
             except OverflowError:
-                self.error(f"value too large for {F64}", first)
+                self.error(f"value too large for {F64}", first.start)
         return value
 
     def parse_values(self) -> Tuple[List[int], List[int]]:
@@ -310,32 +308,26 @@ class _Parser:
     # statements ----------------------------------------------------------
 
     def parse_document(self) -> DslDocument:
-        while self.peek().kind != "EOF":
-            tok, pos = self.peek(), self.pos
+        while (tok := self.peek()).kind != "EOF":
             if tok.kind != "NAME":
-                self.error(f"expected a statement, found {tok.text!r}", tok)
+                self.error(f"expected a statement, found {tok.text!r}", tok.start)
             read = {"tensor": self.parse_tensor_decl, "graph": self.parse_graph_decl,
                     "let": self.parse_expr_decl}.get(tok.text)
             if read is None:
-                self.error(f"expected 'tensor', 'graph' or 'let', found {tok.text!r}", tok)
-            try:
-                read()
-            except _Reread:  # the token methods read the statement again
-                self.pos, self.tok, self.patterns = pos, tok, False
-                read()
-                self.patterns = True
+                self.error(f"expected 'tensor', 'graph' or 'let', found {tok.text!r}", tok.start)
+            read()
         return self.doc
 
     def parse_tensor_decl(self) -> None:
         self.next()  # 'tensor'
-        if head := self.patterns and _HEADER.match(self.source, self.pos):
-            name = self.declare(head[1], None)
-            sizes = _DROP.sub("", head[2]).split(",")  # comments dropped
-            dims = [self.alphabet(self.to_int(d, None), None) for d in sizes if d]
-            self.pos, eq_tok = head.end(), None
+        if head := _HEADER.match(self.source, self.pos):
+            name = self.declare(head[1], head.start(1))
+            dims = [self.alphabet(d[1], d.start(1))
+                    for d in _SIZE.finditer(self.source, head.start(2), head.end(2))]
+            self.pos, eq_at = head.end(), head.end() - 1
         else:
-            name_tok = self.expect_name("a tensor name")
-            name = self.declare(name_tok.text, name_tok)
+            name_tok = self.expect("a tensor name")
+            name = self.declare(name_tok.text, name_tok.start)
         if head or self.at_sym("["):
             if not head:
                 self.next()
@@ -344,14 +336,14 @@ class _Parser:
                     self.next()
                     dims.append(self.alphabet(*self.expect_int()))
                 self.expect_sym("]")
-                eq_tok = self.expect_sym("=")
+                eq_at = self.expect_sym("=").start
             nums, dens = self.parse_values()
             tok = self.peek()
             if tok.kind not in ("NAME", "EOF"):
-                self.error(f"expected ',' or the next statement, found {tok.text!r}", tok)
+                self.error(f"expected ',' or the next statement, found {tok.text!r}", tok.start)
             if len(nums) != prod(dims):
                 self.error(f"expected {prod(dims)} values for shape {dims}, got {len(nums)}",
-                           eq_tok)
+                           eq_at)
             entries, denom = lowest_terms(nums, dens)
             decl = TensorDecl(name, dims, entries, denom)
             if self.backend == EXACT:
@@ -360,109 +352,110 @@ class _Parser:
                 tensor = Tensor(tuple(dims), F64, dense=[n / denom for n in entries])
         else:
             self.expect_sym("=")
-            fn_tok = self.expect_name("a builtin name")
+            fn_tok = self.expect("a builtin name")
             self.expect_sym("(")
             fn = fn_tok.text
             if fn not in _BUILTIN_ARITY:
-                self.error(f"unknown builtin {fn!r}", fn_tok)
-            args, arg_tok = [], self.peek()
+                self.error(f"unknown builtin {fn!r}", fn_tok.start)
+            args, arg_at = [], self.peek().start
             for k in range(_BUILTIN_ARITY[fn]):
                 if k:
                     self.expect_sym(",")
-                args.append(self.expect_int()[0])
+                args.append(self.to_int(*self.expect_int()))
             if fn == "eps":
-                tensor = self.owned(arg_tok, levi_civita, *args, self.backend)
+                tensor = self.owned(arg_at, levi_civita, *args, self.backend)
             elif fn == "delta":
-                tensor = self.owned(arg_tok, delta2, *args, self.backend)
+                tensor = self.owned(arg_at, delta2, *args, self.backend)
             else:  # e(i, n) is delta_point(n, i)
-                tensor = self.owned(arg_tok, delta_point, *args[::-1], self.backend)
+                tensor = self.owned(arg_at, delta_point, *args[::-1], self.backend)
             self.expect_sym(")")
             decl = f"tensor {name} = {fn}({','.join(map(str, args))})"
         self.doc.statements.append(decl)
         self.doc.tensors[name] = tensor
 
-    def parse_port(self, graph: Nfg) -> Tuple[str, int]:
-        """(vertex, 1-based slot), checked to place an error (the graph checks it again)."""
-        vtok = self.expect_name("a vertex name")
-        if vtok.text not in graph.vertices:
-            self.error(f"undefined vertex {vtok.text!r}", vtok)
+    def parse_port(self, graph: Nfg) -> Tuple[str, str]:
+        """A port's vertex and slot text, checked as they are read."""
+        vtok = self.expect("a vertex name")
+        self.port(graph, vtok.text, vtok.start)
         self.expect_sym(".")
-        slot, stok = self.expect_int()
-        if not (1 <= slot <= graph.vertices[vtok.text].tensor.rank):
-            self.error("slot out of range", stok)
+        slot, at = self.expect_int()
+        self.port(graph, vtok.text, vtok.start, slot, at)
         return vtok.text, slot
 
     def read_item(self, graph: Nfg, lines: List[str]) -> bool:
-        """Whether a pattern read the next graph item whole and made its checks;
-        the graph alone refuses a vertex or slot here, as it does for the token methods."""
+        """Whether a pattern read the next graph item whole and made its checks,
+        placed at the groups it read: an edge's ports only once the graph or
+        int() refuses it, in the token reader's order and before its message."""
         at = self.source, self.pos
-        if m := _VERTEX.match(*at):
-            self.in_order(graph, "vertex", None)
-            self.add_vertex(graph, lines, m[1], m[2], None, None)
-        elif m := _EDGE.match(*at):
-            self.in_order(graph, "edge", None)
-            a, b = (m[2], self.to_int(m[3], None)), (m[4], self.to_int(m[5], None))
-            self.link(graph, lines, m[1], a, b, None)
-        elif m := _DANGLING.match(*at):
-            self.in_order(graph, "dangling", None)
-            self.link(graph, lines, m[1], (m[2], self.to_int(m[3], None)), None, None)
-        else:
+        m = _VERTEX.match(*at) or _EDGE.match(*at) or _DANGLING.match(*at)
+        if not m:
             return False
+        self.in_order(graph, m[1], m.start(1))
+        if m[1] == "vertex":
+            self.add_vertex(graph, lines, m[2], m[3], m.start(2), m.start(3))
+        else:
+            try:
+                self.link(graph, lines, *m.groups()[1:])
+            except ValueError as exc:
+                for k in range(3, m.lastindex, 2):
+                    self.port(graph, m[k], m.start(k), m[k + 1], m.start(k + 1))
+                self.error(str(exc), m.start(2))
         self.pos = m.end()
         return True
 
     def parse_graph_decl(self) -> None:
         self.next()  # 'graph'
-        name_tok = self.expect_name("a graph name")
-        name = self.declare(name_tok.text, name_tok)
+        name_tok = self.expect("a graph name")
+        name = self.declare(name_tok.text, name_tok.start)
         self.expect_sym("{")
         graph = Nfg(self.backend)
         lines = [f"graph {name} {{"]  # the canonical block, an item a line
         self.interfaced = False  # the block has its interface
         while True:
-            if self.patterns and self.read_item(graph, lines):
+            if self.read_item(graph, lines):
                 continue
             tok = self.next()
             if tok.kind == "SYM" and tok.text == "}":
                 break
             if tok.kind != "NAME":
-                self.error(f"expected a graph item, found {tok.text or 'end of input'!r}", tok)
+                self.error(f"expected a graph item, found {tok.text or 'end of input'!r}",
+                           tok.start)
             if tok.text not in _LATE:
                 self.error(f"expected 'vertex', 'edge', 'dangling' or 'interface', "
-                           f"found {tok.text!r}", tok)
-            self.in_order(graph, tok.text, tok)
+                           f"found {tok.text!r}", tok.start)
+            self.in_order(graph, tok.text, tok.start)
             if tok.text == "vertex":
-                vtok = self.expect_name("a vertex name")
+                vtok = self.expect("a vertex name")
                 self.expect_sym(":")
-                ttok = self.expect_name("a tensor name")
-                self.add_vertex(graph, lines, vtok.text, ttok.text, vtok, ttok)
+                ttok = self.expect("a tensor name")
+                self.add_vertex(graph, lines, vtok.text, ttok.text, vtok.start, ttok.start)
             elif tok.text == "interface":
                 self.expect_sym("(")
                 order = []
                 while True:
-                    ntok = self.expect_name("a dangling edge name")
+                    ntok = self.expect("a dangling edge name")
                     if ntok.text not in graph.dangling:
-                        self.error(f"{ntok.text!r} is not a dangling edge", ntok)
+                        self.error(f"{ntok.text!r} is not a dangling edge", ntok.start)
                     order.append(ntok.text)
                     if not self.at_sym(","):
                         break
                     self.next()
                 self.expect_sym(")")
-                self.owned(tok, graph.set_interface, order)
+                self.owned(tok.start, graph.set_interface, order)
                 lines.append(f"  interface({', '.join(order)})")
                 self.interfaced = True
             else:
-                etok = self.expect_name("an edge name")
+                etok = self.expect("an edge name")
                 self.expect_sym("(")
-                a, b = self.parse_port(graph), None
+                ports = self.parse_port(graph)
                 if tok.text == "edge":
                     self.expect_sym(",")
-                    b = self.parse_port(graph)
+                    ports += self.parse_port(graph)
                 self.expect_sym(")")
-                self.link(graph, lines, etok.text, a, b, etok)
+                self.owned(etok.start, self.link, graph, lines, etok.text, *ports)
         violations = graph.validate()
         if violations:
-            self.error(f"invalid graph {name!r}: {violations[0]}", name_tok)
+            self.error(f"invalid graph {name!r}: {violations[0]}", name_tok.start)
         self.doc.statements.append("\n".join(lines + ["}"]))
         self.doc.graphs[name] = graph.freeze()
 
@@ -471,12 +464,12 @@ class _Parser:
             return as_compound(self.doc.graphs[tok.text])
         if tok.text in self.doc.compounds:
             return self.doc.compounds[tok.text]
-        self.error(f"undefined graph {tok.text!r}", tok)
+        self.error(f"undefined graph {tok.text!r}", tok.start)
 
     def parse_expr_decl(self) -> None:
         self.next()  # 'let'
-        name_tok = self.expect_name("an expression name")
-        name = self.declare(name_tok.text, name_tok)
+        name_tok = self.expect("an expression name")
+        name = self.declare(name_tok.text, name_tok.start)
         self.expect_sym("=")
         text, sign = f"let {name} = ", 1
         terms: List[Tuple[Fraction, CompoundNfg]] = []  # coefficient, resolved graph
@@ -486,10 +479,10 @@ class _Parser:
             if tok.kind == "NUMBER" or (tok.kind == "SYM" and tok.text == "-"):
                 coef *= self.parse_rational()
                 self.expect_sym("*")
-            gtok = self.expect_name("a graph name")
+            gtok = self.expect("a graph name")
             part = self._resolve_graph(gtok)
             if terms and terms[0][1].interface != part.interface:
-                self.error(f"interface mismatch: {gtok.text!r} has {part.interface}", gtok)
+                self.error(f"interface mismatch: {gtok.text!r} has {part.interface}", gtok.start)
             # canonical text: the first coefficient as is, a later one as its
             # sign and magnitude; a shown coefficient of 1 is left out
             op, shown = ("", coef) if not terms else (" - ", -coef) if coef < 0 else (" + ", coef)

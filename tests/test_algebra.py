@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -59,6 +60,27 @@ def test_compound_rejects_interface_mismatch():
     for combine in (add_nfgs, sub_nfgs):
         with pytest.raises(NfgError, match=r"term interface \(2,\) != compound interface \(3,\)"):
             combine(g1, g2)
+
+
+@pytest.mark.parametrize("engine", ["brute", "planned"])
+def test_compound_refuses_a_second_backend_before_any_contraction(engine):
+    """A term or a coefficient of the other backend is refused as the compound
+    is built, so no engine runs."""
+    exact = vec_graph(Tensor.from_values((2,), [1, 2]))
+    f64 = vec_graph(Tensor.from_values((2,), [1.0, 2.0], F64))
+    calls = []
+    builds = [
+        (lambda: add_nfgs(exact, f64), "term backend f64 != compound backend exact"),
+        (lambda: sub_nfgs(f64, exact), "term backend exact != compound backend f64"),
+        (lambda: CompoundNfg([(0.5, exact)], (2,)), "float value rejected"),
+        (lambda: CompoundNfg([(rat(1, 2), f64)], (2,)), "cannot admit Fraction"),
+    ]
+    with mock.patch.multiple("nfg.algebra", exterior_brute=calls.append,
+                             exterior_planned=calls.append):
+        for build, message in builds:
+            with pytest.raises(BackendMismatch, match=message):
+                eval_compound(build(), engine=engine)
+    assert calls == []
 
 
 def test_scale_via_constant_vertex_agrees_with_formal_scale():

@@ -2,6 +2,7 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -456,6 +457,14 @@ def test_a_refused_list_is_read_by_the_token_methods_from_the_refused_entry(back
 _SYMBOLS = set("[]{}(),.:=+-*/")
 
 
+class Lexeme(NamedTuple):
+    """A token with the 1-based line and column that the scanner places it at."""
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
 def reference_tokenize(source):
     """The per-character lexer that the scanner replaced, kept as its reference."""
     tokens = []
@@ -482,7 +491,7 @@ def reference_tokenize(source):
             while i < n and (source[i].isalnum() or source[i] == "_"):
                 i += 1
             text = source[start:i]
-            tokens.append(dsl.Token("NAME", text, line, col))
+            tokens.append(Lexeme("NAME", text, line, col))
             col += len(text)
             continue
         if ch.isdigit():
@@ -490,16 +499,16 @@ def reference_tokenize(source):
             while i < n and source[i].isdigit():
                 i += 1
             text = source[start:i]
-            tokens.append(dsl.Token("NUMBER", text, line, col))
+            tokens.append(Lexeme("NUMBER", text, line, col))
             col += len(text)
             continue
         if ch in _SYMBOLS:
-            tokens.append(dsl.Token("SYM", ch, line, col))
+            tokens.append(Lexeme("SYM", ch, line, col))
             i += 1
             col += 1
             continue
         raise dsl.DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(dsl.Token("EOF", "", line, col))
+    tokens.append(Lexeme("EOF", "", line, col))
     return tokens
 
 
@@ -522,11 +531,17 @@ def reference_tokens(source):
 
 
 def scanner_tokens(source):
-    """The parser's tokens up to EOF or its error, and the error or None."""
+    """The parser's tokens up to EOF or its error, each placed at the line and
+    column of its start offset, and the error or None."""
     parser, tokens = dsl._Parser(source, EXACT), []
+
+    def lexeme(tok):
+        line = source.count("\n", 0, tok.start) + 1
+        return Lexeme(tok.kind, tok.text, line, tok.start - source.rfind("\n", 0, tok.start))
+
     try:
         while not tokens or tokens[-1].kind != "EOF":
-            tokens.append(parser.next())
+            tokens.append(lexeme(parser.next()))
     except dsl.DslError as err:
         return tokens, (err.line, err.col, err.message)
     return tokens, None

@@ -1,10 +1,11 @@
 """The DSL parser's two routes agree.
 
 Statement patterns read a value list's head and each vertex, edge and
-dangling item whole; the token methods read the rest, and read again from its
-start every statement that a check refuses.  With the patterns made never to
-match, the token methods read everything, so a document must give the same
-canonical text, or the same positioned error, either way.
+dangling item whole; the token methods read the rest.  Each check takes the
+source offset of what it checks, a pattern group's or a token's, so every
+statement is read once.  With the patterns made never to match, the token
+methods read everything, so a document must give the same canonical text, or
+the same positioned error, either way.
 """
 
 import pathlib
@@ -226,6 +227,40 @@ def test_where_the_routes_could_part_they_agree(source, expected, backend):
         assert result == expected
     else:
         assert result[:2] == expected[:2] and expected[2] in result[2], result
+
+
+NINES = "9" * 5000  # over int()'s digit limit
+PAIR = "tensor t [2,2] = 1, 0, 0, 1\ngraph g { vertex a: t vertex b: t "
+
+# A refused item or head is placed where the token reader places it, checks
+# run in its order: a port's vertex, its slot's digit limit, its slot's range,
+# and only then the graph's own message; a head's sizes one by one.
+PLACED = [
+    ("undefined vertex before a long slot", PAIR + f"edge f(zz.{NINES}, b.1) }}\n",
+     "2:42: undefined vertex 'zz'"),
+    ("undefined dangling vertex before a long slot",
+     f"tensor t [2] = 1, 0\ngraph g {{ vertex b: t dangling f(zz.{NINES}) }}\n",
+     "2:34: undefined vertex 'zz'"),
+    ("undefined vertex in a duplicate edge", PAIR + "edge f(a.1, b.1) edge f(zz.1, a.2) }\n",
+     "2:59: undefined vertex 'zz'"),
+    ("long slot on a defined vertex", PAIR + f"edge f(a.{NINES}, b.1) }}\n",
+     "2:44: integer of 5000 digits is over the limit of 4300"),
+    ("size after a comment with digits", "tensor t [2, # 30\n 0] = 1\n",
+     "2:2: alphabet sizes must be positive"),
+    ("size after a comment with a zero", "tensor t [2, # 0\n 0] = 1\n",
+     "2:2: alphabet sizes must be positive"),
+    ("long size", f"tensor t [1, {NINES}] = 1\n",
+     "1:14: integer of 5000 digits is over the limit of 4300"),
+]
+
+
+@pytest.mark.parametrize("backend", [EXACT, F64])
+@pytest.mark.parametrize("source, expected", [case[1:] for case in PLACED],
+                         ids=[case[0] for case in PLACED])
+def test_a_refusal_is_placed_as_the_token_reader_places_it(source, expected, backend):
+    result = outcome(source, backend)
+    assert result == token_outcome(source, backend)
+    assert "{}:{}: {}".format(*result) == expected
 
 
 # -- the patterns read every item ------------------------------------------------
